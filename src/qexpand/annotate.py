@@ -60,9 +60,8 @@ class InternTable:
     kind names the variables the instantiating assignments cover:
     "universal" for the all-instantiations side, "existential" for the
     negated side.  Selector ids for activation/negation encodings are
-    drawn from the same dense id space via fresh().  seen_clauses and
-    clause_selector deduplicate produced clauses per table, never
-    across tables.
+    drawn from the same dense id space via fresh().  clause_selector
+    deduplicates negated clauses per table, never across tables.
     """
 
     def __init__(self, kind):
@@ -71,7 +70,6 @@ class InternTable:
         self.kind = kind
         self.forward = {}  # (var, Annotation) -> id
         self.reverse = {}  # id -> (var, Annotation)
-        self.seen_clauses = {}  # produced clause -> first source clause index
         self.clause_selector = {}  # produced clause -> selector id
         self._next = 1
 
@@ -114,12 +112,6 @@ def _ann_at(positions, bits, pos):
     return Annotation(bits & ((1 << k) - 1), k)
 
 
-def annotation_of(a, vid):
-    """Annotation variable vid receives under instantiation by a."""
-    positions, bits = _ann_context(a)
-    return _ann_at(positions, bits, a.qbf.position(vid))
-
-
 def _instantiate_core(q, a):
     """Clauses of the matrix instantiated under a.
 
@@ -158,7 +150,6 @@ def _check_domain(q, a, table):
 class ProducedClause(NamedTuple):
     lits: tuple  # signed intern ids
     matrix_index: int
-    is_new: bool  # first time this table produced the clause
 
 
 @dataclass
@@ -170,9 +161,9 @@ class InstantiationResult:
 def instantiate(q, a, table):
     """Instantiate the matrix under a full assignment of the table's kind.
 
-    Produced clauses are interned: is_new is False when this table saw
-    the same annotated clause from an earlier (or the same) assignment,
-    so callers can share rather than re-add it.
+    Produced clauses are over interned ids, so equal annotated clauses
+    from different assignments come out equal and callers can share
+    rather than re-add them.
     """
     _check_domain(q, a, table)
     produced = []
@@ -184,10 +175,7 @@ def instantiate(q, a, table):
         )
         if not ilits:
             empty = True
-        is_new = ilits not in table.seen_clauses
-        if is_new:
-            table.seen_clauses[ilits] = idx
-        produced.append(ProducedClause(ilits, idx, is_new))
+        produced.append(ProducedClause(ilits, idx))
     return InstantiationResult(produced, empty)
 
 
@@ -253,15 +241,3 @@ def strip(model, source, table):
             val = model[aid]
         pairs.append((v, val))
     return Assignment.from_pairs(q, pairs)
-
-
-def unstrip_check(q, s):
-    """Instantiate under s, then erase annotations.
-
-    Returns plain clauses over the original variables; up to
-    equivalence this matches applying s to the matrix directly, which
-    is what makes stripping sound.  Testing hook, not used in solving.
-    """
-    return [
-        tuple(l for l, _ in lits) for _, lits in _instantiate_core(q, s)
-    ]

@@ -45,8 +45,6 @@ def json_stats_lines(result):
         "verdict": result.verdict,
         "iterations": result.iterations,
         "resets": state.resets,
-        "recoveries": state.recoveries,
-        "forced_extensions": state.forced_extensions,
         "alphas": len(state.alphas),
         "sigmas": len(state.sigmas),
     }
@@ -77,14 +75,8 @@ def human_stats_lines(result):
         )
     state = result.state
     out.append(
-        "c done verdict=%s iterations=%d resets=%d recoveries=%d forced=%d"
-        % (
-            result.verdict,
-            result.iterations,
-            state.resets,
-            state.recoveries,
-            state.forced_extensions,
-        )
+        "c done verdict=%s iterations=%d resets=%d"
+        % (result.verdict, result.iterations, state.resets)
     )
     return out
 
@@ -94,7 +86,6 @@ def _config_from_args(args):
         init_mode=args.init_mode,
         seed=args.seed,
         reset_period=args.reset_period,
-        multi_extract=not args.single_extract,
         verify_invariants=args.verify_invariants,
         max_iterations=args.max_iterations,
         time_limit=args.timeout,
@@ -223,7 +214,6 @@ def build_parser():
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--reset-period", type=int, default=64)
     ps.add_argument("--init-mode", choices=expand.INIT_MODES, default="per-block")
-    ps.add_argument("--single-extract", action="store_true")
     ps.add_argument("--verify-invariants", action="store_true")
     ps.add_argument(
         "--backend",

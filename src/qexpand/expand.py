@@ -13,12 +13,29 @@ assignment space, which bounds the number of iterations.
 The all side attaches an activation selector to every distinct
 instantiated clause and solves under assumptions, so resetting alphas
 deactivates clause groups by reference count instead of rebuilding the
-solver.  Resets break the strict-growth argument, so a stalled
-iteration (no new candidate on either side) first restores every
-retired group and stops further resets; if the stall survives even
-that, the smallest unseen assignment is force-added on the stalled
-side.  Both escapes preserve soundness (any assignment set does) and
-restore guaranteed termination.
+solver.  A reset replaces the alphas with the strips of the latest
+counter model, which lifts the bound on the iteration count.
+
+Every iteration still adds to both sides, reset or not, so a stall
+(a refinement step that finds nothing new) is a bug and raises
+InvariantViolation.  Every forall solve runs under alphas that include
+strip(m_e, sigma) for every sigma in S, m_e the latest counter model:
+without a reset those strips were added, with one they are the whole
+fresh set.  Likewise S holds strip(m_f, alpha) for every alpha in A,
+m_f the latest forall model.  Suppose every strip of the newest model
+were already known (for a counter model: already among the alphas the
+last forall solve ran under).  Alternate from any sigma in S:
+alpha = strip(m_e, sigma), then sigma = strip(m_f, alpha), and so on.
+A block's values depend only on the other side's values earlier in the
+prefix, so each round fixes one more block: the chain settles on alpha
+in A and sigma in S with sigma = strip(m_f, alpha) and
+alpha = strip(m_e, sigma), that is, each universal read from m_e and
+each existential from m_f under the annotation of the other side's
+values chosen so far.  Then alpha and sigma together satisfy the
+matrix (m_f satisfies the instantiation under alpha) and falsify it
+(m_e falsifies a clause of the instantiation under sigma), a
+contradiction.  Clauses an iteration hook injects must follow from the
+matrix for this to hold.
 """
 
 import time
@@ -33,6 +50,8 @@ UNKNOWN = "UNKNOWN"
 
 INIT_MODES = ("per-block", "random", "all-false", "all-true")
 
+RESET_MEMORY_THRESHOLD = 2_000_000  # live literals forcing a reset
+
 
 class InvariantViolation(Exception):
     """A run broke an internal invariant; always a bug, never an input error."""
@@ -43,31 +62,26 @@ class SolveConfig:
     init_mode: str = "per-block"
     seed: int = 0
     reset_period: int = 64  # iterations between alpha resets; 0 disables
-    reset_memory_threshold: int = 2_000_000  # live literals forcing a reset
-    multi_extract: bool = True  # extract from every source, not just the first
     verify_invariants: bool = False
     max_iterations: int = 0  # 0 = unlimited
     time_limit: float = None  # seconds, cooperative
-    certificate: bool = False  # CLI: emit a certificate on FALSE
     backend: str = "bundled"  # bundled | external:<path to solver binary>
     kernel: str = "auto"  # bundled kernel: auto | pure | compiled
 
 
 class AssignmentSet:
-    """Insertion-ordered set of assignments with origin tracking."""
+    """Insertion-ordered set of assignments."""
 
     def __init__(self):
         self.items = []
-        self.origins = []
         self._index = {}
 
-    def add(self, a, origin):
+    def add(self, a):
         k = a.key()
         if k in self._index:
             return False
         self._index[k] = len(self.items)
         self.items.append(a)
-        self.origins.append(origin)
         return True
 
     def __contains__(self, a):
@@ -183,12 +197,8 @@ class ExpansionState:
         self.stats = []
         self.core = None  # (clause lits, matrix index, alpha) triples on FALSE
         self.injected_clauses = 0
-        self.retired_alphas = []
         self.resets = 0
-        self.recoveries = 0
-        self.forced_extensions = 0
         self.deadline = None
-        self._resets_allowed = True
         self._wit_s_for_a = {}  # alpha key -> satisfying sigma key
         self._wit_a_for_s = {}  # sigma key -> falsifying alpha key
 
@@ -271,27 +281,6 @@ def initial_alphas(q, config):
     raise ValueError("init_mode must be one of %s" % (INIT_MODES,))
 
 
-def extract_new(q, model, sources, table, existing, multi=True):
-    """Strip a model against every source assignment; list the novel results.
-
-    Returns (source, candidate) pairs in source order, deduplicated,
-    filtered against the existing set; with multi False only the first
-    novel candidate is returned.
-    """
-    out = []
-    seen = set()
-    for src in sources:
-        cand = annotate.strip(model, src, table)
-        k = cand.key()
-        if k in seen or cand in existing:
-            continue
-        seen.add(k)
-        out.append((src, cand))
-        if not multi:
-            break
-    return out
-
-
 def check_completion(state, s_side=True, a_side=True):
     """Report violations of the mutual-coverage invariants.
 
@@ -348,18 +337,11 @@ def _verify_completion(state, s_side, a_side):
         )
 
 
-def _force_unseen(q, var_ids, existing):
-    """Smallest assignment over var_ids not yet in the set, or None."""
-    n = len(var_ids)
-    if len(existing) >= (1 << n):
-        return None
-    for bits in range(1 << n):
-        cand = Assignment.from_pairs(
-            q, [(v, bool(bits >> i & 1)) for i, v in enumerate(var_ids)]
-        )
-        if cand not in existing:
-            return cand
-    return None
+def _stalled(state, side):
+    raise InvariantViolation(
+        "no new %s at iteration %d (%d resets so far)"
+        % (side, state.iteration, state.resets)
+    )
 
 
 def solve(q, config=None, on_iteration=None):
@@ -371,7 +353,7 @@ def solve(q, config=None, on_iteration=None):
     if cfg.time_limit is not None:
         state.deadline = time.monotonic() + cfg.time_limit
     for alpha in initial_alphas(q, cfg):
-        if state.alphas.add(alpha, "init"):
+        if state.alphas.add(alpha):
             state.forall_abs.add_group(alpha)
 
     def out_of_time():
@@ -395,8 +377,6 @@ def solve(q, config=None, on_iteration=None):
             "new_sigmas": 0,
             "new_alphas": 0,
             "reset": False,
-            "recovered": False,
-            "forced": 0,
         }
         state.stats.append(rec)
         fa = state.forall_abs
@@ -429,17 +409,13 @@ def solve(q, config=None, on_iteration=None):
                     )
         new_s = 0
         for _, cand in strips:
-            if cand in state.sigmas:
-                continue
-            state.sigmas.add(cand, "it%d" % state.iteration)
-            ea.add_negation(cand)
-            new_s += 1
-            if not cfg.multi_extract:
-                break
+            if state.sigmas.add(cand):
+                ea.add_negation(cand)
+                new_s += 1
         rec["new_sigmas"] = new_s
         if new_s == 0:
-            _handle_stall(state, rec, "sigmas")
-        if cfg.verify_invariants and cfg.multi_extract and not rec["recovered"]:
+            _stalled(state, "sigma")
+        if cfg.verify_invariants:
             _verify_completion(state, s_side=True, a_side=False)
 
         if out_of_time():
@@ -467,18 +443,13 @@ def solve(q, config=None, on_iteration=None):
                         "extracted universal does not falsify its source"
                     )
         do_reset = cfg.reset_period and state.iteration % cfg.reset_period == 0
-        do_reset = do_reset or fa.live_literals > cfg.reset_memory_threshold
-        do_reset = do_reset and state._resets_allowed
+        do_reset = do_reset or fa.live_literals > RESET_MEMORY_THRESHOLD
         new_a = 0
         if do_reset:
             fresh = AssignmentSet()
-            for sigma, cand in strips_a:
-                if cand not in state.alphas:
+            for _, cand in strips_a:
+                if fresh.add(cand) and cand not in state.alphas:
                     new_a += 1
-                fresh.add(cand, "reset%d" % state.iteration)
-            for alpha in state.alphas:
-                if alpha not in fresh:
-                    state.retired_alphas.append(alpha)
             fa.drop_all_groups()
             state.alphas = fresh
             for alpha in fresh:
@@ -487,17 +458,13 @@ def solve(q, config=None, on_iteration=None):
             rec["reset"] = True
         else:
             for _, cand in strips_a:
-                if cand in state.alphas:
-                    continue
-                state.alphas.add(cand, "it%d" % state.iteration)
-                fa.add_group(cand)
-                new_a += 1
-                if not cfg.multi_extract:
-                    break
+                if state.alphas.add(cand):
+                    fa.add_group(cand)
+                    new_a += 1
         rec["new_alphas"] = new_a
-        if new_a == 0 and not do_reset:
-            _handle_stall(state, rec, "alphas")
-        if cfg.verify_invariants and cfg.multi_extract and not rec["recovered"]:
+        if new_a == 0:
+            _stalled(state, "alpha")
+        if cfg.verify_invariants:
             _verify_completion(state, s_side=False, a_side=True)
 
         _finish_rec(rec, state)
@@ -523,56 +490,3 @@ def _finish_rec(rec, state):
     rec["exists_propagations"] = ea.solver.propagations
     rec["exists_clauses"] = ea.solver.num_clauses
     return rec
-
-
-def _handle_stall(state, rec, side):
-    """A refinement step produced nothing new.
-
-    Only reachable when the completion invariants were never built up:
-    after a reset weakened the universal set, or in single-extract mode
-    where most strips are discarded.  Under full extraction without
-    resets a stall is a bug.  First restore every retired group and
-    stop resetting; if that is not enough, force-add the smallest
-    unseen assignment on the stalled side so the run keeps making
-    progress toward the trivial bound.
-    """
-    q = state.work_q
-    reset_involved = state.resets or state.recoveries or state.retired_alphas
-    if state.config.multi_extract and not reset_involved:
-        raise InvariantViolation(
-            "stalled %s extension without any reset in play" % side
-        )
-    if state._resets_allowed and (state.resets or state.retired_alphas):
-        state._resets_allowed = False
-        restored = 0
-        for alpha in state.retired_alphas:
-            if state.alphas.add(alpha, "recovered"):
-                state.forall_abs.add_group(alpha)
-                restored += 1
-        state.retired_alphas = []
-        state.recoveries += 1
-        rec["recovered"] = True
-        if restored and side == "alphas":
-            rec["new_alphas"] += restored
-            return
-        if side == "sigmas":
-            # the widened universal side feeds the next iteration
-            return
-    if side == "sigmas":
-        cand = _force_unseen(q, q.existentials, state.sigmas)
-        if cand is not None:
-            state.sigmas.add(cand, "forced%d" % state.iteration)
-            state.exists_abs.add_negation(cand)
-            rec["new_sigmas"] += 1
-            rec["forced"] += 1
-            state.forced_extensions += 1
-            return
-    else:
-        cand = _force_unseen(q, q.universals, state.alphas)
-        if cand is not None:
-            state.alphas.add(cand, "forced%d" % state.iteration)
-            state.forall_abs.add_group(cand)
-            rec["new_alphas"] += 1
-            rec["forced"] += 1
-            state.forced_extensions += 1
-    # a full side is tolerated; the other side still has room to grow

@@ -128,6 +128,7 @@ def decide_full_expansion(q, max_universals=12, kernel="auto"):
         raise TooLarge("%d universal variables" % len(U))
     table = annotate.InternTable("universal")
     s = sat.Solver(kernel=kernel)
+    added = set()
     for bits in range(1 << len(U)):
         a = Assignment.from_pairs(
             q, [(v, bool(bits >> i & 1)) for i, v in enumerate(U)]
@@ -136,7 +137,8 @@ def decide_full_expansion(q, max_universals=12, kernel="auto"):
         if res.empty_clause:
             return False
         for pc in res.clauses:
-            if pc.is_new:
+            if pc.lits not in added:
+                added.add(pc.lits)
                 s.add_clause(pc.lits)
     return s.solve().status == sat.SAT
 

@@ -8,13 +8,32 @@ from qexpand.annotate import (
     Annotation,
     InternTable,
     WrongDomain,
-    annotation_of,
+    _ann_at,
+    _ann_context,
+    _instantiate_core,
     instantiate,
     negate_instantiate,
     strip,
-    unstrip_check,
 )
 from qexpand.formula import EXISTS, FORALL, Assignment, Qbf, apply_assignment
+
+
+def annotation_of(a, vid):
+    """Annotation variable vid receives under instantiation by a."""
+    positions, bits = _ann_context(a)
+    return _ann_at(positions, bits, a.qbf.position(vid))
+
+
+def unstrip_check(q, s):
+    """Instantiate under s, then erase annotations.
+
+    Returns plain clauses over the original variables; up to
+    equivalence this matches applying s to the matrix directly, which
+    is what makes stripping sound.
+    """
+    return [
+        tuple(l for l, _ in lits) for _, lits in _instantiate_core(q, s)
+    ]
 
 
 def q4():
@@ -54,15 +73,15 @@ def test_instantiate_universal_side():
     sigma = Assignment.from_pairs(q, {1: True, 3: False})
     res = instantiate(q, sigma, table)
     assert not res.empty_clause
-    assert [(pc.lits, pc.matrix_index, pc.is_new) for pc in res.clauses] == [
-        ((-1, 2), 1, True),
-        ((-2,), 2, True),
+    assert [(pc.lits, pc.matrix_index) for pc in res.clauses] == [
+        ((-1, 2), 1),
+        ((-2,), 2),
     ]
     assert table.reverse[1] == (2, Annotation(1, 1))
     assert table.reverse[2] == (4, Annotation(1, 2))
-    # same assignment again: clauses now duplicates
+    # same assignment again: the same clauses over the same ids
     res2 = instantiate(q, sigma, table)
-    assert all(not pc.is_new for pc in res2.clauses)
+    assert res2.clauses == res.clauses
     assert len(table) == 2
 
 
@@ -81,8 +100,8 @@ def test_instantiate_shares_across_assignments():
     table = InternTable("universal")
     instantiate(q, Assignment.from_pairs(q, {1: True, 3: False}), table)
     res = instantiate(q, Assignment.from_pairs(q, {1: False, 3: True}), table)
-    assert [(pc.lits, pc.matrix_index, pc.is_new) for pc in res.clauses] == [
-        ((3, 4), 0, True),
+    assert [(pc.lits, pc.matrix_index) for pc in res.clauses] == [
+        ((3, 4), 0),
     ]
     assert table.reverse[3] == (2, Annotation(0, 1))
     assert table.reverse[4] == (4, Annotation(2, 2))
@@ -93,7 +112,7 @@ def test_instantiate_empty_clause():
     table = InternTable("universal")
     res = instantiate(q, Assignment.from_pairs(q, {1: True}), table)
     assert res.empty_clause
-    assert ((), 2, True) in [tuple(pc) for pc in res.clauses]
+    assert ((), 2) in [tuple(pc) for pc in res.clauses]
 
 
 def test_unstrip_matches_restriction():

@@ -185,7 +185,6 @@ def test_solver_options_accepted(tmp_path, capsys):
             "1",
             "--init-mode",
             "all-true",
-            "--single-extract",
             "--verify-invariants",
             "--seed",
             "3",

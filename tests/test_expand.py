@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qexpand import annotate, expand, oracle, sat
+from qexpand import annotate, expand, oracle
 from qexpand.expand import (
     FALSE,
     TRUE,
@@ -11,7 +11,6 @@ from qexpand.expand import (
     InvariantViolation,
     SolveConfig,
     check_completion,
-    extract_new,
     initial_alphas,
     solve,
 )
@@ -123,30 +122,6 @@ def test_initial_alphas_modes():
         solve(q, SolveConfig(init_mode="bogus"))
 
 
-def test_extract_new():
-    q = xor_true_qbf()
-    table = annotate.InternTable("universal")
-    solver = sat.Solver()
-    a0 = Assignment.from_pairs(q, {1: False})
-    a1 = Assignment.from_pairs(q, {1: True})
-    for a in (a0, a1):
-        for pc in annotate.instantiate(q, a, table).clauses:
-            solver.add_clause(pc.lits)
-    out = solver.solve()
-    assert out.status == sat.SAT
-    existing = expand.AssignmentSet()
-    pairs = extract_new(q, out.model, [a0, a1], table, existing)
-    assert len(pairs) == 2
-    assert pairs[0][0] is a0 and pairs[1][0] is a1
-    assert pairs[0][1].as_dict() == {2: True}
-    assert pairs[1][1].as_dict() == {2: False}
-    existing.add(pairs[0][1], "x")
-    pairs2 = extract_new(q, out.model, [a0, a1], table, existing)
-    assert [p[1] for p in pairs2] == [pairs[1][1]]
-    first_only = extract_new(q, out.model, [a0, a1], table, expand.AssignmentSet(), multi=False)
-    assert len(first_only) == 1
-
-
 def test_xor_needs_two_iterations():
     r = solve(xor_true_qbf(), SolveConfig(verify_invariants=True))
     assert r.verdict == TRUE
@@ -174,8 +149,6 @@ def test_verdicts_match_oracle():
         r = solve(q, SolveConfig(reset_period=0, verify_invariants=True))
         assert r.verdict == want, "seed %d" % seed
         assert r.state.resets == 0
-        assert r.state.recoveries == 0
-        assert r.state.forced_extensions == 0
         for rec in r.stats[:-1]:
             assert rec["new_sigmas"] >= 1
             assert rec["new_alphas"] >= 1
@@ -191,32 +164,28 @@ def test_iteration_bound_without_resets():
 
 
 def test_reset_verdicts_match():
+    resets = 0
     for period in (1, 2):
         for seed in range(80):
             q = oracle.random_pcnf(seed)
             base = solve(q, SolveConfig(reset_period=0)).verdict
-            r = solve(q, SolveConfig(reset_period=period))
+            r = solve(
+                q, SolveConfig(reset_period=period, verify_invariants=True)
+            )
             assert r.verdict == base, "seed %d period %d" % (seed, period)
+            resets += r.state.resets
+            for rec in r.stats[:-1]:
+                assert rec["new_sigmas"] >= 1
+                # a reset iteration counts distinct strips missing from
+                # the alphas it replaces, so it grows too
+                assert 1 <= rec["new_alphas"] <= rec["size_a"]
+    assert resets > 0
 
 
-def test_single_extract_mode():
-    forced = 0
-    for seed in range(80):
-        q = oracle.random_pcnf(seed)
-        base = solve(q, SolveConfig(reset_period=0)).verdict
-        r = solve(q, SolveConfig(reset_period=0, multi_extract=False))
-        assert r.verdict == base, "seed %d" % seed
-        forced += r.state.forced_extensions
-        for rec in r.stats[:-1]:
-            assert rec["new_sigmas"] == 1
-            assert rec["new_alphas"] == 1
-    # discarding strips makes occasional stalls normal; forcing covers them
-    assert forced >= 1
-
-
-def test_memory_threshold_triggers_reset():
+def test_memory_threshold_triggers_reset(monkeypatch):
+    monkeypatch.setattr(expand, "RESET_MEMORY_THRESHOLD", 0)
     q = xor_true_qbf()
-    r = solve(q, SolveConfig(reset_period=0, reset_memory_threshold=0))
+    r = solve(q, SolveConfig(reset_period=0))
     assert r.verdict == TRUE
     assert r.state.resets >= 1
 
@@ -312,15 +281,15 @@ def test_hook_clauses_keep_verdicts():
 def test_check_completion_reports_violation():
     q = xor_true_qbf()
     state = ExpansionState(q, SolveConfig())
-    state.alphas.add(Assignment.from_pairs(q, {1: False}), "t")
-    state.sigmas.add(Assignment.from_pairs(q, {2: False}), "t")
+    state.alphas.add(Assignment.from_pairs(q, {1: False}))
+    state.sigmas.add(Assignment.from_pairs(q, {2: False}))
     report = check_completion(state, s_side=True, a_side=False)
     assert report.violations == [
         ("s-completes-a", state.alphas.items[0], None)
     ]
     report = check_completion(state, s_side=False, a_side=True)
     assert report.violations == []
-    state.sigmas.add(Assignment.from_pairs(q, {2: True}), "t")
+    state.sigmas.add(Assignment.from_pairs(q, {2: True}))
     report = check_completion(state, s_side=True, a_side=False)
     assert report.violations == []
 
@@ -331,51 +300,31 @@ def test_check_completion_clean_after_true_run():
     assert report.violations == []
 
 
-def test_stall_recovery_and_forcing():
+def test_stall_without_resets_is_a_bug(monkeypatch):
+    # every sigma strip reads {2: False}, so some refinement step must
+    # find nothing new; that is a bug whether or not a reset came first
     q = xor_true_qbf()
-    state = ExpansionState(q, SolveConfig())
-    a0 = Assignment.from_pairs(q, {1: False})
-    a1 = Assignment.from_pairs(q, {1: True})
-    state.alphas.add(a0, "init")
-    state.forall_abs.add_group(a0)
-    state.resets = 1
-    state.retired_alphas = [a1]
-    rec = {"recovered": False, "forced": 0, "new_alphas": 0, "new_sigmas": 0}
-    expand._handle_stall(state, rec, "sigmas")
-    assert rec["recovered"] and state.recoveries == 1
-    assert a1 in state.alphas and state.retired_alphas == []
-    assert not state._resets_allowed
-    assert len(state.sigmas) == 0
-    expand._handle_stall(state, rec, "sigmas")
-    assert rec["forced"] == 1 and rec["new_sigmas"] == 1
-    assert state.sigmas.items[0].as_dict() == {2: False}
-    expand._handle_stall(state, rec, "sigmas")
-    assert state.sigmas.items[1].as_dict() == {2: True}
-    # both candidate values seen: a further stall is tolerated quietly
-    expand._handle_stall(state, rec, "sigmas")
-    assert len(state.sigmas) == 2 and rec["forced"] == 2
+    real_strip = annotate.strip
+    pinned = Assignment.from_pairs(q, {2: False})
 
+    def pinned_strip(model, source, table):
+        if table.kind == "universal":
+            return pinned
+        return real_strip(model, source, table)
 
-def test_stall_forcing_universal_side():
-    q = xor_true_qbf()
-    state = ExpansionState(q, SolveConfig())
-    state.alphas.add(Assignment.from_pairs(q, {1: True}), "init")
-    state.forall_abs.add_group(state.alphas.items[0])
-    state.resets = 1
-    rec = {"recovered": False, "forced": 0, "new_alphas": 0, "new_sigmas": 0}
-    expand._handle_stall(state, rec, "alphas")
-    # nothing was retired, so recovery falls through to forcing
-    assert rec["recovered"] and rec["forced"] == 1
-    assert rec["new_alphas"] == 1
-    assert state.alphas.items[1].as_dict() == {1: False}
-
-
-def test_stall_without_resets_is_a_bug():
-    q = xor_true_qbf()
-    state = ExpansionState(q, SolveConfig())
-    rec = {"recovered": False, "forced": 0, "new_alphas": 0, "new_sigmas": 0}
+    monkeypatch.setattr(annotate, "strip", pinned_strip)
+    states = []
     with pytest.raises(InvariantViolation):
-        expand._handle_stall(state, rec, "sigmas")
+        solve(q, SolveConfig(init_mode="all-false", reset_period=0))
+    # all-true seeds {1: True}; iteration 1 adds {1: False} and resets
+    # onto it, iteration 2's forall model wants {2: True} and is refused
+    with pytest.raises(InvariantViolation):
+        solve(
+            q,
+            SolveConfig(init_mode="all-true", reset_period=1),
+            on_iteration=states.append,
+        )
+    assert [st.resets for st in states] == [1]
 
 
 def test_backend_validation():
