@@ -25,11 +25,11 @@ def random_3cnf(rng, num_vars, ratio):
     return clauses
 
 
-def time_cnf_batch(kernel, batch, seed):
+def time_cnf_batch(kernel, batch):
     statuses = []
     t0 = time.perf_counter()
     for clauses in batch:
-        s = sat.Solver(seed=seed, kernel=kernel)
+        s = sat.Solver(kernel=kernel)
         for c in clauses:
             s.add_clause(c)
         statuses.append(s.solve().status)
@@ -41,7 +41,7 @@ def time_expand_batch(kernel, seeds):
     t0 = time.perf_counter()
     for seed in seeds:
         q = oracle.random_pcnf(seed)
-        r = expand.solve(q, expand.SolveConfig(seed=seed, kernel=kernel))
+        r = expand.solve(q, expand.SolveConfig(kernel=kernel))
         verdicts.append(r.verdict)
     return time.perf_counter() - t0, verdicts
 
@@ -74,7 +74,7 @@ def main(argv=None):
         times = {}
         answers = {}
         for k in kernels:
-            times[k], answers[k] = time_cnf_batch(k, batch, args.seed)
+            times[k], answers[k] = time_cnf_batch(k, batch)
         if len(kernels) == 2 and answers["pure"] != answers["compiled"]:
             raise SystemExit("kernel disagreement on random 3-CNF, vars=%d" % nv)
         name = "3-CNF n=%d m=%d x%d" % (nv, int(nv * args.ratio), args.cnf_count)

@@ -1,30 +1,8 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("QEXPAND_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "qexpand._cdcl",
-                    ["src/qexpand/_cdcl.pyx"],
-                    language="c++",
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
-        )
-    except ImportError:
-        # No Cython at build time: install the pure-Python kernel only.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional: a host without a C compiler installs the pure-Python kernel only.
+setup(
+    ext_modules=[
+        Extension("qexpand._cdcl", ["src/qexpand/_cdcl.c"], optional=True),
+    ]
+)

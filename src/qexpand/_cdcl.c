@@ -1,0 +1,1001 @@
+/* Incremental CDCL SAT kernel, compiled edition.
+
+   Same algorithm as qexpand._cdcl_py operation for operation: identical
+   decisions, models, counters and proof traces.  Keep the two in lock
+   step; any behaviour change must land in both files.  _cdcl_py.py is
+   the reference and documents the algorithm.
+
+   Plain C against the CPython API, so any C compiler builds it and the
+   module loads no C++ runtime.  Every function here runs with the
+   interpreter lock held.  Literals use the encoding of _cdcl_py: 2*v
+   for v, 2*v+1 for -v. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+
+#include <limits.h>
+#include <string.h>
+
+#define SAT 1
+#define UNSAT (-1)
+#define UNKNOWN 0
+
+#define RESCALE_LIMIT 1e100
+#define RESCALE 1e-100
+#define ACT_BUMP_DECAY (1.0 / 0.95)
+
+/* Largest variable index: the literal 2*v+1 must fit in an int. */
+#define MAX_VAR ((INT_MAX >> 1) - 1)
+
+/* Returned by propagate when a watch list could not grow. */
+#define PROPAGATE_ERROR (-2)
+
+typedef struct {
+    int *data;
+    int size;
+    int cap;
+} ivec;
+
+typedef struct {
+    int size;
+    int lits[];
+} Clause;
+
+typedef struct {
+    PyObject_HEAD
+    int nvars;
+    char ok;
+    char record_trace;
+    long long conflicts;
+    long long decisions;
+    long long propagations;
+    long long restarts;
+    long long num_clauses;
+    PyObject *model;   /* list: None, then one bool per variable */
+    PyObject *failed;  /* list of failed assumption literals */
+    int last_status;
+    PyObject *trace;   /* list of learned-clause tuples */
+
+    int cap;             /* per-variable slots allocated, index 0 unused */
+    signed char *assigns; /* 0 undef, 1 true, 2 false */
+    int *level;
+    int *reason;         /* clause index, -1 for decisions and units */
+    double *act;
+    char *seen;
+    int *hpos;           /* heap position, -1 when not in the heap */
+    int *heap;
+    int heap_size;
+    int *trail;
+    int trail_size;
+    int *learnt;         /* analyze and analyze_final output, cap + 1 slots */
+    int nlearnt;
+    int *to_clear;
+    ivec *watches;       /* per literal: indices of clauses watching it */
+    Clause **clauses;
+    int nclauses;
+    int clauses_cap;
+    ivec trail_lim;
+    ivec asum;           /* interned assumptions of the running solve */
+    ivec buf;            /* add_clause input */
+    int qhead;
+    double var_inc;
+} Kernel;
+
+static int
+ivec_reserve(ivec *v, Py_ssize_t extra)
+{
+    if (v->size + extra <= v->cap)
+        return 0;
+    Py_ssize_t cap = v->cap ? v->cap : 4;
+    while (cap < v->size + extra)
+        cap *= 2;
+    if (cap > INT_MAX) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int *d = PyMem_Realloc(v->data, (size_t)cap * sizeof(int));
+    if (d == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    v->data = d;
+    v->cap = (int)cap;
+    return 0;
+}
+
+static int
+ivec_push(ivec *v, int x)
+{
+    if (ivec_reserve(v, 1) < 0)
+        return -1;
+    v->data[v->size++] = x;
+    return 0;
+}
+
+static inline int
+intern_lit(int l)
+{
+    return l > 0 ? (l << 1) : (((-l) << 1) | 1);
+}
+
+static inline int
+extern_lit(int p)
+{
+    return (p & 1) ? -(p >> 1) : (p >> 1);
+}
+
+/* A literal from Python: a nonzero int no larger than MAX_VAR in size.
+   Sets an exception and returns 0 otherwise. */
+static int
+lit_from_object(PyObject *o)
+{
+    long l = PyLong_AsLong(o);
+    if (l == -1 && PyErr_Occurred())
+        return 0;
+    if (l == 0) {
+        PyErr_SetString(PyExc_ValueError, "literals must be nonzero");
+        return 0;
+    }
+    if (l > MAX_VAR || l < -MAX_VAR) {
+        PyErr_SetString(PyExc_OverflowError, "variable index too large");
+        return 0;
+    }
+    return (int)l;
+}
+
+/* -- variables ------------------------------------------------------- */
+
+#define GROW(ptr, n)                                                   \
+    do {                                                               \
+        void *q_ = PyMem_Realloc((ptr), (size_t)(n) * sizeof *(ptr)); \
+        if (q_ == NULL) {                                              \
+            PyErr_NoMemory();                                          \
+            return -1;                                                 \
+        }                                                              \
+        (ptr) = q_;                                                    \
+    } while (0)
+
+/* Make room for variables 0..n; n <= MAX_VAR. */
+static int
+reserve_vars(Kernel *k, int n)
+{
+    if (n < k->cap)
+        return 0;
+    Py_ssize_t cap = (Py_ssize_t)k->cap * 2;
+    if (cap < (Py_ssize_t)n + 1)
+        cap = (Py_ssize_t)n + 1;
+    if (cap < 16)
+        cap = 16;
+    if (cap > MAX_VAR + 1)
+        cap = MAX_VAR + 1;
+    GROW(k->assigns, cap);
+    GROW(k->level, cap);
+    GROW(k->reason, cap);
+    GROW(k->act, cap);
+    GROW(k->seen, cap);
+    GROW(k->hpos, cap);
+    GROW(k->heap, cap);
+    GROW(k->trail, cap);
+    GROW(k->learnt, cap + 1);
+    GROW(k->to_clear, cap);
+    GROW(k->watches, 2 * cap);
+    memset(k->watches + 2 * (Py_ssize_t)k->cap, 0,
+           (size_t)(2 * (cap - k->cap)) * sizeof(ivec));
+    k->cap = (int)cap;
+    return 0;
+}
+
+static inline int
+value(const Kernel *k, int p)
+{
+    int va = k->assigns[p >> 1];
+    if (va == 0)
+        return 0;
+    return (p & 1) ? 3 - va : va;
+}
+
+/* -- branching heap (max-activity, ties to the smaller index) --------- */
+
+static inline int
+hbetter(const Kernel *k, int u, int v)
+{
+    double au = k->act[u];
+    double av = k->act[v];
+    return au > av || (au == av && u < v);
+}
+
+static void
+hup(Kernel *k, int i)
+{
+    int *heap = k->heap;
+    int v = heap[i];
+    while (i > 0) {
+        int pi = (i - 1) >> 1;
+        int pv = heap[pi];
+        if (!hbetter(k, v, pv))
+            break;
+        heap[i] = pv;
+        k->hpos[pv] = i;
+        i = pi;
+    }
+    heap[i] = v;
+    k->hpos[v] = i;
+}
+
+static void
+hdown(Kernel *k, int i)
+{
+    int *heap = k->heap;
+    int v = heap[i];
+    int n = k->heap_size;
+    for (;;) {
+        int l = 2 * i + 1;
+        if (l >= n)
+            break;
+        int r = l + 1;
+        int c = (r < n && hbetter(k, heap[r], heap[l])) ? r : l;
+        int cv = heap[c];
+        if (!hbetter(k, cv, v))
+            break;
+        heap[i] = cv;
+        k->hpos[cv] = i;
+        i = c;
+    }
+    heap[i] = v;
+    k->hpos[v] = i;
+}
+
+/* The heap holds at most nvars entries, and cap > nvars. */
+static void
+hinsert(Kernel *k, int v)
+{
+    if (k->hpos[v] != -1)
+        return;
+    k->heap[k->heap_size] = v;
+    k->hpos[v] = k->heap_size;
+    k->heap_size++;
+    hup(k, k->heap_size - 1);
+}
+
+static int
+hpop(Kernel *k)
+{
+    int *heap = k->heap;
+    int v = heap[0];
+    k->hpos[v] = -1;
+    int last = heap[--k->heap_size];
+    if (k->heap_size > 0) {
+        heap[0] = last;
+        k->hpos[last] = 0;
+        hdown(k, 0);
+    }
+    return v;
+}
+
+static void
+bump(Kernel *k, int v)
+{
+    double *act = k->act;
+    act[v] += k->var_inc;
+    if (act[v] > RESCALE_LIMIT) {
+        for (int i = 1; i <= k->nvars; i++)
+            act[i] *= RESCALE;
+        k->var_inc *= RESCALE;
+    }
+    if (k->hpos[v] != -1)
+        hup(k, k->hpos[v]);
+}
+
+/* Make variables 1..n exist; n <= MAX_VAR. */
+static int
+ensure_vars(Kernel *k, int n)
+{
+    if (n <= k->nvars)
+        return 0;
+    if (reserve_vars(k, n) < 0)
+        return -1;
+    while (k->nvars < n) {
+        int v = ++k->nvars;
+        k->assigns[v] = 0;
+        k->level[v] = 0;
+        k->reason[v] = -1;
+        k->act[v] = 0.0;
+        k->seen[v] = 0;
+        k->hpos[v] = -1;
+        hinsert(k, v);
+    }
+    return 0;
+}
+
+/* -- clauses ---------------------------------------------------------- */
+
+/* Store lits[0..n), n >= 2, as a new clause watched by its first two
+   literals.  Either everything is stored or nothing is. */
+static int
+store_clause(Kernel *k, const int *lits, int n)
+{
+    if (k->nclauses == k->clauses_cap) {
+        Py_ssize_t cap = k->clauses_cap ? 2 * (Py_ssize_t)k->clauses_cap : 64;
+        if (cap > INT_MAX) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        GROW(k->clauses, cap);
+        k->clauses_cap = (int)cap;
+    }
+    if (ivec_reserve(&k->watches[lits[0]], 1) < 0
+        || ivec_reserve(&k->watches[lits[1]], 1) < 0)
+        return -1;
+    Clause *c = PyMem_Malloc(sizeof(Clause) + (size_t)n * sizeof(int));
+    if (c == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    c->size = n;
+    memcpy(c->lits, lits, (size_t)n * sizeof(int));
+    int ci = k->nclauses++;
+    k->clauses[ci] = c;
+    ivec *w0 = &k->watches[lits[0]];
+    ivec *w1 = &k->watches[lits[1]];
+    w0->data[w0->size++] = ci;
+    w1->data[w1->size++] = ci;
+    return ci;
+}
+
+static int
+append_trace(Kernel *k, const int *lits, int n)
+{
+    PyObject *t = PyTuple_New(n);
+    if (t == NULL)
+        return -1;
+    for (int i = 0; i < n; i++) {
+        PyObject *x = PyLong_FromLong(extern_lit(lits[i]));
+        if (x == NULL) {
+            Py_DECREF(t);
+            return -1;
+        }
+        PyTuple_SET_ITEM(t, i, x);
+    }
+    int r = PyList_Append(k->trace, t);
+    Py_DECREF(t);
+    return r;
+}
+
+/* -- trail ------------------------------------------------------------ */
+
+/* The trail holds each variable at most once, and cap > nvars. */
+static inline void
+enqueue(Kernel *k, int p, int reason)
+{
+    int v = p >> 1;
+    k->assigns[v] = (p & 1) ? 2 : 1;
+    k->level[v] = k->trail_lim.size;
+    k->reason[v] = reason;
+    k->trail[k->trail_size++] = p;
+}
+
+static void
+cancel_until(Kernel *k, int lvl)
+{
+    if (k->trail_lim.size <= lvl)
+        return;
+    int limit = k->trail_lim.data[lvl];
+    for (int i = k->trail_size - 1; i >= limit; i--) {
+        int v = k->trail[i] >> 1;
+        k->assigns[v] = 0;
+        if (k->hpos[v] == -1)
+            hinsert(k, v);
+    }
+    k->trail_size = limit;
+    k->trail_lim.size = lvl;
+    k->qhead = limit;
+}
+
+/* Returns the index of a conflicting clause, -1 when none, or
+   PROPAGATE_ERROR with an exception set. */
+static int
+propagate(Kernel *k)
+{
+    while (k->qhead < k->trail_size) {
+        int pt = k->trail[k->qhead++];
+        k->propagations++;
+        int fp = pt ^ 1; /* literal that just became false */
+        ivec *ws = &k->watches[fp];
+        int *w = ws->data;
+        int i = 0, j = 0, n = ws->size;
+        while (i < n) {
+            int ci = w[i++];
+            int *c = k->clauses[ci]->lits;
+            int size = k->clauses[ci]->size;
+            if (c[0] == fp) {
+                c[0] = c[1];
+                c[1] = fp;
+            }
+            int first = c[0];
+            int fv = value(k, first);
+            if (fv == 1) {
+                w[j++] = ci;
+                continue;
+            }
+            int found = 0;
+            for (int m = 2; m < size; m++) {
+                int q = c[m];
+                if (value(k, q) != 2) {
+                    ivec *wq = &k->watches[q];
+                    if (ivec_reserve(wq, 1) < 0) {
+                        /* keep the watch and leave pt to propagate again */
+                        w[j++] = ci;
+                        while (i < n)
+                            w[j++] = w[i++];
+                        ws->size = j;
+                        k->qhead--;
+                        k->propagations--;
+                        return PROPAGATE_ERROR;
+                    }
+                    c[1] = q;
+                    c[m] = fp;
+                    wq->data[wq->size++] = ci;
+                    found = 1;
+                    break;
+                }
+            }
+            if (found)
+                continue;
+            w[j++] = ci;
+            if (fv == 2) {
+                while (i < n)
+                    w[j++] = w[i++];
+                ws->size = j;
+                k->qhead = k->trail_size;
+                return ci;
+            }
+            enqueue(k, first, ci);
+        }
+        ws->size = j;
+    }
+    return -1;
+}
+
+/* -- learning --------------------------------------------------------- */
+
+/* First-UIP clause into learnt[0..nlearnt); returns the backtrack level. */
+static int
+analyze(Kernel *k, int confl)
+{
+    int *learnt = k->learnt;
+    int *trail = k->trail;
+    int *level = k->level;
+    char *seen = k->seen;
+    int nl = 1, nclear = 0;
+    int cur = k->trail_lim.size;
+    int pathc = 0;
+    int p = -1;
+    int idx = k->trail_size - 1;
+    for (;;) {
+        Clause *c = k->clauses[confl];
+        for (int m = (p == -1) ? 0 : 1; m < c->size; m++) {
+            int q = c->lits[m];
+            int v = q >> 1;
+            if (!seen[v] && level[v] > 0) {
+                seen[v] = 1;
+                k->to_clear[nclear++] = v;
+                bump(k, v);
+                if (level[v] >= cur)
+                    pathc++;
+                else
+                    learnt[nl++] = q;
+            }
+        }
+        while (!seen[trail[idx] >> 1])
+            idx--;
+        p = trail[idx];
+        int v = p >> 1;
+        seen[v] = 0;
+        pathc--;
+        idx--;
+        if (pathc <= 0)
+            break;
+        confl = k->reason[v];
+    }
+    learnt[0] = p ^ 1;
+    int bt = 0;
+    if (nl > 1) {
+        int mi = 1;
+        for (int i = 2; i < nl; i++)
+            if (level[learnt[i] >> 1] > level[learnt[mi] >> 1])
+                mi = i;
+        int tmp = learnt[1];
+        learnt[1] = learnt[mi];
+        learnt[mi] = tmp;
+        bt = level[learnt[1] >> 1];
+    }
+    for (int i = 0; i < nclear; i++)
+        seen[k->to_clear[i]] = 0;
+    k->nlearnt = nl;
+    return bt;
+}
+
+/* p: assumption literal found false; walk the trail and collect into
+   learnt[0..n) the assumptions its negation depends on.  Returns n. */
+static int
+analyze_final(Kernel *k, int p)
+{
+    int *out = k->learnt;
+    int n = 0;
+    out[n++] = p;
+    if (k->trail_lim.size == 0)
+        return n;
+    char *seen = k->seen;
+    seen[p >> 1] = 1;
+    for (int i = k->trail_size - 1; i >= k->trail_lim.data[0]; i--) {
+        int lq = k->trail[i];
+        int v = lq >> 1;
+        if (!seen[v])
+            continue;
+        int r = k->reason[v];
+        if (r == -1) {
+            if (k->level[v] > 0)
+                out[n++] = lq;
+        }
+        else {
+            Clause *c = k->clauses[r];
+            for (int m = 1; m < c->size; m++) {
+                int w = c->lits[m] >> 1;
+                if (k->level[w] > 0)
+                    seen[w] = 1;
+            }
+        }
+        seen[v] = 0;
+    }
+    seen[p >> 1] = 0;
+    return n;
+}
+
+static int
+handle_conflict(Kernel *k, int confl)
+{
+    int bt = analyze(k, confl);
+    cancel_until(k, bt);
+    int *learnt = k->learnt;
+    int nl = k->nlearnt;
+    if (nl == 1) {
+        enqueue(k, learnt[0], -1);
+    }
+    else {
+        int ci = store_clause(k, learnt, nl);
+        if (ci < 0)
+            return -1;
+        enqueue(k, learnt[0], ci);
+    }
+    if (k->record_trace && append_trace(k, learnt, nl) < 0)
+        return -1;
+    k->var_inc *= ACT_BUMP_DECAY;
+    return 0;
+}
+
+/* -- branching -------------------------------------------------------- */
+
+static int
+pick_branch(Kernel *k)
+{
+    while (k->heap_size > 0) {
+        int v = hpop(k);
+        if (k->assigns[v] == 0)
+            return v;
+    }
+    return 0;
+}
+
+/* -- Python interface ------------------------------------------------- */
+
+static PyObject *time_module;
+
+/* 1 when time.monotonic() is past deadline, 0 when not, -1 on error. */
+static int
+past_deadline(double deadline)
+{
+    PyObject *now = PyObject_CallMethod(time_module, "monotonic", NULL);
+    if (now == NULL)
+        return -1;
+    double t = PyFloat_AsDouble(now);
+    Py_DECREF(now);
+    if (t == -1.0 && PyErr_Occurred())
+        return -1;
+    return t > deadline;
+}
+
+static int
+replace_list(PyObject **slot, PyObject *list)
+{
+    if (list == NULL)
+        return -1;
+    PyObject *old = *slot;
+    *slot = list;
+    Py_XDECREF(old);
+    return 0;
+}
+
+static PyObject *
+Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"record_trace", NULL};
+    int record_trace = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|p:Kernel", kwlist,
+                                     &record_trace))
+        return NULL;
+    Kernel *k = (Kernel *)type->tp_alloc(type, 0);
+    if (k == NULL)
+        return NULL;
+    k->ok = 1;
+    k->record_trace = (char)record_trace;
+    k->last_status = UNKNOWN;
+    k->var_inc = 1.0;
+    k->model = PyList_New(0);
+    k->failed = PyList_New(0);
+    k->trace = PyList_New(0);
+    if (k->model == NULL || k->failed == NULL || k->trace == NULL
+        || reserve_vars(k, 0) < 0) {
+        Py_DECREF(k);
+        return NULL;
+    }
+    k->assigns[0] = 0;
+    k->level[0] = 0;
+    k->reason[0] = -1;
+    k->act[0] = 0.0;
+    k->seen[0] = 0;
+    k->hpos[0] = -1;
+    return (PyObject *)k;
+}
+
+static void
+Kernel_dealloc(Kernel *k)
+{
+    for (int i = 0; i < k->nclauses; i++)
+        PyMem_Free(k->clauses[i]);
+    PyMem_Free(k->clauses);
+    if (k->watches != NULL)
+        for (Py_ssize_t i = 0; i < 2 * (Py_ssize_t)k->cap; i++)
+            PyMem_Free(k->watches[i].data);
+    PyMem_Free(k->watches);
+    PyMem_Free(k->assigns);
+    PyMem_Free(k->level);
+    PyMem_Free(k->reason);
+    PyMem_Free(k->act);
+    PyMem_Free(k->seen);
+    PyMem_Free(k->hpos);
+    PyMem_Free(k->heap);
+    PyMem_Free(k->trail);
+    PyMem_Free(k->learnt);
+    PyMem_Free(k->to_clear);
+    PyMem_Free(k->trail_lim.data);
+    PyMem_Free(k->asum.data);
+    PyMem_Free(k->buf.data);
+    Py_XDECREF(k->model);
+    Py_XDECREF(k->failed);
+    Py_XDECREF(k->trace);
+    Py_TYPE(k)->tp_free((PyObject *)k);
+}
+
+static PyObject *
+Kernel_ensure_vars(Kernel *k, PyObject *arg)
+{
+    long n = PyLong_AsLong(arg);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    if (n > MAX_VAR) {
+        PyErr_SetString(PyExc_OverflowError, "variable index too large");
+        return NULL;
+    }
+    if (n > 0 && ensure_vars(k, (int)n) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Kernel_add_clause(Kernel *k, PyObject *arg)
+{
+    if (!k->ok)
+        Py_RETURN_NONE;
+    PyObject *seq = PySequence_Fast(arg, "clause must be iterable");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    k->buf.size = 0;
+    if (ivec_reserve(&k->buf, n) < 0) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+    int *lits = k->buf.data;
+    int mx = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int l = lit_from_object(PySequence_Fast_GET_ITEM(seq, i));
+        if (l == 0) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+        lits[i] = l;
+        int a = l > 0 ? l : -l;
+        if (a > mx)
+            mx = a;
+    }
+    Py_DECREF(seq);
+    if (ensure_vars(k, mx) < 0)
+        return NULL;
+    /* Filter in place.  seen[v] marks v (bit 1) and -v (bit 2) as kept. */
+    int m = 0, keep = 1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int p = intern_lit(lits[i]);
+        int v = value(k, p);
+        if (v == 1) {
+            keep = 0; /* satisfied at top level */
+            break;
+        }
+        if (v == 2)
+            continue;
+        int bit = (p & 1) ? 2 : 1;
+        char s = k->seen[p >> 1];
+        if (s & (3 ^ bit)) {
+            keep = 0; /* tautology */
+            break;
+        }
+        if (!(s & bit)) {
+            k->seen[p >> 1] = (char)(s | bit);
+            lits[m++] = p;
+        }
+    }
+    for (int i = 0; i < m; i++)
+        k->seen[lits[i] >> 1] = 0;
+    if (!keep)
+        Py_RETURN_NONE;
+    if (m >= 2) {
+        if (store_clause(k, lits, m) < 0)
+            return NULL;
+        k->num_clauses++;
+        Py_RETURN_NONE;
+    }
+    k->num_clauses++;
+    if (m == 0) {
+        k->ok = 0;
+        if (k->record_trace && append_trace(k, NULL, 0) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    enqueue(k, lits[0], -1);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+lits_to_list(const int *lits, int n)
+{
+    PyObject *out = PyList_New(n);
+    if (out == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        PyObject *x = PyLong_FromLong(extern_lit(lits[i]));
+        if (x == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+static PyObject *
+model_list(const Kernel *k)
+{
+    PyObject *out = PyList_New((Py_ssize_t)k->nvars + 1);
+    if (out == NULL)
+        return NULL;
+    Py_INCREF(Py_None);
+    PyList_SET_ITEM(out, 0, Py_None);
+    for (int v = 1; v <= k->nvars; v++) {
+        PyObject *b = k->assigns[v] == 1 ? Py_True : Py_False;
+        Py_INCREF(b);
+        PyList_SET_ITEM(out, v, b);
+    }
+    return out;
+}
+
+static PyObject *
+finish(Kernel *k, int status)
+{
+    k->last_status = status;
+    return PyLong_FromLong(status);
+}
+
+static PyObject *
+Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"assumptions", "conflict_budget", "deadline", NULL};
+    PyObject *assumptions = NULL;
+    long long budget = -1;
+    double deadline = -1.0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|OLd:solve", kwlist,
+                                     &assumptions, &budget, &deadline))
+        return NULL;
+    if (replace_list(&k->model, PyList_New(0)) < 0
+        || replace_list(&k->failed, PyList_New(0)) < 0)
+        return NULL;
+    if (!k->ok)
+        return finish(k, UNSAT);
+    k->asum.size = 0;
+    if (assumptions != NULL) {
+        PyObject *seq = PySequence_Fast(assumptions, "assumptions must be iterable");
+        if (seq == NULL)
+            return NULL;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+        if (ivec_reserve(&k->asum, n) < 0) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+        for (Py_ssize_t i = 0; i < n; i++) {
+            int l = lit_from_object(PySequence_Fast_GET_ITEM(seq, i));
+            if (l == 0 || ensure_vars(k, l > 0 ? l : -l) < 0) {
+                Py_DECREF(seq);
+                return NULL;
+            }
+            k->asum.data[k->asum.size++] = intern_lit(l);
+        }
+        Py_DECREF(seq);
+    }
+    long long restart_limit = 100;
+    long long since_restart = 0;
+    long long conflicts_here = 0;
+    for (;;) {
+        int confl = propagate(k);
+        if (confl == PROPAGATE_ERROR)
+            goto error;
+        if (confl >= 0) {
+            k->conflicts++;
+            conflicts_here++;
+            since_restart++;
+            if (k->trail_lim.size == 0) {
+                k->ok = 0;
+                if (k->record_trace && append_trace(k, NULL, 0) < 0)
+                    goto error;
+                return finish(k, UNSAT);
+            }
+            if (handle_conflict(k, confl) < 0)
+                goto error;
+            if (budget >= 0 && budget <= conflicts_here) {
+                cancel_until(k, 0);
+                return finish(k, UNKNOWN);
+            }
+            if (deadline > 0.0 && (conflicts_here & 63) == 0) {
+                int late = past_deadline(deadline);
+                if (late < 0)
+                    goto error;
+                if (late) {
+                    cancel_until(k, 0);
+                    return finish(k, UNKNOWN);
+                }
+            }
+            continue;
+        }
+        if (since_restart >= restart_limit) {
+            restart_limit = restart_limit * 3 / 2;
+            since_restart = 0;
+            k->restarts++;
+            cancel_until(k, 0);
+            continue;
+        }
+        int p = -1;
+        int dl = k->trail_lim.size;
+        if (dl < k->asum.size) {
+            int q = k->asum.data[dl];
+            int vq = value(k, q);
+            if (vq == 1) {
+                if (ivec_push(&k->trail_lim, k->trail_size) < 0)
+                    goto error;
+                continue;
+            }
+            if (vq == 2) {
+                int n = analyze_final(k, q);
+                if (replace_list(&k->failed, lits_to_list(k->learnt, n)) < 0)
+                    goto error;
+                cancel_until(k, 0);
+                return finish(k, UNSAT);
+            }
+            p = q;
+        }
+        if (p == -1) {
+            int v = pick_branch(k);
+            if (v == 0) {
+                if (replace_list(&k->model, model_list(k)) < 0)
+                    goto error;
+                cancel_until(k, 0);
+                return finish(k, SAT);
+            }
+            k->decisions++;
+            p = (v << 1) | 1; /* default phase: False */
+        }
+        if (ivec_push(&k->trail_lim, k->trail_size) < 0)
+            goto error;
+        enqueue(k, p, -1);
+    }
+error:
+    cancel_until(k, 0);
+    k->last_status = UNKNOWN;
+    return NULL;
+}
+
+static PyObject *
+Kernel_get_trace(Kernel *k, PyObject *Py_UNUSED(ignored))
+{
+    return PySequence_List(k->trace);
+}
+
+static PyMethodDef Kernel_methods[] = {
+    {"ensure_vars", (PyCFunction)Kernel_ensure_vars, METH_O,
+     "ensure_vars(n): make variables 1..n exist."},
+    {"add_clause", (PyCFunction)Kernel_add_clause, METH_O,
+     "add_clause(lits): add a clause of nonzero int literals."},
+    {"solve", (PyCFunction)(void (*)(void))Kernel_solve,
+     METH_VARARGS | METH_KEYWORDS,
+     "solve(assumptions=(), conflict_budget=-1, deadline=-1.0) -> 1, -1 or 0\n\n"
+     "SAT, UNSAT or UNKNOWN.  A negative budget or deadline means none;\n"
+     "deadline is an absolute time.monotonic() value."},
+    {"get_trace", (PyCFunction)Kernel_get_trace, METH_NOARGS,
+     "get_trace() -> list of learned-clause tuples in derivation order."},
+    {NULL}
+};
+
+static PyMemberDef Kernel_members[] = {
+    {"nvars", T_INT, offsetof(Kernel, nvars), READONLY, NULL},
+    {"ok", T_BOOL, offsetof(Kernel, ok), READONLY, NULL},
+    {"record_trace", T_BOOL, offsetof(Kernel, record_trace), 0, NULL},
+    {"conflicts", T_LONGLONG, offsetof(Kernel, conflicts), READONLY, NULL},
+    {"decisions", T_LONGLONG, offsetof(Kernel, decisions), READONLY, NULL},
+    {"propagations", T_LONGLONG, offsetof(Kernel, propagations), READONLY, NULL},
+    {"restarts", T_LONGLONG, offsetof(Kernel, restarts), READONLY, NULL},
+    {"num_clauses", T_LONGLONG, offsetof(Kernel, num_clauses), READONLY, NULL},
+    {"model", T_OBJECT_EX, offsetof(Kernel, model), READONLY, NULL},
+    {"failed", T_OBJECT_EX, offsetof(Kernel, failed), READONLY, NULL},
+    {"last_status", T_INT, offsetof(Kernel, last_status), READONLY, NULL},
+    {NULL}
+};
+
+static PyTypeObject KernelType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "qexpand._cdcl.Kernel",
+    .tp_basicsize = sizeof(Kernel),
+    .tp_dealloc = (destructor)Kernel_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Kernel(record_trace=False): incremental CDCL SAT solver.",
+    .tp_methods = Kernel_methods,
+    .tp_members = Kernel_members,
+    .tp_new = Kernel_new,
+};
+
+static struct PyModuleDef cdcl_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "qexpand._cdcl",
+    .m_doc = "Incremental CDCL SAT kernel, compiled twin of qexpand._cdcl_py.",
+    .m_size = -1,
+};
+
+PyMODINIT_FUNC
+PyInit__cdcl(void)
+{
+    if (PyType_Ready(&KernelType) < 0)
+        return NULL;
+    PyObject *m = PyModule_Create(&cdcl_module);
+    if (m == NULL)
+        return NULL;
+    if (time_module == NULL) {
+        time_module = PyImport_ImportModule("time");
+        if (time_module == NULL)
+            goto fail;
+    }
+    Py_INCREF(&KernelType);
+    if (PyModule_AddObject(m, "Kernel", (PyObject *)&KernelType) < 0) {
+        Py_DECREF(&KernelType);
+        goto fail;
+    }
+    return m;
+fail:
+    Py_DECREF(m);
+    return NULL;
+}

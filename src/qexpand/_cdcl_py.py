@@ -3,9 +3,10 @@
 Two-watched-literal propagation, first-UIP learning, VSIDS branching
 with a deterministic tie-break on variable index, geometric restarts,
 fixed default phase False, and literal assumptions with
-failed-assumption extraction.  qexpand._cdcl is the compiled twin;
-the two must stay in lock step operation for operation so that both
-produce identical models, counters, and proof traces.
+failed-assumption extraction.  qexpand._cdcl, built from _cdcl.c, is
+the compiled twin; the two must stay in lock step operation for
+operation so that both produce identical models, counters, and proof
+traces.
 
 Variables are 1-based ints.  Internally a literal is encoded as
 2*v (positive) or 2*v+1 (negative); clause references are indices
@@ -34,11 +35,10 @@ def _extern(p):
 
 
 class Kernel:
-    def __init__(self, seed=0, record_trace=False):
+    def __init__(self, record_trace=False):
         self.nvars = 0
         self.ok = True
         self.record_trace = record_trace
-        self.random_freq = 0.0
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -47,7 +47,6 @@ class Kernel:
         self.model = []
         self.failed = []
         self.last_status = UNKNOWN
-        self._rand = (seed & 0xFFFFFFFF) or 1
         self._assigns = [0]  # 0 undef, 1 true, 2 false; index 0 unused
         self._level = [0]
         self._reason = [-1]
@@ -365,16 +364,7 @@ class Kernel:
 
     # -- branching ----------------------------------------------------
 
-    def _next_rand(self):
-        self._rand = (self._rand * 1664525 + 1013904223) & 0xFFFFFFFF
-        return self._rand
-
     def _pick_branch(self):
-        if self.random_freq > 0.0 and self.nvars:
-            if self._next_rand() / 4294967296.0 < self.random_freq:
-                v = 1 + self._next_rand() % self.nvars
-                if self._assigns[v] == 0:
-                    return v
         while self._heap:
             v = self._hpop()
             if self._assigns[v] == 0:

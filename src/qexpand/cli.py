@@ -211,7 +211,7 @@ def build_parser():
     ps.add_argument("--cert", help="write a certificate here when false")
     ps.add_argument("--timeout", type=float, default=None, help="seconds")
     ps.add_argument("--max-iterations", type=int, default=0)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int, default=0, help="used by --init-mode random only")
     ps.add_argument("--reset-period", type=int, default=64)
     ps.add_argument("--init-mode", choices=expand.INIT_MODES, default="per-block")
     ps.add_argument("--verify-invariants", action="store_true")

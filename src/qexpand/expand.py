@@ -12,9 +12,9 @@ assignment space, which bounds the number of iterations.
 
 The all side attaches an activation selector to every distinct
 instantiated clause and solves under assumptions, so resetting alphas
-deactivates clause groups by reference count instead of rebuilding the
-solver.  A reset replaces the alphas with the strips of the latest
-counter model, which lifts the bound on the iteration count.
+deactivates clauses by dropping them from the live set instead of
+rebuilding the solver.  A reset replaces the alphas with the strips of
+the latest counter model, which lifts the bound on the iteration count.
 
 Every iteration still adds to both sides, reset or not, so a stall
 (a refinement step that finds nothing new) is a bug and raises
@@ -60,7 +60,7 @@ class InvariantViolation(Exception):
 @dataclass
 class SolveConfig:
     init_mode: str = "per-block"
-    seed: int = 0
+    seed: int = 0  # read only by init_mode random
     reset_period: int = 64  # iterations between alpha resets; 0 disables
     verify_invariants: bool = False
     max_iterations: int = 0  # 0 = unlimited
@@ -103,47 +103,33 @@ class ForallAbstraction:
         self.table = annotate.InternTable("universal")
         self.info = {}  # clause lits -> (selector, matrix index, alpha)
         self.by_selector = {}
-        self.refcount = {}
-        self.groups = []  # clause-key list per active alpha
-        self.live_clauses = 0
+        self.live = set()  # clause keys activated by the current alphas
         self.live_literals = 0
+
+    @property
+    def live_clauses(self):
+        return len(self.live)
 
     def add_group(self, alpha):
         """Instantiate under alpha and activate the produced clauses."""
         res = annotate.instantiate(self.q, alpha, self.table)
-        group = []
-        seen = set()
         for pc in res.clauses:
             key = pc.lits
-            if key in seen:
-                continue
-            seen.add(key)
-            group.append(key)
             if key not in self.info:
                 sel = self.table.fresh()
                 self.info[key] = (sel, pc.matrix_index, alpha)
                 self.by_selector[sel] = key
-                self.refcount[key] = 0
                 self.solver.add_clause((-sel,) + key)
-            if self.refcount[key] == 0:
-                self.live_clauses += 1
+            if key not in self.live:
+                self.live.add(key)
                 self.live_literals += len(key)
-            self.refcount[key] += 1
-        self.groups.append(group)
 
     def drop_all_groups(self):
-        for group in self.groups:
-            for key in group:
-                self.refcount[key] -= 1
-                if self.refcount[key] == 0:
-                    self.live_clauses -= 1
-                    self.live_literals -= len(key)
-        self.groups = []
+        self.live = set()
+        self.live_literals = 0
 
     def assumptions(self):
-        return [
-            info[0] for key, info in self.info.items() if self.refcount[key] > 0
-        ]
+        return [info[0] for key, info in self.info.items() if key in self.live]
 
     def solve(self, deadline=None):
         return self.solver.solve(assumptions=self.assumptions(), deadline=deadline)
@@ -182,8 +168,8 @@ class ExpansionState:
         self.sigmas = AssignmentSet()
         backend = config.backend
         if backend == "bundled":
-            fs = sat.Solver(seed=config.seed, kernel=config.kernel)
-            es = sat.Solver(seed=config.seed, kernel=config.kernel)
+            fs = sat.Solver(kernel=config.kernel)
+            es = sat.Solver(kernel=config.kernel)
         elif backend.startswith("external:"):
             path = backend.split(":", 1)[1]
             fs = sat.ExternalSolver(path)

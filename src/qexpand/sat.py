@@ -1,10 +1,11 @@
 """SAT backends: the bundled incremental CDCL kernel and an external adapter.
 
-The bundled kernel exists twice, as a compiled extension (qexpand._cdcl)
-and as pure Python (qexpand._cdcl_py).  The compiled one is picked when
-importable; set QEXPAND_PURE=1 to force the fallback.  Both implement
-the same search step for step, so switching kernels never changes
-models, verdicts, or recorded traces.
+The bundled kernel exists twice, as a C extension (qexpand._cdcl, built
+from _cdcl.c when a C compiler is present at install time) and as pure
+Python (qexpand._cdcl_py).  The compiled one is picked when importable;
+pass kernel="pure" (CLI: --kernel pure) to use the fallback anyway.
+Both implement the same search step for step, so switching kernels
+never changes models, verdicts, or recorded traces.
 """
 
 import os
@@ -15,17 +16,13 @@ from dataclasses import dataclass, field
 
 from . import _cdcl_py as _pure
 
-if os.environ.get("QEXPAND_PURE") == "1":
+try:
+    from . import _cdcl as _default  # type: ignore[attr-defined]
+
+    COMPILED = True
+except ImportError:
     _default = _pure
     COMPILED = False
-else:
-    try:
-        from . import _cdcl as _default  # type: ignore[attr-defined]
-
-        COMPILED = True
-    except ImportError:
-        _default = _pure
-        COMPILED = False
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -69,7 +66,7 @@ class Solver:
     as read-only.
     """
 
-    def __init__(self, seed=0, record_trace=False, kernel="auto"):
+    def __init__(self, record_trace=False, kernel="auto"):
         if kernel == "auto":
             mod = _default
         elif kernel == "pure":
@@ -80,7 +77,7 @@ class Solver:
             mod = _default
         else:
             raise ValueError("kernel must be auto, pure, or compiled")
-        self._k = mod.Kernel(seed, record_trace)
+        self._k = mod.Kernel(record_trace)
         self.record_trace = record_trace
         self.solve_calls = 0
         self.solve_time = 0.0

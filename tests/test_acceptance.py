@@ -456,7 +456,7 @@ def test_11_backend_against_enumeration(suite, acceptance):
         full = (1 << (1 << nv)) - 1
         mask = oracle.truth_mask(clauses, order)
 
-        s = sat.Solver(seed=seed)
+        s = sat.Solver()
         for c in clauses:
             s.add_clause(c)
         s.ensure_vars(nv)

@@ -2,10 +2,11 @@ import itertools
 import os
 import random
 import stat
+import time
 
 import pytest
 
-from qexpand import sat
+from qexpand import cli, expand, oracle, sat
 from qexpand.sat import (
     SAT,
     UNKNOWN,
@@ -152,12 +153,12 @@ def test_failed_assumptions_random(kernel):
                 assert out.model[abs(l)] == (l > 0)
 
 
-def test_determinism_same_seed(kernel):
+def test_determinism(kernel):
     rng = random.Random(103)
     clauses, nv = random_cnf(rng, max_vars=8, max_clauses=20)
     runs = []
     for _ in range(2):
-        s = Solver(seed=5, kernel=kernel)
+        s = Solver(kernel=kernel)
         s.ensure_vars(nv)
         for c in clauses:
             s.add_clause(c)
@@ -166,41 +167,106 @@ def test_determinism_same_seed(kernel):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
-def test_pure_and_compiled_agree():
-    rng = random.Random(104)
-    for _ in range(150):
-        clauses, nv = random_cnf(rng, max_vars=9, max_clauses=30)
-        outs = []
-        for kern in ("pure", "compiled"):
-            s = Solver(kernel=kern)
-            s.ensure_vars(nv)
-            for c in clauses:
-                s.add_clause(c)
-            o = s.solve()
-            outs.append(
-                (o.status, o.model, s.conflicts, s.decisions, s.propagations, s.restarts)
-            )
-        assert outs[0] == outs[1]
+def pigeonhole(n):
+    """n pigeons into n - 1 holes: unsatisfiable, many conflicts."""
+    holes = range(1, n)
 
-
-def test_conflict_budget_unknown(kernel):
-    rng = random.Random(105)
-    # a hard-ish unsat pigeonhole-style instance to force conflicts
-    s = Solver(kernel=kernel)
-    n = 7
-    holes = list(range(1, n))
     def var(p, h):
         return (p - 1) * (n - 1) + h
-    for p in range(1, n + 1):
-        s.add_clause([var(p, h) for h in holes])
+
+    clauses = [[var(p, h) for h in holes] for p in range(1, n + 1)]
     for h in holes:
         for p1 in range(1, n + 1):
             for p2 in range(p1 + 1, n + 1):
-                s.add_clause([-var(p1, h), -var(p2, h)])
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return clauses
+
+
+def observe(kernel, nv, steps):
+    """Play steps on a fresh tracing solver over nv variables; return all
+    a caller can see.
+
+    Each step is (clauses to add, then solve(assumptions, budget, deadline)).
+    """
+    s = Solver(record_trace=True, kernel=kernel)
+    s.ensure_vars(nv)
+    seen = []
+    for clauses, assumptions, budget, deadline in steps:
+        for c in clauses:
+            s.add_clause(c)
+        o = s.solve(assumptions, conflict_budget=budget, deadline=deadline)
+        try:
+            trace = s.proof_trace()
+        except TraceUnavailable:
+            trace = None
+        seen.append(
+            (o.status, o.model and list(o.model), o.failed_assumptions, trace,
+             s.num_vars, s.num_clauses, s.conflicts, s.decisions,
+             s.propagations, s.restarts)
+        )
+    return seen
+
+
+def random_steps(rng, clauses, nv):
+    """Split clauses over up to three solves, each under random assumptions
+    and sometimes a small conflict budget.  Some clauses get a repeated or
+    a complementary literal."""
+    clauses = [c + [rng.choice([1, -1]) * rng.choice(c)] if rng.random() < 0.2 else c
+               for c in clauses]
+    cuts = sorted(rng.randint(0, len(clauses)) for _ in range(rng.randint(0, 2)))
+    steps = []
+    for lo, hi in zip([0] + cuts, cuts + [len(clauses)]):
+        vs = rng.sample(range(1, nv + 1), rng.randint(0, nv))
+        assumptions = [v if rng.random() < 0.5 else -v for v in vs]
+        budget = rng.choice([None, None, 0, 1, 2])
+        steps.append((clauses[lo:hi], assumptions, budget, None))
+    return steps
+
+
+@pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
+def test_pure_and_compiled_agree():
+    rng = random.Random(104)
+    cases = []
+    for _ in range(150):
+        clauses, nv = random_cnf(rng, max_vars=9, max_clauses=30)
+        cases.append((nv, [(clauses, [], None, None)]))
+        cases.append((nv, random_steps(rng, clauses, nv)))
+    # budget, deadline (checked every 64 conflicts), clauses added after
+    # an UNKNOWN; then nine guarded copies of a pigeonhole formula, each
+    # solved under its own selector: restarts, long failed-assumption
+    # walks, and about 5,000 conflicts, past the activity rescale (1e100)
+    php = pigeonhole(7)
+    cases.append((42, [(php, [], 3, None), ([], [1], 500, None)]))
+    cases.append((42, [(php, [-1, 2], None, time.monotonic() - 1.0), ([[1, 2]], [], None, None)]))
+    cases.append((42, [([c + [-sel] for c in php], [sel], None, None) for sel in range(100, 109)]))
+    statuses = set()
+    for nv, steps in cases:
+        pure = observe("pure", nv, steps)
+        assert observe("compiled", nv, steps) == pure
+        statuses.update(seen[0] for seen in pure)
+    assert statuses == {SAT, UNSAT, UNKNOWN}
+
+
+@pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
+@pytest.mark.parametrize("period", [0, 1])
+def test_pure_and_compiled_agree_on_expansion(period):
+    for seed in range(200):
+        q = oracle.random_pcnf(seed)
+        lines = [
+            cli.json_stats_lines(
+                expand.solve(q, expand.SolveConfig(reset_period=period, kernel=k))
+            )
+            for k in ("pure", "compiled")
+        ]
+        assert lines[0] == lines[1], "seed %d" % seed
+
+
+def test_conflict_budget_unknown(kernel):
+    s = Solver(kernel=kernel)
+    for c in pigeonhole(7):
+        s.add_clause(c)
     out = s.solve(conflict_budget=3)
     assert out.status == UNKNOWN
-    del rng
 
 
 def test_trace_recording(kernel):
