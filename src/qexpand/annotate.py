@@ -83,9 +83,6 @@ class InternTable:
             self.reverse[i] = key
         return i
 
-    def lookup(self, var, ann):
-        return self.forward.get((var, ann))
-
     def fresh(self):
         i = self._next
         self._next += 1
@@ -99,9 +96,9 @@ def _ann_context(a):
     """Packed values and positions of a's assigned variables."""
     positions = []
     bits = 0
-    for i, val in enumerate(a.values):
-        if val is not None:
-            if val:
+    for i, code in enumerate(a.values):
+        if code:
+            if code == 1:
                 bits |= 1 << len(positions)
             positions.append(i)
     return positions, bits
@@ -120,18 +117,18 @@ def _instantiate_core(q, a):
     partial assignment; domain policing happens in the public wrappers.
     """
     positions, bits = _ann_context(a)
-    value = a.value
-    position = q.position
+    values = a.values
+    pos = q.positions
     out = []
     for idx, c in enumerate(q.matrix):
         lits = []
         sat = False
         for l in c:
-            v = -l if l < 0 else l
-            val = value(v)
-            if val is None:
-                lits.append((l, _ann_at(positions, bits, position(v))))
-            elif val == (l > 0):
+            p = pos[-l if l < 0 else l]
+            code = values[p]
+            if not code:
+                lits.append((l, _ann_at(positions, bits, p)))
+            elif code == (1 if l > 0 else 2):
                 sat = True
                 break
         if not sat:
@@ -231,13 +228,12 @@ def strip(model, source, table):
     q = source.qbf
     targets = q.existentials if table.kind == "universal" else q.universals
     positions, bits = _ann_context(source)
+    pos = q.positions
+    forward = table.forward
     n = len(model)
-    pairs = []
+    values = bytearray(q.num_vars)
     for v in targets:
-        ann = _ann_at(positions, bits, q.position(v))
-        aid = table.forward.get((v, ann))
-        val = False
-        if aid is not None and aid < n and model[aid] is not None:
-            val = model[aid]
-        pairs.append((v, val))
-    return Assignment.from_pairs(q, pairs)
+        p = pos[v]
+        aid = forward.get((v, _ann_at(positions, bits, p)))
+        values[p] = 1 if aid is not None and aid < n and model[aid] else 2
+    return Assignment(q, values)

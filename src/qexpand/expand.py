@@ -73,25 +73,26 @@ class AssignmentSet:
     """Insertion-ordered set of assignments."""
 
     def __init__(self):
-        self.items = []
-        self._index = {}
+        self._by_key = {}
 
     def add(self, a):
         k = a.key()
-        if k in self._index:
+        if k in self._by_key:
             return False
-        self._index[k] = len(self.items)
-        self.items.append(a)
+        self._by_key[k] = a
         return True
 
+    def has_key(self, k):
+        return k in self._by_key
+
     def __contains__(self, a):
-        return a.key() in self._index
+        return a.key() in self._by_key
 
     def __len__(self):
-        return len(self.items)
+        return len(self._by_key)
 
     def __iter__(self):
-        return iter(self.items)
+        return iter(self._by_key.values())
 
 
 class ForallAbstraction:
@@ -217,16 +218,14 @@ class SolveResult:
 
 def _combined_eval(q, a, b):
     """Truth of the matrix under the union of two assignments."""
-    av = a._by_id
-    bv = b._by_id
+    av = a.values
+    bv = b.values
+    pos = q.positions
     for c in q.matrix:
         sat_c = False
         for l in c:
-            v = -l if l < 0 else l
-            val = av[v]
-            if val is None:
-                val = bv[v]
-            if val == (l > 0):
+            p = pos[-l if l < 0 else l]
+            if (av[p] or bv[p]) == (1 if l > 0 else 2):
                 sat_c = True
                 break
         if not sat_c:
@@ -282,7 +281,7 @@ def check_completion(state, s_side=True, a_side=True):
         for alpha in state.alphas:
             ak = alpha.key()
             wit = state._wit_s_for_a.get(ak)
-            if wit is not None and wit in state.sigmas._index:
+            if wit is not None and state.sigmas.has_key(wit):
                 continue
             found = None
             for sigma in state.sigmas:
@@ -298,7 +297,7 @@ def check_completion(state, s_side=True, a_side=True):
         for sigma in state.sigmas:
             sk = sigma.key()
             wit = state._wit_a_for_s.get(sk)
-            if wit is not None and wit in state.alphas._index:
+            if wit is not None and state.alphas.has_key(wit):
                 continue
             found = None
             for alpha in state.alphas:

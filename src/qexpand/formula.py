@@ -1,9 +1,20 @@
-"""Prenex CNF formulas: quantifier prefixes, clause matrices, partial assignments.
+"""Prenex CNF formulas and partial assignments over their prefix.
 
 Literals are nonzero ints in the QDIMACS convention: v is the positive
 literal of variable v, -v the negative one.  Clauses are sorted,
 duplicate-free tuples of literals; the empty tuple is the empty clause.
 Tautological clauses are dropped when a formula is built.
+
+Variable ids may be sparse.  A Qbf maps each id to its 0-based position
+in prefix order once, when it is built, and everything sized by the
+variables is sized by that count, never by the largest id.  Blocks,
+matrix, literals and certificates keep the input's own ids.
+
+An Assignment holds one byte per prefix position: 0 for unassigned, 1
+for true, 2 for false.  The solving loop builds assignments and looks
+them up in sets far more often than it does anything else with them,
+so the bytes value is the whole assignment and also its hashable dedup
+key: one allocation per assignment, and no second form to keep in step.
 """
 
 from dataclasses import dataclass
@@ -11,17 +22,7 @@ from dataclasses import dataclass
 FORALL = "a"
 EXISTS = "e"
 
-
-class ConflictingAssignments(Exception):
-    """Composed assignments disagree on some variable."""
-
-
-@dataclass(frozen=True)
-class Variable:
-    id: int
-    quantifier: str  # FORALL or EXISTS
-    block: int  # 0-based index into the prefix
-    position: int  # 0-based position in prefix order
+_CODES = b"\0\1\2"  # unassigned, true, false
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,17 @@ class Qbf:
     """A prenex CNF formula.
 
     blocks: iterable of (quantifier, variable-id list) pairs, outermost
-    first.  Adjacent blocks with the same quantifier are legal; use
-    normalize_prefix to merge them.  clauses: iterable of literal lists.
-    Clause order is preserved (certificates index into it); tautologies
-    are dropped and counted in dropped_tautologies.
+    first; adjacent blocks with the same quantifier are legal.  clauses:
+    iterable of literal lists.  Clause order is preserved (certificates
+    index into it); tautologies are dropped and counted in
+    dropped_tautologies.  positions maps every variable id to its
+    prefix position, the index of its byte in an Assignment.
     """
 
     def __init__(self, blocks, clauses):
         blk = []
-        variables = {}
-        order = []
+        positions = {}
+        kinds = []
         for bi, (quant, vids) in enumerate(blocks):
             if quant not in (FORALL, EXISTS):
                 raise ValueError("bad quantifier %r" % (quant,))
@@ -63,29 +65,31 @@ class Qbf:
             for v in vids:
                 if not isinstance(v, int) or v <= 0:
                     raise ValueError("bad variable id %r" % (v,))
-                if v in variables:
+                if v in positions:
                     raise ValueError("variable %d quantified twice" % v)
-                variables[v] = Variable(v, quant, bi, len(order))
-                order.append(v)
+                positions[v] = len(kinds)
+                kinds.append(quant)
             blk.append(Block(quant, vids))
         matrix = []
         dropped = 0
         for c in clauses:
             cc = canonical_clause(c)
             for l in cc:
-                if abs(l) not in variables:
+                if abs(l) not in positions:
                     raise ValueError("clause uses unquantified variable %d" % abs(l))
             if is_tautology(cc):
                 dropped += 1
                 continue
             matrix.append(cc)
+        order = tuple(positions)
         self.blocks = tuple(blk)
         self.matrix = tuple(matrix)
-        self.variables = variables
-        self.prefix_order = tuple(order)
+        self.positions = positions
+        self.prefix_order = order
         self.dropped_tautologies = dropped
-        self.universals = tuple(v for v in order if variables[v].quantifier == FORALL)
-        self.existentials = tuple(v for v in order if variables[v].quantifier == EXISTS)
+        self._kinds = "".join(kinds)  # quantifier of each prefix position
+        self.universals = tuple(v for v, k in zip(order, kinds) if k == FORALL)
+        self.existentials = tuple(v for v, k in zip(order, kinds) if k == EXISTS)
         self.max_id = max(order) if order else 0
 
     @property
@@ -96,35 +100,11 @@ class Qbf:
     def num_clauses(self):
         return len(self.matrix)
 
-    def var(self, vid):
-        return self.variables[vid]
-
-    def quantifier(self, vid):
-        return self.variables[vid].quantifier
-
     def is_universal(self, vid):
-        return self.variables[vid].quantifier == FORALL
+        return self._kinds[self.positions[vid]] == FORALL
 
     def position(self, vid):
-        return self.variables[vid].position
-
-    def normalize_prefix(self, drop_unused=False):
-        """Merge adjacent same-quantifier blocks; optionally drop variables
-        that never occur in the matrix (empty blocks disappear with them)."""
-        used = set()
-        for c in self.matrix:
-            for l in c:
-                used.add(abs(l))
-        merged = []
-        for b in self.blocks:
-            vids = [v for v in b.variables if not drop_unused or v in used]
-            if not vids:
-                continue
-            if merged and merged[-1][0] == b.quantifier:
-                merged[-1][1].extend(vids)
-            else:
-                merged.append([b.quantifier, vids])
-        return Qbf(merged, self.matrix)
+        return self.positions[vid]
 
     def __eq__(self, other):
         if not isinstance(other, Qbf):
@@ -141,100 +121,61 @@ class Qbf:
 class Assignment:
     """Partial assignment over a formula's variables.
 
-    Stored densely by prefix position; values are True, False, or None
-    (unassigned).  Immutable after construction: restrict/compose return
-    new objects, so instances can be shared freely across threads.
+    values is a bytes value with one code per prefix position of qbf:
+    0 unassigned, 1 true, 2 false.  It is immutable and doubles as
+    key(), so instances can be shared freely and deduplicated without a
+    copy.
     """
 
-    __slots__ = ("qbf", "values", "_by_id", "_key")
+    __slots__ = ("qbf", "values")
 
     def __init__(self, qbf, values):
+        if not isinstance(values, (bytes, bytearray)):
+            raise TypeError("values must be bytes, one code per prefix position")
         if len(values) != qbf.num_vars:
             raise ValueError("expected %d values" % qbf.num_vars)
+        if values.translate(None, _CODES):
+            raise ValueError("value codes must be 0, 1 or 2")
         self.qbf = qbf
-        self.values = tuple(values)
-        by_id = [None] * (qbf.max_id + 1)
-        for vid, val in zip(qbf.prefix_order, self.values):
-            by_id[vid] = val
-        self._by_id = by_id
-        self._key = None
-
-    @classmethod
-    def empty(cls, qbf):
-        return cls(qbf, (None,) * qbf.num_vars)
+        self.values = bytes(values)
 
     @classmethod
     def from_pairs(cls, qbf, pairs):
         if isinstance(pairs, dict):
             pairs = pairs.items()
-        vals = [None] * qbf.num_vars
+        vals = bytearray(qbf.num_vars)
+        positions = qbf.positions
         for vid, val in pairs:
-            vals[qbf.position(vid)] = bool(val)
+            vals[positions[vid]] = 1 if val else 2
         return cls(qbf, vals)
 
     def value(self, vid):
-        return self._by_id[vid]
-
-    def assigned_ids(self):
-        return tuple(v for v, x in zip(self.qbf.prefix_order, self.values) if x is not None)
+        """True, False, or None when vid is unassigned."""
+        code = self.values[self.qbf.positions[vid]]
+        return None if code == 0 else code == 1
 
     def count(self):
-        return sum(1 for x in self.values if x is not None)
+        return len(self.values) - self.values.count(0)
 
     def is_full_over(self, var_ids):
-        return all(self._by_id[v] is not None for v in var_ids)
-
-    @property
-    def domain_tag(self):
-        kinds = {self.qbf.quantifier(v) for v in self.assigned_ids()}
-        if not kinds:
-            return "empty"
-        if kinds == {FORALL}:
-            return "universal-only"
-        if kinds == {EXISTS}:
-            return "existential-only"
-        return "mixed"
-
-    def restrict(self, var_ids):
-        """Keep the values of var_ids, unassign everything else."""
-        keep = set(var_ids)
-        vals = [x if v in keep else None for v, x in zip(self.qbf.prefix_order, self.values)]
-        return Assignment(self.qbf, vals)
-
-    def compose(self, other):
-        """Union of two assignments over the same formula."""
-        if other.qbf is not self.qbf:
-            raise ValueError("assignments over different formulas")
-        vals = list(self.values)
-        for i, x in enumerate(other.values):
-            if x is None:
-                continue
-            if vals[i] is None:
-                vals[i] = x
-            elif vals[i] != x:
-                raise ConflictingAssignments(
-                    "variable %d" % self.qbf.prefix_order[i]
-                )
-        return Assignment(self.qbf, vals)
+        values = self.values
+        positions = self.qbf.positions
+        return all(values[positions[v]] for v in var_ids)
 
     def key(self):
-        """Packed byte form, usable as a dict key for dedup."""
-        if self._key is None:
-            self._key = bytes(
-                0 if x is None else (1 if x else 2) for x in self.values
-            )
-        return self._key
+        """The values themselves, usable as a dict key for dedup."""
+        return self.values
 
     def literals(self):
         """Assigned variables as signed literals in prefix order."""
         return tuple(
-            v if x else -v
-            for v, x in zip(self.qbf.prefix_order, self.values)
-            if x is not None
+            v if code == 1 else -v
+            for v, code in zip(self.qbf.prefix_order, self.values)
+            if code
         )
 
     def as_dict(self):
-        return {v: x for v, x in zip(self.qbf.prefix_order, self.values) if x is not None}
+        return {abs(l): l > 0 for l in self.literals()}
 
     def __eq__(self, other):
         if not isinstance(other, Assignment):
@@ -242,55 +183,8 @@ class Assignment:
         return self.qbf is other.qbf and self.values == other.values
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.values)
 
     def __repr__(self):
-        parts = ["%d=%s" % (v, "T" if x else "F") for v, x in zip(self.qbf.prefix_order, self.values) if x is not None]
+        parts = ["%d=%s" % (abs(l), "T" if l > 0 else "F") for l in self.literals()]
         return "{%s}" % " ".join(parts)
-
-
-def apply_assignment(a, clauses):
-    """Simplify a clause set under a partial assignment.
-
-    Satisfied clauses are dropped, falsified literals removed.  An empty
-    clause in the result means the set is falsified; an empty result
-    means it is satisfied.
-    """
-    by_id = a._by_id
-    out = []
-    for c in clauses:
-        reduced = []
-        sat = False
-        for l in c:
-            val = by_id[abs(l)]
-            if val is None:
-                reduced.append(l)
-            elif val == (l > 0):
-                sat = True
-                break
-        if not sat:
-            out.append(tuple(reduced))
-    return out
-
-
-def matrix_value(a, clauses):
-    """Truth value of a clause set under a, or None if undecided."""
-    by_id = a._by_id
-    undecided = False
-    for c in clauses:
-        sat = False
-        open_lit = False
-        for l in c:
-            val = by_id[abs(l)]
-            if val is None:
-                open_lit = True
-            elif val == (l > 0):
-                sat = True
-                break
-        if sat:
-            continue
-        if open_lit:
-            undecided = True
-        else:
-            return False
-    return None if undecided else True

@@ -200,10 +200,8 @@ def random_cnf(seed, max_vars=20, max_clauses=90):
 
 def random_partial_assignment(q, rng, density=0.5):
     """Random partial assignment over all variables of q."""
-    vals = []
-    for _ in range(q.num_vars):
+    vals = bytearray(q.num_vars)
+    for i in range(q.num_vars):
         if rng.random() < density:
-            vals.append(rng.random() < 0.5)
-        else:
-            vals.append(None)
+            vals[i] = 1 if rng.random() < 0.5 else 2
     return Assignment(q, vals)

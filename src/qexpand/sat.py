@@ -51,6 +51,14 @@ def kernel_name():
     return "compiled" if COMPILED else "pure"
 
 
+def _checked_literals(lits):
+    """lits as a list, or ValueError unless every one is a nonzero int."""
+    lits = list(lits)
+    if any(not isinstance(l, int) or l == 0 for l in lits):
+        raise ValueError("literals must be nonzero ints")
+    return lits
+
+
 @dataclass
 class SolveOutcome:
     status: str
@@ -110,19 +118,17 @@ class Solver:
         self._k.ensure_vars(n)
 
     def add_clause(self, lits):
-        lits = list(lits)
-        if any(not isinstance(l, int) or l == 0 for l in lits):
-            raise ValueError("literals must be nonzero ints")
-        self._k.add_clause(lits)
+        self._k.add_clause(_checked_literals(lits))
 
     def solve(self, assumptions=(), conflict_budget=None, deadline=None):
         """Solve under assumptions; budgets turn the result into UNKNOWN.
 
         deadline is an absolute time.monotonic() value.
         """
+        assumptions = _checked_literals(assumptions)
         t0 = time.perf_counter()
         r = self._k.solve(
-            list(assumptions),
+            assumptions,
             -1 if conflict_budget is None else conflict_budget,
             -1.0 if deadline is None else deadline,
         )
@@ -161,6 +167,7 @@ def external_solve(path, clauses, num_vars=0, assumptions=(), timeout=None):
     appended as unit clauses, so a failed-assumption set cannot be
     narrowed: callers get the full assumption list back on UNSAT.
     """
+    assumptions = _checked_literals(assumptions)
     nv = num_vars
     for c in clauses:
         for l in c:
@@ -260,9 +267,7 @@ class ExternalSolver:
         self._nv = max(self._nv, n)
 
     def add_clause(self, lits):
-        lits = list(lits)
-        if any(not isinstance(l, int) or l == 0 for l in lits):
-            raise ValueError("literals must be nonzero ints")
+        lits = _checked_literals(lits)
         for l in lits:
             self._nv = max(self._nv, abs(l))
         self._clauses.append(lits)

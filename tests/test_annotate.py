@@ -15,13 +15,37 @@ from qexpand.annotate import (
     negate_instantiate,
     strip,
 )
-from qexpand.formula import EXISTS, FORALL, Assignment, Qbf, apply_assignment
+from qexpand.formula import EXISTS, FORALL, Assignment, Qbf
 
 
 def annotation_of(a, vid):
     """Annotation variable vid receives under instantiation by a."""
     positions, bits = _ann_context(a)
     return _ann_at(positions, bits, a.qbf.position(vid))
+
+
+def apply_assignment(a, clauses):
+    """Simplify a clause set under a partial assignment.
+
+    The reference that instantiation is checked against: satisfied
+    clauses are dropped, falsified literals removed.  An empty clause in
+    the result means the set is falsified; an empty result means it is
+    satisfied.
+    """
+    out = []
+    for c in clauses:
+        reduced = []
+        sat = False
+        for l in c:
+            val = a.value(abs(l))
+            if val is None:
+                reduced.append(l)
+            elif val == (l > 0):
+                sat = True
+                break
+        if not sat:
+            out.append(tuple(reduced))
+    return out
 
 
 def unstrip_check(q, s):
@@ -42,6 +66,14 @@ def q4():
         [(FORALL, [1]), (EXISTS, [2]), (FORALL, [3]), (EXISTS, [4])],
         [[2, 1, 4], [-2, -1, 4], [-4, 3]],
     )
+
+
+def test_apply_empty_clause_and_satisfied():
+    q = Qbf([(EXISTS, [1, 2])], [[1, 2]])
+    a = Assignment.from_pairs(q, {1: False, 2: False})
+    assert apply_assignment(a, q.matrix) == [()]
+    b = Assignment.from_pairs(q, {1: True})
+    assert apply_assignment(b, q.matrix) == []
 
 
 def test_annotation_packing():

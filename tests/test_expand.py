@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from qexpand import annotate, expand, oracle
+from qexpand import annotate, cli, expand, oracle, proof, qdimacs, sat
 from qexpand.expand import (
     FALSE,
     TRUE,
@@ -43,6 +44,20 @@ def switch_false_qbf():
 def xor_true_qbf():
     # exists x must track not-u, so both candidate values are needed
     return Qbf([(FORALL, [1]), (EXISTS, [2])], [[1, 2], [-1, -2]])
+
+
+def equality(n, scale=1):
+    """Exists x, forall u, exists t with x = u: false; ids times scale."""
+    xs = [i * scale for i in range(1, n + 1)]
+    us = [i * scale for i in range(n + 1, 2 * n + 1)]
+    ts = [i * scale for i in range(2 * n + 1, 3 * n + 1)]
+    clauses = [[-t for t in ts]]
+    for x, u, t in zip(xs, us, ts):
+        clauses += [[x, u, t], [-x, -u, t]]
+    return Qbf([(EXISTS, xs), (FORALL, us), (EXISTS, ts)], clauses)
+
+
+KERNELS = ["pure"] + (["compiled"] if sat.COMPILED else [])
 
 
 def verdict_of(value):
@@ -278,6 +293,40 @@ def test_hook_clauses_keep_verdicts():
         assert r.verdict == base, "seed %d" % seed
 
 
+def _traced_solve(q, kernel):
+    tracemalloc.start()
+    try:
+        r = solve(q, SolveConfig(kernel=kernel))
+        return r, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_sparse_ids_solve_like_dense(kernel):
+    dense, dense_peak = _traced_solve(equality(5), kernel)
+    q = equality(5, 10_000)
+    r, peak = _traced_solve(q, kernel)
+    assert (r.verdict, r.iterations) == (dense.verdict, dense.iterations)
+    assert cli.json_stats_lines(r) == cli.json_stats_lines(dense)
+    assert proof.check_certificate(q, proof.extract_certificate(r.state)).ok
+    for a in list(r.state.alphas) + list(r.state.sigmas):
+        assert len(a.key()) == q.num_vars
+    # nothing is sized by the largest id (150,000 here)
+    assert peak < 1.5 * dense_peak
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_sparse_ids_through_cli(tmp_path, capsys, kernel):
+    f = tmp_path / "sparse.qdimacs"
+    f.write_text(qdimacs.write(equality(5, 10_000)))
+    cert = tmp_path / "sparse.cert"
+    assert cli.main(["solve", str(f), "--kernel", kernel, "--cert", str(cert)]) == 20
+    capsys.readouterr()
+    assert cli.main(["check", str(f), str(cert)]) == 0
+    assert "certificate valid" in capsys.readouterr().out
+
+
 def test_check_completion_reports_violation():
     q = xor_true_qbf()
     state = ExpansionState(q, SolveConfig())
@@ -285,7 +334,7 @@ def test_check_completion_reports_violation():
     state.sigmas.add(Assignment.from_pairs(q, {2: False}))
     report = check_completion(state, s_side=True, a_side=False)
     assert report.violations == [
-        ("s-completes-a", state.alphas.items[0], None)
+        ("s-completes-a", next(iter(state.alphas)), None)
     ]
     report = check_completion(state, s_side=False, a_side=True)
     assert report.violations == []

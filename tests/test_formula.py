@@ -1,17 +1,6 @@
-import random
-
 import pytest
 
-from qexpand.formula import (
-    EXISTS,
-    FORALL,
-    Assignment,
-    ConflictingAssignments,
-    Qbf,
-    apply_assignment,
-    canonical_clause,
-    matrix_value,
-)
+from qexpand.formula import EXISTS, FORALL, Assignment, Qbf, canonical_clause
 
 
 def q4():
@@ -36,7 +25,6 @@ def test_qbf_basics():
     assert q.matrix == ((1, 2, 4), (-1, -2, 4), (3, -4))
     assert q.is_universal(1) and not q.is_universal(2)
     assert q.position(3) == 2
-    assert q.var(4).block == 3
 
 
 def test_qbf_drops_tautologies():
@@ -56,123 +44,21 @@ def test_qbf_validation():
         Qbf([("x", [1])], [])
 
 
-def test_normalize_prefix_merges_blocks():
-    q = Qbf([(EXISTS, [1]), (EXISTS, [2]), (FORALL, [3])], [[1, 3]])
-    n = q.normalize_prefix()
-    assert [(b.quantifier, b.variables) for b in n.blocks] == [
-        (EXISTS, (1, 2)),
-        (FORALL, (3,)),
-    ]
-    assert n == Qbf([(EXISTS, [1, 2]), (FORALL, [3])], [[1, 3]])
-
-
-def test_normalize_prefix_drop_unused():
-    q = Qbf([(EXISTS, [1, 2]), (FORALL, [3]), (EXISTS, [4])], [[1, 4]])
-    n = q.normalize_prefix(drop_unused=True)
-    assert n.prefix_order == (1, 4)
-    assert [(b.quantifier, b.variables) for b in n.blocks] == [(EXISTS, (1, 4))]
-
-
-def test_restriction_and_application():
-    q = q4()
-    sigma = Assignment.from_pairs(q, {1: True, 2: True})
-    assert apply_assignment(sigma, q.matrix) == [(4,), (3, -4)]
-    tau = sigma.restrict([2, 4])
-    assert tau.as_dict() == {2: True}
-    assert apply_assignment(tau, q.matrix) == [(-1, 4), (3, -4)]
-
-
-def test_apply_empty_clause_and_satisfied():
-    q = Qbf([(EXISTS, [1, 2])], [[1, 2]])
-    a = Assignment.from_pairs(q, {1: False, 2: False})
-    assert apply_assignment(a, q.matrix) == [()]
-    b = Assignment.from_pairs(q, {1: True})
-    assert apply_assignment(b, q.matrix) == []
-
-
-def test_compose():
-    q = q4()
-    a = Assignment.from_pairs(q, {1: True})
-    b = Assignment.from_pairs(q, {2: False, 4: True})
-    c = a.compose(b)
-    assert c.as_dict() == {1: True, 2: False, 4: True}
-    with pytest.raises(ConflictingAssignments):
-        c.compose(Assignment.from_pairs(q, {2: True}))
-
-
-def test_domain_tag():
-    q = q4()
-    assert Assignment.empty(q).domain_tag == "empty"
-    assert Assignment.from_pairs(q, {1: True, 3: False}).domain_tag == "universal-only"
-    assert Assignment.from_pairs(q, {2: True}).domain_tag == "existential-only"
-    assert Assignment.from_pairs(q, {1: True, 2: True}).domain_tag == "mixed"
-
-
 def test_assignment_misc():
     q = q4()
     a = Assignment.from_pairs(q, {3: False, 2: True})
     assert a.literals() == (2, -3)
-    assert a.assigned_ids() == (2, 3)
     assert a.count() == 2
     assert a.is_full_over([2, 3])
     assert not a.is_full_over([1, 2])
     assert a.value(3) is False and a.value(1) is None
     assert a == Assignment.from_pairs(q, {2: True, 3: False})
     assert a.key() == bytes([0, 1, 2, 0])
-
-
-def random_qbf_and_assignments(rng, nvars=6, nclauses=8):
-    blocks = []
-    kind = rng.choice([FORALL, EXISTS])
-    vids = list(range(1, nvars + 1))
-    i = 0
-    while i < nvars:
-        take = rng.randint(1, max(1, min(3, nvars - i)))
-        blocks.append((kind, vids[i : i + take]))
-        kind = EXISTS if kind == FORALL else FORALL
-        i += take
-    clauses = []
-    for _ in range(nclauses):
-        width = rng.randint(1, 3)
-        vs = rng.sample(vids, width)
-        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
-    q = Qbf(blocks, clauses)
-    vals = [rng.choice([True, False, None]) for _ in range(nvars)]
-    return q, Assignment(q, vals)
-
-
-def test_compose_restrict_roundtrip_random():
-    rng = random.Random(11)
-    for _ in range(200):
-        q, a = random_qbf_and_assignments(rng)
-        ids = list(a.assigned_ids())
-        rng.shuffle(ids)
-        cut = len(ids) // 2
-        left, right = ids[:cut], ids[cut:]
-        back = a.restrict(left).compose(a.restrict(right))
-        assert back == a.restrict(ids)
-        assert back == a
-
-
-def test_apply_distributes_random():
-    rng = random.Random(12)
-    for _ in range(200):
-        q, a = random_qbf_and_assignments(rng)
-        ids = list(a.assigned_ids())
-        cut = rng.randint(0, len(ids))
-        b, c = a.restrict(ids[:cut]), a.restrict(ids[cut:])
-        assert apply_assignment(a, q.matrix) == apply_assignment(b, apply_assignment(c, q.matrix))
-
-
-def test_matrix_value_random():
-    rng = random.Random(13)
-    for _ in range(200):
-        q, a = random_qbf_and_assignments(rng)
-        reduced = apply_assignment(a, q.matrix)
-        v = matrix_value(a, q.matrix)
-        if v is True:
-            assert reduced == []
-        elif v is False:
-            assert () in reduced
-        else:
-            assert reduced and () not in reduced
+    assert a.key() is a.values
+    assert Assignment(q, bytearray([0, 1, 2, 0])).values == a.values
+    with pytest.raises(TypeError):
+        Assignment(q, (None, True, False, None))
+    with pytest.raises(ValueError):
+        Assignment(q, bytes([0, 1, 2]))
+    with pytest.raises(ValueError):
+        Assignment(q, bytes([0, 1, 3, 0]))

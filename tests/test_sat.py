@@ -122,6 +122,10 @@ def test_assumptions(kernel):
     # and the instance is untouched
     assert s.solve(assumptions=[1]).status == SAT
     assert s.solve().status == SAT
+    for bad in ([0], [1, 0], [1.0]):
+        with pytest.raises(ValueError):
+            s.solve(assumptions=bad)
+    assert s.solve_calls == 4
 
 
 def test_contradictory_assumptions(kernel):
@@ -187,6 +191,7 @@ def observe(kernel, nv, steps):
     a caller can see.
 
     Each step is (clauses to add, then solve(assumptions, budget, deadline)).
+    A solve that raises ValueError is seen as its message.
     """
     s = Solver(record_trace=True, kernel=kernel)
     s.ensure_vars(nv)
@@ -194,7 +199,11 @@ def observe(kernel, nv, steps):
     for clauses, assumptions, budget, deadline in steps:
         for c in clauses:
             s.add_clause(c)
-        o = s.solve(assumptions, conflict_budget=budget, deadline=deadline)
+        try:
+            o = s.solve(assumptions, conflict_budget=budget, deadline=deadline)
+        except ValueError as e:
+            seen.append(("ValueError", str(e), s.num_vars, s.num_clauses))
+            continue
         try:
             trace = s.proof_trace()
         except TraceUnavailable:
@@ -239,12 +248,14 @@ def test_pure_and_compiled_agree():
     cases.append((42, [(php, [], 3, None), ([], [1], 500, None)]))
     cases.append((42, [(php, [-1, 2], None, time.monotonic() - 1.0), ([[1, 2]], [], None, None)]))
     cases.append((42, [([c + [-sel] for c in php], [sel], None, None) for sel in range(100, 109)]))
+    # a zero assumption is rejected, and the solver still answers after it
+    cases.append((3, [([[1, 2]], [0], None, None), ([[-1]], [], None, None)]))
     statuses = set()
     for nv, steps in cases:
         pure = observe("pure", nv, steps)
         assert observe("compiled", nv, steps) == pure
         statuses.update(seen[0] for seen in pure)
-    assert statuses == {SAT, UNSAT, UNKNOWN}
+    assert statuses == {SAT, UNSAT, UNKNOWN, "ValueError"}
 
 
 @pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
@@ -381,6 +392,20 @@ def test_external_solver_wrapper(stub_solver):
     with pytest.raises(TraceUnavailable):
         s.proof_trace()
     assert s.solve_calls == 2
+
+
+def test_external_solver_rejects_bad_literals(tmp_path):
+    # the binary must never run: a zero would end a DIMACS clause early
+    s = ExternalSolver(str(tmp_path / "never-run"))
+    s.add_clause([1, 2])
+    for bad in ([0], [1, 0], [None]):
+        with pytest.raises(ValueError):
+            s.solve(assumptions=bad)
+        with pytest.raises(ValueError):
+            s.add_clause(bad)
+    assert s.solve_calls == 0 and s.num_clauses == 1
+    with pytest.raises(ValueError):
+        external_solve(str(tmp_path / "never-run"), [[1]], 1, assumptions=[0])
 
 
 def test_external_spawn_failure(tmp_path):
