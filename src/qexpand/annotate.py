@@ -2,56 +2,32 @@
 
 Instantiating a matrix under an assignment evaluates the assigned
 variables away and renames every surviving variable x to an annotated
-copy: the annotation is the sequence of values the assignment gives to
-its variables that precede x in prefix order (unassigned predecessors
-contribute nothing, so variables in the first block stay bare when the
-assignment starts later in the prefix).  Two occurrences of x under
+copy: the annotation is the values the assignment gives to the
+variables that precede x in prefix order.  Two occurrences of x under
 equal annotations are the same propositional variable; an InternTable
 maps (variable, annotation) pairs to dense solver ids, bijectively and
 stably for the lifetime of one abstraction.
 
-Annotations are packed little-endian into an int: bit i is the value
-of the i-th assigned predecessor.  Their string form spells the bits
-first-predecessor first ("10" for value-true-then-false), "-" when no
-predecessor is assigned.
+An annotation is the assignment's own bytes before x's block,
+a.values[:head] with head the prefix position of the block's first
+variable, so no second encoding is built.  Every assignment these
+functions take covers exactly one side of the prefix (_check_domain),
+and x is on the other side, so x's block is unassigned and the bytes
+before it carry exactly the predecessors' values; the positions left
+unassigned in them are the same for every assignment of that side.
+The key stops at the block head rather than at x itself so that all
+variables of a block share one slice per instantiation: a slice per
+variable would hold a separate copy in every interned key.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .formula import Assignment
+from .formula import EXISTS, FORALL, Assignment
 
 
 class WrongDomain(Exception):
     """Assignment does not cover exactly the table's variable kind."""
-
-
-class Annotation(NamedTuple):
-    bits: int
-    length: int
-
-    def to_str(self):
-        if self.length == 0:
-            return "-"
-        return "".join(
-            "1" if self.bits >> i & 1 else "0" for i in range(self.length)
-        )
-
-    @classmethod
-    def from_str(cls, s):
-        if s == "-":
-            return cls(0, 0)
-        if not s or any(ch not in "01" for ch in s):
-            raise ValueError("bad annotation %r" % s)
-        bits = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(bits, len(s))
-
-
-EMPTY_ANN = Annotation(0, 0)
 
 
 class InternTable:
@@ -68,13 +44,13 @@ class InternTable:
         if kind not in ("universal", "existential"):
             raise ValueError("kind must be universal or existential")
         self.kind = kind
-        self.forward = {}  # (var, Annotation) -> id
-        self.reverse = {}  # id -> (var, Annotation)
+        self.forward = {}  # (var, bytes before var's block) -> id
+        self.reverse = {}  # id -> (var, bytes before var's block)
         self.clause_selector = {}  # produced clause -> selector id
         self._next = 1
 
-    def intern(self, var, ann):
-        key = (var, ann)
+    def intern(self, var, prefix):
+        key = (var, prefix)
         i = self.forward.get(key)
         if i is None:
             i = self._next
@@ -92,33 +68,19 @@ class InternTable:
         return len(self.forward)
 
 
-def _ann_context(a):
-    """Packed values and positions of a's assigned variables."""
-    positions = []
-    bits = 0
-    for i, code in enumerate(a.values):
-        if code:
-            if code == 1:
-                bits |= 1 << len(positions)
-            positions.append(i)
-    return positions, bits
-
-
-def _ann_at(positions, bits, pos):
-    k = bisect_left(positions, pos)
-    return Annotation(bits & ((1 << k) - 1), k)
-
-
 def _instantiate_core(q, a):
     """Clauses of the matrix instantiated under a.
 
     Yields (matrix index, lits) for every clause not satisfied by a;
-    lits are (signed original var, Annotation) pairs.  Works for any
-    partial assignment; domain policing happens in the public wrappers.
+    lits are (signed original var, annotation) pairs, the annotation
+    being a.values cut at the head of the var's block, one slice per
+    block.  Works for any partial assignment; domain policing happens
+    in the public wrappers.
     """
-    positions, bits = _ann_context(a)
     values = a.values
     pos = q.positions
+    heads = q.block_heads
+    cuts = {}  # block head -> values[:head]
     out = []
     for idx, c in enumerate(q.matrix):
         lits = []
@@ -127,13 +89,25 @@ def _instantiate_core(q, a):
             p = pos[-l if l < 0 else l]
             code = values[p]
             if not code:
-                lits.append((l, _ann_at(positions, bits, p)))
+                h = heads[p]
+                prefix = cuts.get(h)
+                if prefix is None:
+                    prefix = cuts[h] = values[:h]
+                lits.append((l, prefix))
             elif code == (1 if l > 0 else 2):
                 sat = True
                 break
         if not sat:
             out.append((idx, tuple(lits)))
     return out
+
+
+def _intern_lits(table, lits):
+    """Signed intern ids of (signed var, annotation) pairs."""
+    return tuple(
+        table.intern(-l if l < 0 else l, prefix) * (1 if l > 0 else -1)
+        for l, prefix in lits
+    )
 
 
 def _check_domain(q, a, table):
@@ -166,10 +140,7 @@ def instantiate(q, a, table):
     produced = []
     empty = False
     for idx, lits in _instantiate_core(q, a):
-        ilits = tuple(
-            table.intern(-l if l < 0 else l, ann) * (1 if l > 0 else -1)
-            for l, ann in lits
-        )
+        ilits = _intern_lits(table, lits)
         if not ilits:
             empty = True
         produced.append(ProducedClause(ilits, idx))
@@ -200,10 +171,7 @@ def negate_instantiate(q, s, table):
     for idx, lits in _instantiate_core(q, s):
         if not lits:
             return NegationResult(True, (), [])
-        ilits = tuple(
-            table.intern(-l if l < 0 else l, ann) * (1 if l > 0 else -1)
-            for l, ann in lits
-        )
+        ilits = _intern_lits(table, lits)
         if ilits in seen_here:
             continue
         seen_here.add(ilits)
@@ -226,14 +194,16 @@ def strip(model, source, table):
     annotated copy.
     """
     q = source.qbf
-    targets = q.existentials if table.kind == "universal" else q.universals
-    positions, bits = _ann_context(source)
-    pos = q.positions
+    want = EXISTS if table.kind == "universal" else FORALL
     forward = table.forward
     n = len(model)
     values = bytearray(q.num_vars)
-    for v in targets:
-        p = pos[v]
-        aid = forward.get((v, _ann_at(positions, bits, p)))
-        values[p] = 1 if aid is not None and aid < n and model[aid] else 2
+    head = 0
+    for b in q.blocks:
+        if b.quantifier == want:
+            prefix = source.values[:head]
+            for p, v in enumerate(b.variables, head):
+                aid = forward.get((v, prefix))
+                values[p] = 1 if aid is not None and aid < n and model[aid] else 2
+        head += len(b.variables)
     return Assignment(q, values)

@@ -334,6 +334,10 @@ def solve(q, config=None, on_iteration=None):
     cfg = config or SolveConfig()
     if cfg.init_mode not in INIT_MODES:
         raise ValueError("init_mode must be one of %s" % (INIT_MODES,))
+    if cfg.reset_period < 0:
+        raise ValueError("reset_period must not be negative")
+    if cfg.max_iterations < 0:
+        raise ValueError("max_iterations must not be negative")
     state = ExpansionState(q, cfg)
     if cfg.time_limit is not None:
         state.deadline = time.monotonic() + cfg.time_limit

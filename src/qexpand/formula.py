@@ -50,18 +50,22 @@ class Qbf:
     index into it); tautologies are dropped and counted in
     dropped_tautologies.  positions maps every variable id to its
     prefix position, the index of its byte in an Assignment.
+    block_heads maps every prefix position to the position of the first
+    variable of its block, where annotations cut an assignment's bytes.
     """
 
     def __init__(self, blocks, clauses):
         blk = []
         positions = {}
         kinds = []
+        heads = []
         for bi, (quant, vids) in enumerate(blocks):
             if quant not in (FORALL, EXISTS):
                 raise ValueError("bad quantifier %r" % (quant,))
             if not vids:
                 raise ValueError("empty quantifier block %d" % bi)
             vids = tuple(vids)
+            head = len(kinds)
             for v in vids:
                 if not isinstance(v, int) or v <= 0:
                     raise ValueError("bad variable id %r" % (v,))
@@ -69,6 +73,7 @@ class Qbf:
                     raise ValueError("variable %d quantified twice" % v)
                 positions[v] = len(kinds)
                 kinds.append(quant)
+                heads.append(head)
             blk.append(Block(quant, vids))
         matrix = []
         dropped = 0
@@ -85,6 +90,7 @@ class Qbf:
         self.blocks = tuple(blk)
         self.matrix = tuple(matrix)
         self.positions = positions
+        self.block_heads = tuple(heads)
         self.prefix_order = order
         self.dropped_tautologies = dropped
         self._kinds = "".join(kinds)  # quantifier of each prefix position

@@ -10,10 +10,13 @@ replays the trace with a standalone propagator, so a certificate is
 evidence independent of the solver that produced it.
 """
 
+import re
 from dataclasses import dataclass
 
 from . import annotate, sat
-from .annotate import Annotation
+
+_SPELLING = bytes.maketrans(b"\1\2", b"10")
+_SPELLED = re.compile(r"-|[01]+")
 
 
 class CertificateUnavailable(Exception):
@@ -30,7 +33,7 @@ class CertificateError(Exception):
 
 @dataclass
 class Certificate:
-    dictionary: dict  # abstraction id -> (original var, Annotation)
+    dictionary: dict  # abstraction id -> (original var, spelled annotation)
     axioms: list  # (matrix index, alpha literals, abstraction clause) triples
     trace: list  # derived abstraction clauses, last one empty
 
@@ -39,6 +42,12 @@ class Certificate:
 class CheckResult:
     ok: bool
     reason: str = ""
+
+
+def spell(prefix):
+    """Text form of an annotation: the assigned values, first predecessor
+    first, as 1 (true) and 0 (false); "-" when none is assigned."""
+    return prefix.translate(_SPELLING, b"\0").decode("ascii") or "-"
 
 
 def extract_certificate(state):
@@ -79,7 +88,7 @@ def extract_certificate(state):
         pair = reverse.get(aid)
         if pair is None:
             raise CertificateError("abstraction id %d has no annotation" % aid)
-        dictionary[aid] = pair
+        dictionary[aid] = (pair[0], spell(pair[1]))
     return Certificate(dictionary, axioms, list(trace))
 
 
@@ -150,8 +159,8 @@ def check_certificate(q, cert):
                 False, "%s: clause is satisfied by the assignment" % where
             )
         want = set()
-        for l, ann in produced:
-            want.add((l > 0, -l if l < 0 else l, ann))
+        for l, prefix in produced:
+            want.add((l > 0, -l if l < 0 else l, spell(prefix)))
         got = set()
         for l in lits:
             aid = -l if l < 0 else l
@@ -179,8 +188,8 @@ def format_certificate(cert):
     """Render a certificate in its line-oriented text form."""
     out = []
     for aid in sorted(cert.dictionary):
-        var, ann = cert.dictionary[aid]
-        out.append("d %d %d %s" % (aid, var, ann.to_str()))
+        var, text = cert.dictionary[aid]
+        out.append("d %d %d %s" % (aid, var, text))
     for idx, alpha_lits, lits in cert.axioms:
         out.append(
             "a %d %s0 %s0"
@@ -212,12 +221,13 @@ def parse_certificate(text):
             try:
                 aid = int(tokens[1])
                 var = int(tokens[2])
-                ann = Annotation.from_str(tokens[3])
             except ValueError:
+                raise CertificateError("malformed dictionary line", lineno)
+            if not _SPELLED.fullmatch(tokens[3]):
                 raise CertificateError("malformed dictionary line", lineno)
             if aid in dictionary:
                 raise CertificateError("duplicate dictionary id %d" % aid, lineno)
-            dictionary[aid] = (var, ann)
+            dictionary[aid] = (var, tokens[3])
         elif kind == "a":
             try:
                 nums = [int(t) for t in tokens[1:]]

@@ -88,7 +88,6 @@ class Solver:
         self._k = mod.Kernel(record_trace)
         self.record_trace = record_trace
         self.solve_calls = 0
-        self.solve_time = 0.0
 
     @property
     def num_vars(self):
@@ -126,14 +125,12 @@ class Solver:
         deadline is an absolute time.monotonic() value.
         """
         assumptions = _checked_literals(assumptions)
-        t0 = time.perf_counter()
         r = self._k.solve(
             assumptions,
             -1 if conflict_budget is None else conflict_budget,
             -1.0 if deadline is None else deadline,
         )
         self.solve_calls += 1
-        self.solve_time += time.perf_counter() - t0
         status = _STATUS[r]
         return SolveOutcome(
             status=status,
@@ -248,7 +245,6 @@ class ExternalSolver:
         self._clauses = []
         self._nv = 0
         self.solve_calls = 0
-        self.solve_time = 0.0
         self.conflicts = 0
         self.propagations = 0
         self.decisions = 0
@@ -276,12 +272,10 @@ class ExternalSolver:
         timeout = None
         if deadline is not None:
             timeout = max(0.01, deadline - time.monotonic())
-        t0 = time.perf_counter()
         out = external_solve(
             self.path, self._clauses, self._nv, list(assumptions), timeout
         )
         self.solve_calls += 1
-        self.solve_time += time.perf_counter() - t0
         return out
 
     def proof_trace(self):

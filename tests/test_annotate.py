@@ -4,24 +4,23 @@ import pytest
 
 from qexpand import annotate, oracle, sat
 from qexpand.annotate import (
-    EMPTY_ANN,
-    Annotation,
     InternTable,
     WrongDomain,
-    _ann_at,
-    _ann_context,
     _instantiate_core,
     instantiate,
     negate_instantiate,
     strip,
 )
 from qexpand.formula import EXISTS, FORALL, Assignment, Qbf
+from qexpand.proof import spell
 
 
 def annotation_of(a, vid):
-    """Annotation variable vid receives under instantiation by a."""
-    positions, bits = _ann_context(a)
-    return _ann_at(positions, bits, a.qbf.position(vid))
+    """Annotation the unassigned variable vid receives under a."""
+    q = a.qbf
+    probe = Qbf([(b.quantifier, b.variables) for b in q.blocks], [[vid]])
+    [(_, [(_, prefix)])] = _instantiate_core(probe, Assignment(probe, a.values))
+    return prefix
 
 
 def apply_assignment(a, clauses):
@@ -77,26 +76,31 @@ def test_apply_empty_clause_and_satisfied():
 
 
 def test_annotation_packing():
-    assert Annotation(0, 0).to_str() == "-"
-    assert Annotation(1, 2).to_str() == "10"
-    assert Annotation(2, 2).to_str() == "01"
-    assert Annotation(5, 3).to_str() == "101"
-    for s in ("-", "0", "1", "10", "0110"):
-        assert Annotation.from_str(s).to_str() == s
-    with pytest.raises(ValueError):
-        Annotation.from_str("1x0")
-    with pytest.raises(ValueError):
-        Annotation.from_str("")
+    assert spell(b"") == "-"
+    assert spell(b"\0\0") == "-"
+    assert spell(b"\1\0\2") == "10"
+    assert spell(b"\2\1") == "01"
+    assert spell(b"\1\2\0\1") == "101"
 
 
 def test_annotation_of():
     q = q4()
+    assert q.block_heads == (0, 1, 2, 3)
     sigma = Assignment.from_pairs(q, {1: True, 3: False})
-    assert annotation_of(sigma, 2) == Annotation(1, 1)
-    assert annotation_of(sigma, 4) == Annotation(1, 2)
+    assert annotation_of(sigma, 2) == b"\1"
+    assert annotation_of(sigma, 4) == b"\1\0\2"
+    assert spell(annotation_of(sigma, 4)) == "10"
     tau = Assignment.from_pairs(q, {2: False, 4: False})
-    assert annotation_of(tau, 1) == EMPTY_ANN
-    assert annotation_of(tau, 3) == Annotation(0, 1)
+    assert annotation_of(tau, 1) == b""
+    assert annotation_of(tau, 3) == b"\0\2"
+    assert spell(annotation_of(tau, 3)) == "0"
+    # one slice per block: every variable of a block gets the same object
+    q2 = Qbf([(FORALL, [1, 2]), (EXISTS, [3, 4, 5])], [[1, 3, 4], [-2, 4, 5]])
+    assert q2.block_heads == (0, 0, 2, 2, 2)
+    a = Assignment.from_pairs(q2, {1: False, 2: True})
+    prefixes = [prefix for _, lits in _instantiate_core(q2, a) for _, prefix in lits]
+    assert prefixes == [b"\2\1"] * 4
+    assert all(prefix is prefixes[0] for prefix in prefixes)
 
 
 def test_instantiate_universal_side():
@@ -109,8 +113,8 @@ def test_instantiate_universal_side():
         ((-1, 2), 1),
         ((-2,), 2),
     ]
-    assert table.reverse[1] == (2, Annotation(1, 1))
-    assert table.reverse[2] == (4, Annotation(1, 2))
+    assert table.reverse[1] == (2, b"\1")
+    assert table.reverse[2] == (4, b"\1\0\2")
     # same assignment again: the same clauses over the same ids
     res2 = instantiate(q, sigma, table)
     assert res2.clauses == res.clauses
@@ -124,7 +128,7 @@ def test_instantiate_existential_side():
     res = instantiate(q, tau, table)
     assert [(pc.lits, pc.matrix_index) for pc in res.clauses] == [((1,), 0)]
     # variable 1 sits in the first block: bare annotation
-    assert table.reverse[1] == (1, EMPTY_ANN)
+    assert table.reverse[1] == (1, b"")
 
 
 def test_instantiate_shares_across_assignments():
@@ -135,8 +139,8 @@ def test_instantiate_shares_across_assignments():
     assert [(pc.lits, pc.matrix_index) for pc in res.clauses] == [
         ((3, 4), 0),
     ]
-    assert table.reverse[3] == (2, Annotation(0, 1))
-    assert table.reverse[4] == (4, Annotation(2, 2))
+    assert table.reverse[3] == (2, b"\2")
+    assert table.reverse[4] == (4, b"\2\0\1")
 
 
 def test_instantiate_empty_clause():
@@ -245,14 +249,16 @@ def test_intern_table_bijective_random():
             res = instantiate(q, a, table)
             for pc in res.clauses:
                 for il in pc.lits:
-                    v, ann = table.reverse[abs(il)]
-                    assert table.forward[(v, ann)] == abs(il)
+                    v, prefix = table.reverse[abs(il)]
+                    assert table.forward[(v, prefix)] == abs(il)
                     assert not q.is_universal(v)
-                    # annotation length: one bit per universal before v
-                    before = sum(
-                        1 for u in q.universals if q.position(u) < q.position(v)
+                    # the annotation spells a's value of every universal before v
+                    want = "".join(
+                        "1" if a.value(u) else "0"
+                        for u in q.universals
+                        if q.position(u) < q.position(v)
                     )
-                    assert ann.length == before
+                    assert spell(prefix) == (want or "-")
         assert sorted(table.reverse) == list(range(1, len(table) + 1))
 
 

@@ -138,6 +138,14 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "c error:" in err and "line 1" in err
 
 
+def test_negative_counts_exit(tmp_path, capsys):
+    f = write(tmp_path, "t.qdimacs", TRUE_FILE)
+    assert main(["solve", f, "--reset-period", "-1"]) == 1
+    assert "c error:" in capsys.readouterr().err
+    assert main(["solve", f, "--max-iterations", "-2"]) == 1
+    assert "c error:" in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     assert main(["solve", "/nonexistent/foo.qdimacs"]) == 1
     assert "c error:" in capsys.readouterr().err

@@ -381,6 +381,16 @@ def test_backend_validation():
         solve(xor_true_qbf(), SolveConfig(backend="minisat"))
 
 
+def test_negative_counts_rejected():
+    # n % -1 == 0 would reset every iteration, and a negative
+    # iteration limit would stop before the first one
+    q = xor_true_qbf()
+    with pytest.raises(ValueError, match="reset_period"):
+        solve(q, SolveConfig(reset_period=-1))
+    with pytest.raises(ValueError, match="max_iterations"):
+        solve(q, SolveConfig(max_iterations=-2))
+
+
 def test_external_backend(tmp_path):
     stub = tmp_path / "stub_solver.py"
     stub.write_text(

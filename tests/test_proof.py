@@ -1,7 +1,6 @@
 import pytest
 
 from qexpand import oracle, proof
-from qexpand.annotate import Annotation
 from qexpand.expand import FALSE, SolveConfig, solve
 from qexpand.formula import EXISTS, FORALL, Qbf
 from qexpand.proof import (
@@ -68,6 +67,53 @@ def test_text_roundtrip():
     q, cert = false_cert()
     text = format_certificate(cert)
     back = parse_certificate(text)
+    assert back == cert
+    assert check_certificate(q, back).ok
+
+
+EQUALITY_2_CERTIFICATE = """\
+d 1 5 00
+d 2 6 00
+d 3 1 -
+d 4 2 -
+d 8 5 01
+d 9 6 01
+d 13 5 10
+d 14 6 10
+d 18 5 11
+d 19 6 11
+a 4 3 4 0 -4 19 0
+a 2 3 4 0 -3 18 0
+a 0 3 4 0 -18 -19 0
+a 3 3 -4 0 4 14 0
+a 2 3 -4 0 -3 13 0
+a 0 3 -4 0 -13 -14 0
+a 4 -3 4 0 -4 9 0
+a 1 -3 4 0 3 8 0
+a 0 -3 4 0 -8 -9 0
+a 3 -3 -4 0 4 2 0
+a 1 -3 -4 0 3 1 0
+a 0 -3 -4 0 -1 -2 0
+r -3 0
+r 0
+"""
+
+
+def test_certificate_text_is_pinned():
+    # Equality n=2: exists x1 x2, forall y3 y4, exists z5 z6 with
+    # (x1 = y3) -> z5, (x2 = y4) -> z6 and not (z5 and z6); false,
+    # since y can copy x.
+    # A consistent but reversed annotation spelling would still round
+    # trip and check, so the text itself is pinned.
+    q = Qbf(
+        [(EXISTS, [1, 2]), (FORALL, [3, 4]), (EXISTS, [5, 6])],
+        [[-5, -6], [1, 3, 5], [-1, -3, 5], [2, 4, 6], [-2, -4, 6]],
+    )
+    r = solve(q, SolveConfig(kernel="pure"))
+    assert (r.verdict, r.iterations) == (FALSE, 4)
+    cert = extract_certificate(r.state)
+    assert format_certificate(cert) == EQUALITY_2_CERTIFICATE
+    back = parse_certificate(EQUALITY_2_CERTIFICATE)
     assert back == cert
     assert check_certificate(q, back).ok
 
@@ -171,11 +217,11 @@ def test_tampered_alpha_rejected():
 
 def test_tampered_dictionary_rejected():
     q, cert = false_cert()
-    aid, (var, ann) = next(
-        (a, p) for a, p in cert.dictionary.items() if p[1].length > 0
+    aid, (var, text) = next(
+        (a, p) for a, p in cert.dictionary.items() if p[1] != "-"
     )
     twisted = dict(cert.dictionary)
-    twisted[aid] = (var, Annotation(ann.bits ^ 1, ann.length))
+    twisted[aid] = (var, ("1" if text[0] == "0" else "0") + text[1:])
     res = check_certificate(q, Certificate(twisted, cert.axioms, cert.trace))
     assert not res.ok and "mismatch" in res.reason
     missing = dict(cert.dictionary)
@@ -188,7 +234,7 @@ def test_non_rup_insert_rejected():
     # axioms (x under u=F) and (not-x under u=T) are consistent as
     # plain clauses, so neither a fresh unit nor the empty clause follows
     q = Qbf([(FORALL, [1]), (EXISTS, [2])], [[1, 2], [-1, -2]])
-    dictionary = {1: (2, Annotation.from_str("0")), 2: (2, Annotation.from_str("1"))}
+    dictionary = {1: (2, "0"), 2: (2, "1")}
     axioms = [(0, (-1,), (1,)), (1, (1,), (-2,))]
     res = check_certificate(q, Certificate(dictionary, axioms, [(), ()]))
     assert not res.ok and "derivable" in res.reason
@@ -211,6 +257,8 @@ def test_parse_errors():
         parse_certificate("d 1 2\n")
     with pytest.raises(CertificateError):
         parse_certificate("d 1 2 102\n")
+    with pytest.raises(CertificateError):
+        parse_certificate("d 1 2 0-1\n")
     with pytest.raises(CertificateError):
         parse_certificate("a 0 1 0 2\n")
     with pytest.raises(CertificateError):

@@ -1,7 +1,11 @@
 import itertools
 import os
 import random
+import shlex
+import shutil
 import stat
+import subprocess
+import sysconfig
 import time
 
 import pytest
@@ -272,6 +276,24 @@ def test_pure_and_compiled_agree_on_expansion(period):
         assert lines[0] == lines[1], "seed %d" % seed
 
 
+def test_c_kernel_compiles_without_warnings(tmp_path):
+    source = os.path.join(os.path.dirname(sat.__file__), "_cdcl.c")
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    if not shutil.which(cc[0]):
+        pytest.skip("no C compiler: %s" % cc[0])
+    include = sysconfig.get_paths()["include"]
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no Python.h in %s" % include)
+    proc = subprocess.run(
+        cc
+        + ["-O2", "-Wall", "-Wextra", "-Wpedantic", "-std=c99", "-Werror"]
+        + ["-I", include, "-c", source, "-o", str(tmp_path / "_cdcl.o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_conflict_budget_unknown(kernel):
     s = Solver(kernel=kernel)
     for c in pigeonhole(7):
@@ -321,7 +343,6 @@ def test_stats_accumulate(kernel):
     s.solve()
     s.solve(assumptions=[-1])
     assert s.solve_calls == 2
-    assert s.solve_time >= 0.0
     assert s.num_vars == 2
     assert s.num_clauses == 1
     assert s.propagations > 0
