@@ -83,13 +83,10 @@ def human_stats_lines(result):
 
 def _config_from_args(args):
     return expand.SolveConfig(
-        init_mode=args.init_mode,
-        seed=args.seed,
         reset_period=args.reset_period,
         verify_invariants=args.verify_invariants,
         max_iterations=args.max_iterations,
         time_limit=args.timeout,
-        backend=args.backend,
         kernel=args.kernel,
     )
 
@@ -140,6 +137,8 @@ def cmd_check(args, out):
 
 
 def cmd_fuzz(args, out):
+    if args.count < 0:
+        raise ValueError("--count must not be negative")
     failures = 0
     certified = 0
     for i in range(args.count):
@@ -211,15 +210,8 @@ def build_parser():
     ps.add_argument("--cert", help="write a certificate here when false")
     ps.add_argument("--timeout", type=float, default=None, help="seconds")
     ps.add_argument("--max-iterations", type=int, default=0)
-    ps.add_argument("--seed", type=int, default=0, help="used by --init-mode random only")
     ps.add_argument("--reset-period", type=int, default=64)
-    ps.add_argument("--init-mode", choices=expand.INIT_MODES, default="per-block")
     ps.add_argument("--verify-invariants", action="store_true")
-    ps.add_argument(
-        "--backend",
-        default="bundled",
-        help="bundled or external:<path to a DIMACS solver>",
-    )
     ps.add_argument("--kernel", choices=("auto", "pure", "compiled"), default="auto")
     ps.add_argument("--quiet", action="store_true", help="verdict line only")
     ps.set_defaults(func=cmd_solve)
@@ -250,22 +242,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except FileNotFoundError as e:
-        print("c error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    except qdimacs.ParseError as e:
-        print("c error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    except proof.CertificateError as e:
-        print("c error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    except proof.CertificateUnavailable as e:
-        print("c error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    except (sat.SpawnFailure, sat.ProtocolViolation, sat.ResourceLimit) as e:
-        print("c error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as e:
+    except (
+        FileNotFoundError,
+        qdimacs.ParseError,
+        proof.CertificateError,
+        proof.CertificateUnavailable,
+        sat.ResourceLimit,
+        ValueError,
+    ) as e:
         print("c error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
 

@@ -34,8 +34,7 @@ each existential from m_f under the annotation of the other side's
 values chosen so far.  Then alpha and sigma together satisfy the
 matrix (m_f satisfies the instantiation under alpha) and falsify it
 (m_e falsifies a clause of the instantiation under sigma), a
-contradiction.  Clauses an iteration hook injects must follow from the
-matrix for this to hold.
+contradiction.
 """
 
 import time
@@ -48,8 +47,6 @@ TRUE = "TRUE"
 FALSE = "FALSE"
 UNKNOWN = "UNKNOWN"
 
-INIT_MODES = ("per-block", "random", "all-false", "all-true")
-
 RESET_MEMORY_THRESHOLD = 2_000_000  # live literals forcing a reset
 
 
@@ -59,14 +56,11 @@ class InvariantViolation(Exception):
 
 @dataclass
 class SolveConfig:
-    init_mode: str = "per-block"
-    seed: int = 0  # read only by init_mode random
     reset_period: int = 64  # iterations between alpha resets; 0 disables
     verify_invariants: bool = False
     max_iterations: int = 0  # 0 = unlimited
     time_limit: float = None  # seconds, cooperative
-    backend: str = "bundled"  # bundled | external:<path to solver binary>
-    kernel: str = "auto"  # bundled kernel: auto | pure | compiled
+    kernel: str = "auto"  # SAT kernel: auto | pure | compiled
 
 
 class AssignmentSet:
@@ -163,42 +157,19 @@ class ExpansionState:
 
     def __init__(self, q, config):
         self.q = q
-        self.work_q = q  # grows when a hook injects clauses
         self.config = config
         self.alphas = AssignmentSet()
         self.sigmas = AssignmentSet()
-        backend = config.backend
-        if backend == "bundled":
-            fs = sat.Solver(kernel=config.kernel)
-            es = sat.Solver(kernel=config.kernel)
-        elif backend.startswith("external:"):
-            path = backend.split(":", 1)[1]
-            fs = sat.ExternalSolver(path)
-            es = sat.ExternalSolver(path)
-        else:
-            raise ValueError("backend must be bundled or external:<path>")
-        self.forall_abs = ForallAbstraction(q, fs)
-        self.exists_abs = ExistsAbstraction(q, es)
+        self.forall_abs = ForallAbstraction(q, sat.Solver(kernel=config.kernel))
+        self.exists_abs = ExistsAbstraction(q, sat.Solver(kernel=config.kernel))
         self.iteration = 0
         self.verdict = None
         self.stats = []
         self.core = None  # (clause lits, matrix index, alpha) triples on FALSE
-        self.injected_clauses = 0
         self.resets = 0
         self.deadline = None
         self._wit_s_for_a = {}  # alpha key -> satisfying sigma key
         self._wit_a_for_s = {}  # sigma key -> falsifying alpha key
-
-    def inject_clauses(self, clauses):
-        """Append hook-provided clauses (over original variables) to the
-        working matrix; they shape future instantiations only."""
-        blocks = [(b.quantifier, list(b.variables)) for b in self.work_q.blocks]
-        matrix = list(self.work_q.matrix) + [list(c) for c in clauses]
-        new_q = type(self.work_q)(blocks, matrix)
-        self.work_q = new_q
-        self.forall_abs.q = new_q
-        self.exists_abs.q = new_q
-        self.injected_clauses += len(clauses)
 
 
 @dataclass
@@ -233,37 +204,20 @@ def _combined_eval(q, a, b):
     return True
 
 
-def initial_alphas(q, config):
-    """Seed assignments for the universal set.
-
-    per-block: one assignment per universal block, that block all-False
-    and every other universal True.  random: a single seeded coin-flip
-    assignment.  all-false / all-true: the corresponding constant one.
-    """
+def initial_alphas(q):
+    """Seed assignments for the universal set: one per universal block,
+    that block all-False and every other universal True; the empty
+    assignment when there are no universals."""
     U = q.universals
     if not U:
         return [Assignment.from_pairs(q, {})]
-    mode = config.init_mode
-    if mode == "per-block":
-        out = []
-        for b in q.blocks:
-            if b.quantifier != FORALL:
-                continue
-            mine = set(b.variables)
-            out.append(
-                Assignment.from_pairs(q, [(v, v not in mine) for v in U])
-            )
-        return out
-    if mode == "all-false":
-        return [Assignment.from_pairs(q, [(v, False) for v in U])]
-    if mode == "all-true":
-        return [Assignment.from_pairs(q, [(v, True) for v in U])]
-    if mode == "random":
-        import random as _random
-
-        rng = _random.Random(config.seed)
-        return [Assignment.from_pairs(q, [(v, rng.random() < 0.5) for v in U])]
-    raise ValueError("init_mode must be one of %s" % (INIT_MODES,))
+    out = []
+    for b in q.blocks:
+        if b.quantifier != FORALL:
+            continue
+        mine = set(b.variables)
+        out.append(Assignment.from_pairs(q, [(v, v not in mine) for v in U]))
+    return out
 
 
 def check_completion(state, s_side=True, a_side=True):
@@ -274,7 +228,7 @@ def check_completion(state, s_side=True, a_side=True):
     candidate is falsified by some universal assignment (holds right
     after universal extraction or a reset).
     """
-    q = state.work_q
+    q = state.q
     checked = 0
     violations = []
     if s_side:
@@ -330,18 +284,22 @@ def _stalled(state, side):
 
 
 def solve(q, config=None, on_iteration=None):
-    """Decide a prenex CNF formula; returns a SolveResult."""
+    """Decide a prenex CNF formula; returns a SolveResult.
+
+    on_iteration(state), when given, observes the run after every
+    iteration that reaches no verdict; it must return None.
+    """
     cfg = config or SolveConfig()
-    if cfg.init_mode not in INIT_MODES:
-        raise ValueError("init_mode must be one of %s" % (INIT_MODES,))
     if cfg.reset_period < 0:
         raise ValueError("reset_period must not be negative")
     if cfg.max_iterations < 0:
         raise ValueError("max_iterations must not be negative")
+    if cfg.time_limit is not None and not cfg.time_limit >= 0:
+        raise ValueError("time_limit must not be negative or NaN")
     state = ExpansionState(q, cfg)
     if cfg.time_limit is not None:
         state.deadline = time.monotonic() + cfg.time_limit
-    for alpha in initial_alphas(q, cfg):
+    for alpha in initial_alphas(q):
         if state.alphas.add(alpha):
             state.forall_abs.add_group(alpha)
 
@@ -392,7 +350,7 @@ def solve(q, config=None, on_iteration=None):
         ]
         if cfg.verify_invariants:
             for alpha, cand in strips:
-                if not _combined_eval(state.work_q, alpha, cand):
+                if not _combined_eval(state.q, alpha, cand):
                     raise InvariantViolation(
                         "extracted candidate does not satisfy its source"
                     )
@@ -427,7 +385,7 @@ def solve(q, config=None, on_iteration=None):
         ]
         if cfg.verify_invariants:
             for sigma, cand in strips_a:
-                if _combined_eval(state.work_q, cand, sigma):
+                if _combined_eval(state.q, cand, sigma):
                     raise InvariantViolation(
                         "extracted universal does not falsify its source"
                     )
@@ -457,11 +415,8 @@ def solve(q, config=None, on_iteration=None):
             _verify_completion(state, s_side=False, a_side=True)
 
         _finish_rec(rec, state)
-        hook = on_iteration
-        if hook is not None:
-            extra = hook(state)
-            if extra:
-                state.inject_clauses(list(extra))
+        if on_iteration is not None and on_iteration(state) is not None:
+            raise ValueError("on_iteration must return None")
 
 
 def _finish_rec(rec, state):

@@ -54,16 +54,10 @@ def extract_certificate(state):
     """Build a certificate from a finished false run.
 
     The failed instantiation clauses are re-solved on a fresh
-    trace-recording bundled solver regardless of the run's backend;
-    refused for true or unknown runs and for runs whose iteration hook
-    injected clauses, since axioms must index the original matrix.
+    trace-recording solver; refused for true or unknown runs.
     """
     if state.verdict != "FALSE":
         raise CertificateUnavailable("only false verdicts have certificates")
-    if state.injected_clauses:
-        raise CertificateUnavailable(
-            "injected clauses are not part of the input formula"
-        )
     if not state.core:
         raise CertificateUnavailable("run recorded no failed clause core")
     solver = sat.Solver(record_trace=True)

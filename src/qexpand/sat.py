@@ -1,6 +1,6 @@
-"""SAT backends: the bundled incremental CDCL kernel and an external adapter.
+"""The incremental CDCL SAT solver behind both abstractions.
 
-The bundled kernel exists twice, as a C extension (qexpand._cdcl, built
+Its kernel exists twice, as a C extension (qexpand._cdcl, built
 from _cdcl.c when a C compiler is present at install time) and as pure
 Python (qexpand._cdcl_py).  The compiled one is picked when importable;
 pass kernel="pure" (CLI: --kernel pure) to use the fallback anyway.
@@ -8,10 +8,6 @@ Both implement the same search step for step, so switching kernels
 never changes models, verdicts, or recorded traces.
 """
 
-import os
-import subprocess
-import tempfile
-import time
 from dataclasses import dataclass, field
 
 from . import _cdcl_py as _pure
@@ -32,19 +28,11 @@ _STATUS = {1: SAT, -1: UNSAT, 0: UNKNOWN}
 
 
 class ResourceLimit(Exception):
-    """Backend refused to grow (variable or clause limit exceeded)."""
+    """The requested kernel is not available."""
 
 
 class TraceUnavailable(Exception):
     """No proof trace: tracing disabled or last solve not UNSAT."""
-
-
-class SpawnFailure(Exception):
-    """External solver process could not be started."""
-
-
-class ProtocolViolation(Exception):
-    """External solver output did not follow the DIMACS conventions."""
 
 
 def kernel_name():
@@ -146,137 +134,3 @@ class Solver:
         if self._k.last_status != -1:
             raise TraceUnavailable("last solve was not unsat")
         return self._k.get_trace()
-
-
-def _write_dimacs(f, clauses, num_vars, assumptions):
-    f.write("p cnf %d %d\n" % (num_vars, len(clauses) + len(assumptions)))
-    for c in clauses:
-        f.write(" ".join([str(l) for l in c] + ["0"]) + "\n")
-    for a in assumptions:
-        f.write("%d 0\n" % a)
-
-
-def external_solve(path, clauses, num_vars=0, assumptions=(), timeout=None):
-    """One-shot run of an external DIMACS solver binary.
-
-    The solver must print `s SATISFIABLE` with `v` model lines, or
-    `s UNSATISFIABLE`, and exit 10/20 accordingly.  Assumptions are
-    appended as unit clauses, so a failed-assumption set cannot be
-    narrowed: callers get the full assumption list back on UNSAT.
-    """
-    assumptions = _checked_literals(assumptions)
-    nv = num_vars
-    for c in clauses:
-        for l in c:
-            nv = max(nv, abs(l))
-    for a in assumptions:
-        nv = max(nv, abs(a))
-    fd, fname = tempfile.mkstemp(suffix=".cnf", prefix="qexpand_")
-    try:
-        with os.fdopen(fd, "w") as f:
-            _write_dimacs(f, clauses, nv, assumptions)
-        try:
-            proc = subprocess.run(
-                [path, fname],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                timeout=timeout,
-                text=True,
-            )
-        except subprocess.TimeoutExpired:
-            return SolveOutcome(status=UNKNOWN)
-        except OSError as e:
-            raise SpawnFailure("cannot run %r: %s" % (path, e)) from None
-    finally:
-        try:
-            os.unlink(fname)
-        except OSError:
-            pass
-    status = None
-    model_lits = []
-    for line in proc.stdout.splitlines():
-        line = line.strip()
-        if line.startswith("s "):
-            word = line[2:].strip()
-            if word == "SATISFIABLE":
-                status = SAT
-            elif word == "UNSATISFIABLE":
-                status = UNSAT
-            elif word == "UNKNOWN":
-                status = UNKNOWN
-            else:
-                raise ProtocolViolation("bad status line %r" % line)
-        elif line.startswith("v ") or line == "v":
-            try:
-                model_lits.extend(int(t) for t in line[1:].split())
-            except ValueError:
-                raise ProtocolViolation("bad model line %r" % line) from None
-    if status is None:
-        if proc.returncode == 10:
-            status = SAT
-        elif proc.returncode == 20:
-            status = UNSAT
-        else:
-            raise ProtocolViolation(
-                "no status line and exit code %d" % proc.returncode
-            )
-    if status == SAT:
-        if not model_lits:
-            raise ProtocolViolation("SATISFIABLE but no model lines")
-        model = [False] * (nv + 1)
-        model[0] = None
-        for l in model_lits:
-            if l == 0:
-                continue
-            if abs(l) > nv:
-                raise ProtocolViolation("model literal %d out of range" % l)
-            model[abs(l)] = l > 0
-        return SolveOutcome(status=SAT, model=model)
-    if status == UNSAT:
-        return SolveOutcome(status=UNSAT, failed_assumptions=list(assumptions))
-    return SolveOutcome(status=UNKNOWN)
-
-
-class ExternalSolver:
-    """Solver-shaped wrapper that re-runs an external binary per call."""
-
-    def __init__(self, path):
-        self.path = path
-        self._clauses = []
-        self._nv = 0
-        self.solve_calls = 0
-        self.conflicts = 0
-        self.propagations = 0
-        self.decisions = 0
-        self.restarts = 0
-        self.record_trace = False
-
-    @property
-    def num_vars(self):
-        return self._nv
-
-    @property
-    def num_clauses(self):
-        return len(self._clauses)
-
-    def ensure_vars(self, n):
-        self._nv = max(self._nv, n)
-
-    def add_clause(self, lits):
-        lits = _checked_literals(lits)
-        for l in lits:
-            self._nv = max(self._nv, abs(l))
-        self._clauses.append(lits)
-
-    def solve(self, assumptions=(), conflict_budget=None, deadline=None):
-        timeout = None
-        if deadline is not None:
-            timeout = max(0.01, deadline - time.monotonic())
-        out = external_solve(
-            self.path, self._clauses, self._nv, list(assumptions), timeout
-        )
-        self.solve_calls += 1
-        return out
-
-    def proof_trace(self):
-        raise TraceUnavailable("external backend records no trace")

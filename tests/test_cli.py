@@ -1,9 +1,12 @@
+import argparse
 import json
+import pathlib
+import re
 
 import pytest
 
 from qexpand import qdimacs, sat
-from qexpand.cli import main
+from qexpand.cli import build_parser, main
 from qexpand.formula import EXISTS, FORALL, Qbf
 
 TRUE_FILE = """\
@@ -146,6 +149,15 @@ def test_negative_counts_exit(tmp_path, capsys):
     assert "c error:" in capsys.readouterr().err
 
 
+def test_bad_timeout_exit(tmp_path, capsys):
+    f = write(tmp_path, "t.qdimacs", TRUE_FILE)
+    for bad in ("-5", "nan"):
+        assert main(["solve", f, "--timeout", bad]) == 1
+        captured = capsys.readouterr()
+        assert "c error:" in captured.err and "time_limit" in captured.err
+        assert captured.out == ""
+
+
 def test_missing_file(capsys):
     assert main(["solve", "/nonexistent/foo.qdimacs"]) == 1
     assert "c error:" in capsys.readouterr().err
@@ -164,6 +176,13 @@ def test_fuzz(capsys):
     out = capsys.readouterr().out
     assert "fuzz ok: 25 instances" in out
     assert "certificates checked" in out
+
+
+def test_fuzz_negative_count_exit(capsys):
+    assert main(["fuzz", "--count", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "c error:" in captured.err and "--count" in captured.err
+    assert "fuzz ok" not in captured.out
 
 
 def test_oracle_command(tmp_path, capsys):
@@ -191,11 +210,7 @@ def test_solver_options_accepted(tmp_path, capsys):
             f,
             "--reset-period",
             "1",
-            "--init-mode",
-            "all-true",
             "--verify-invariants",
-            "--seed",
-            "3",
             "--kernel",
             "pure",
             "--quiet",
@@ -215,54 +230,75 @@ def test_compiled_kernel_flag(tmp_path, capsys):
         assert code == 1
 
 
-def test_external_backend_cli(tmp_path, capsys):
-    import qexpand
-
-    src = qexpand.__path__[0].rsplit("/qexpand", 1)[0]
-    stub = tmp_path / "stub_solver.py"
-    stub.write_text(
-        "#!/usr/bin/env python3\n"
-        "import sys\n"
-        "sys.path.insert(0, %r)\n"
-        "from qexpand import _cdcl_py\n"
-        "lits, clauses, nv = [], [], 0\n"
-        "for line in open(sys.argv[1]):\n"
-        "    t = line.split()\n"
-        "    if not t or t[0] in ('c', 'p'):\n"
-        "        if t and t[0] == 'p':\n"
-        "            nv = int(t[2])\n"
-        "        continue\n"
-        "    for x in map(int, t):\n"
-        "        if x == 0:\n"
-        "            clauses.append(tuple(lits)); lits = []\n"
-        "        else:\n"
-        "            lits.append(x)\n"
-        "k = _cdcl_py.Kernel()\n"
-        "k.ensure_vars(nv)\n"
-        "for c in clauses:\n"
-        "    k.add_clause(c)\n"
-        "if k.solve() == _cdcl_py.SAT:\n"
-        "    print('s SATISFIABLE')\n"
-        "    print('v ' + ' '.join(str(v if k.model[v] else -v)\n"
-        "          for v in range(1, nv + 1)) + ' 0')\n"
-        "    sys.exit(10)\n"
-        "print('s UNSATISFIABLE')\n"
-        "sys.exit(20)\n" % src
-    )
-    stub.chmod(0o755)
-    f = write(tmp_path, "f.qdimacs", FALSE_FILE)
-    cert = tmp_path / "ext.cert"
-    code = main(
-        ["solve", f, "--backend", "external:%s" % stub, "--cert", str(cert)]
-    )
-    capsys.readouterr()
-    assert code == 20
-    assert main(["check", f, str(cert)]) == 0
-    capsys.readouterr()
-
-
 def test_version(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
     assert e.value.code == 0
     assert "qexpand" in capsys.readouterr().out
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+COMMANDS = ("solve", "check", "fuzz", "oracle")
+
+
+def _subcommand_options():
+    """Option strings of every subcommand, --help left out."""
+    parser = build_parser()
+    (sub,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def _readme_section(title):
+    text = README.read_text()
+    start = text.index("\n## %s\n" % title)
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end == -1 else text[start:end]
+
+
+def _documented_options():
+    """(command or None, option) for every --option in the command line
+    and statistics sections; an option belongs to the command named
+    last before it in its section, as `qexpand solve` or `solve`."""
+    mentions = re.compile(
+        r"(?:qexpand |`)(%s)\b|(--[a-z][a-z0-9-]*)" % "|".join(COMMANDS)
+    )
+    found = []
+    for title in ("Command line", "Statistics"):
+        command = None
+        for m in mentions.finditer(_readme_section(title)):
+            if m.group(1):
+                command = m.group(1)
+            else:
+                found.append((command, m.group(2)))
+    return found
+
+
+def test_readme_options_match_parser():
+    # every option the README names exists where it names it, and every
+    # option of every subcommand is named for that subcommand
+    options = _subcommand_options()
+    assert set(COMMANDS) == set(options)
+    documented = _documented_options()
+    for command, opt in documented:
+        if command is None:
+            assert any(opt in opts for opts in options.values()), opt
+        else:
+            assert opt in options[command], "%s %s" % (command, opt)
+    for command, opts in options.items():
+        named = {opt for c, opt in documented if c in (command, None)}
+        assert opts <= named, "%s: undocumented %s" % (command, sorted(opts - named))
+
+
+def test_removed_solve_options_rejected(tmp_path, capsys):
+    f = write(tmp_path, "t.qdimacs", TRUE_FILE)
+    removed = (("--backend", "bundled"), ("--init-mode", "per-block"), ("--seed", "1"))
+    for opt, value in removed:
+        with pytest.raises(SystemExit) as e:
+            main(["solve", f, opt, value])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -111,30 +111,12 @@ def test_no_existentials():
 
 def test_initial_alphas_per_block():
     q = alternating_true_qbf()
-    out = initial_alphas(q, SolveConfig())
+    out = initial_alphas(q)
     assert len(out) == 2
     assert out[0].as_dict() == {1: False, 3: True}
     assert out[1].as_dict() == {1: True, 3: False}
-
-
-def test_initial_alphas_modes():
-    q = alternating_true_qbf()
-    out = initial_alphas(q, SolveConfig(init_mode="all-false"))
-    assert [a.as_dict() for a in out] == [{1: False, 3: False}]
-    out = initial_alphas(q, SolveConfig(init_mode="all-true"))
-    assert [a.as_dict() for a in out] == [{1: True, 3: True}]
-    out = initial_alphas(q, SolveConfig(init_mode="random", seed=5))
-    assert len(out) == 1
-    assert sorted(out[0].as_dict()) == [1, 3]
-    again = initial_alphas(q, SolveConfig(init_mode="random", seed=5))
-    assert out[0] == again[0]
-    no_u = Qbf([(EXISTS, [1])], [[1]])
-    out = initial_alphas(no_u, SolveConfig())
+    out = initial_alphas(Qbf([(EXISTS, [1])], [[1]]))
     assert len(out) == 1 and out[0].count() == 0
-    with pytest.raises(ValueError):
-        initial_alphas(q, SolveConfig(init_mode="bogus"))
-    with pytest.raises(ValueError):
-        solve(q, SolveConfig(init_mode="bogus"))
 
 
 def test_xor_needs_two_iterations():
@@ -245,52 +227,22 @@ def test_deterministic_runs():
         assert strip_times(r1.stats) == strip_times(r2.stats)
 
 
-def test_hook_receives_state_and_injects():
+def test_hook_observes_every_iteration():
     q = alternating_true_qbf()
     seen = []
 
     def hook(state):
         seen.append(state.iteration)
-        if state.iteration == 1:
-            return [[3, -3, 1]]
-        return None
 
     r = solve(q, SolveConfig(), on_iteration=hook)
     assert r.verdict == TRUE
-    assert seen == list(range(1, r.iterations + 1))[: len(seen)]
-    # tautology is dropped at construction, so nothing was really added
-    assert r.state.injected_clauses == 1
-
-
-def test_hook_injected_clause_shapes_instantiations():
-    q = xor_true_qbf()
-
-    def hook(state):
-        if state.iteration == 1:
-            return [[1, 2]]
-        return None
-
-    r = solve(q, SolveConfig(), on_iteration=hook)
-    assert r.verdict == TRUE
-    assert r.state.injected_clauses == 1
-    assert len(r.state.work_q.matrix) == 3
-    assert len(r.state.q.matrix) == 2
-
-
-def test_hook_clauses_keep_verdicts():
-    # adding a model-preserving clause must never flip the answer
-    for seed in range(40):
-        q = oracle.random_pcnf(seed)
-        base = solve(q, SolveConfig(reset_period=0)).verdict
-        first = q.matrix[0]
-
-        def hook(state, extra=first):
-            if state.iteration == 1 and len(extra) > 1:
-                return [list(extra) + []]
-            return None
-
-        r = solve(q, SolveConfig(reset_period=0), on_iteration=hook)
-        assert r.verdict == base, "seed %d" % seed
+    # called after every iteration but the one that decides
+    assert seen == list(range(1, r.iterations))
+    assert cli.json_stats_lines(r) == cli.json_stats_lines(solve(q))
+    # a hook that returns anything but None is refused, not ignored
+    for value in ([[3, -3, 1]], [], 0):
+        with pytest.raises(ValueError, match="on_iteration"):
+            solve(q, SolveConfig(), on_iteration=lambda state: value)
 
 
 def _traced_solve(q, kernel):
@@ -362,23 +314,28 @@ def test_stall_without_resets_is_a_bug(monkeypatch):
         return real_strip(model, source, table)
 
     monkeypatch.setattr(annotate, "strip", pinned_strip)
-    states = []
+
+    def seed_with(value):
+        monkeypatch.setattr(
+            expand,
+            "initial_alphas",
+            lambda q: [Assignment.from_pairs(q, {1: value})],
+        )
+
+    seed_with(False)
     with pytest.raises(InvariantViolation):
-        solve(q, SolveConfig(init_mode="all-false", reset_period=0))
-    # all-true seeds {1: True}; iteration 1 adds {1: False} and resets
-    # onto it, iteration 2's forall model wants {2: True} and is refused
+        solve(q, SolveConfig(reset_period=0))
+    # seeded with {1: True}, iteration 1 adds {1: False} and resets onto
+    # it, iteration 2's forall model wants {2: True} and is refused
+    seed_with(True)
+    resets = []
     with pytest.raises(InvariantViolation):
         solve(
             q,
-            SolveConfig(init_mode="all-true", reset_period=1),
-            on_iteration=states.append,
+            SolveConfig(reset_period=1),
+            on_iteration=lambda state: resets.append(state.resets),
         )
-    assert [st.resets for st in states] == [1]
-
-
-def test_backend_validation():
-    with pytest.raises(ValueError):
-        solve(xor_true_qbf(), SolveConfig(backend="minisat"))
+    assert resets == [1]
 
 
 def test_negative_counts_rejected():
@@ -391,57 +348,15 @@ def test_negative_counts_rejected():
         solve(q, SolveConfig(max_iterations=-2))
 
 
-def test_external_backend(tmp_path):
-    stub = tmp_path / "stub_solver.py"
-    stub.write_text(
-        "#!/usr/bin/env python3\n"
-        "import sys\n"
-        "sys.path.insert(0, %r)\n"
-        "from qexpand import _cdcl_py\n"
-        "text = open(sys.argv[1]).read()\n"
-        "lits = []\n"
-        "clauses = []\n"
-        "nv = 0\n"
-        "for line in text.splitlines():\n"
-        "    t = line.split()\n"
-        "    if not t or t[0] in ('c', 'p'):\n"
-        "        if t and t[0] == 'p':\n"
-        "            nv = int(t[2])\n"
-        "        continue\n"
-        "    for x in map(int, t):\n"
-        "        if x == 0:\n"
-        "            clauses.append(tuple(lits))\n"
-        "            lits = []\n"
-        "        else:\n"
-        "            lits.append(x)\n"
-        "k = _cdcl_py.Kernel()\n"
-        "k.ensure_vars(nv)\n"
-        "for c in clauses:\n"
-        "    k.add_clause(c)\n"
-        "st = k.solve()\n"
-        "if st == _cdcl_py.SAT:\n"
-        "    print('s SATISFIABLE')\n"
-        "    print('v ' + ' '.join(\n"
-        "        str(v if k.model[v] else -v) for v in range(1, nv + 1)\n"
-        "    ) + ' 0')\n"
-        "    sys.exit(10)\n"
-        "print('s UNSATISFIABLE')\n"
-        "sys.exit(20)\n"
-        % str(_src_dir())
-    )
-    stub.chmod(0o755)
-    cfg = SolveConfig(backend="external:%s" % stub)
-    assert solve(alternating_true_qbf(), cfg).verdict == TRUE
-    r = solve(switch_false_qbf(), cfg)
-    assert r.verdict == FALSE
-    assert r.state.core  # every active clause lands in the core
-    for seed in range(10):
-        q = oracle.random_pcnf(seed)
-        want = solve(q, SolveConfig(reset_period=0)).verdict
-        assert solve(q, SolveConfig(backend=cfg.backend)).verdict == want
+def test_bad_time_limit_rejected():
+    # a negative limit used to end as UNKNOWN before the first
+    # iteration, and NaN compares false, so it used to mean no limit
+    q = xor_true_qbf()
+    for bad in (-5.0, float("nan")):
+        with pytest.raises(ValueError, match="time_limit"):
+            solve(q, SolveConfig(time_limit=bad))
+    assert solve(q, SolveConfig(time_limit=0)).verdict == UNKNOWN
+    assert solve(q, SolveConfig(time_limit=0)).iterations == 0
+    assert solve(q, SolveConfig(time_limit=float("inf"))).verdict == TRUE
 
 
-def _src_dir():
-    import qexpand
-
-    return qexpand.__path__[0].rsplit("/qexpand", 1)[0]

@@ -139,21 +139,6 @@ def test_unavailable_on_unknown():
         extract_certificate(r.state)
 
 
-def test_unavailable_after_injection():
-    q = oracle.random_pcnf(4)  # false, takes several iterations
-
-    def hook(state):
-        if state.iteration == 1:
-            return [list(q.matrix[0])]
-        return None
-
-    r = solve(q, SolveConfig(), on_iteration=hook)
-    assert r.verdict == FALSE
-    assert r.state.injected_clauses == 1
-    with pytest.raises(CertificateUnavailable):
-        extract_certificate(r.state)
-
-
 def test_empty_clause_certificate():
     q = Qbf([(FORALL, [1]), (EXISTS, [2])], [[1, 2], []])
     q2, cert = false_cert(q)
@@ -299,46 +284,3 @@ def test_certify_after_resets():
         assert res.ok, "seed %d: %s" % (seed, res.reason)
         done += 1
     assert done >= 15
-
-
-def test_external_backend_certificate(tmp_path):
-    import qexpand
-
-    src = qexpand.__path__[0].rsplit("/qexpand", 1)[0]
-    stub = tmp_path / "stub_solver.py"
-    stub.write_text(
-        "#!/usr/bin/env python3\n"
-        "import sys\n"
-        "sys.path.insert(0, %r)\n"
-        "from qexpand import _cdcl_py\n"
-        "lits, clauses, nv = [], [], 0\n"
-        "for line in open(sys.argv[1]):\n"
-        "    t = line.split()\n"
-        "    if not t or t[0] in ('c', 'p'):\n"
-        "        if t and t[0] == 'p':\n"
-        "            nv = int(t[2])\n"
-        "        continue\n"
-        "    for x in map(int, t):\n"
-        "        if x == 0:\n"
-        "            clauses.append(tuple(lits)); lits = []\n"
-        "        else:\n"
-        "            lits.append(x)\n"
-        "k = _cdcl_py.Kernel()\n"
-        "k.ensure_vars(nv)\n"
-        "for c in clauses:\n"
-        "    k.add_clause(c)\n"
-        "if k.solve() == _cdcl_py.SAT:\n"
-        "    print('s SATISFIABLE')\n"
-        "    print('v ' + ' '.join(str(v if k.model[v] else -v)\n"
-        "          for v in range(1, nv + 1)) + ' 0')\n"
-        "    sys.exit(10)\n"
-        "print('s UNSATISFIABLE')\n"
-        "sys.exit(20)\n" % src
-    )
-    stub.chmod(0o755)
-    q = switch_false_qbf()
-    r = solve(q, SolveConfig(backend="external:%s" % stub))
-    assert r.verdict == FALSE
-    cert = extract_certificate(r.state)
-    res = check_certificate(q, cert)
-    assert res.ok, res.reason

@@ -1,9 +1,9 @@
+import importlib.util
 import itertools
 import os
 import random
 import shlex
 import shutil
-import stat
 import subprocess
 import sysconfig
 import time
@@ -15,12 +15,8 @@ from qexpand.sat import (
     SAT,
     UNKNOWN,
     UNSAT,
-    ExternalSolver,
-    ProtocolViolation,
     Solver,
-    SpawnFailure,
     TraceUnavailable,
-    external_solve,
 )
 
 KERNELS = ["pure"] + (["compiled"] if sat.COMPILED else [])
@@ -348,100 +344,12 @@ def test_stats_accumulate(kernel):
     assert s.propagations > 0
 
 
-STUB = """\
-#!/usr/bin/env python3
-import sys
-
-def main():
-    clauses, cur, nv = [], [], 0
-    with open(sys.argv[1]) as f:
-        for line in f:
-            t = line.split()
-            if not t or t[0] in ("c", "p"):
-                continue
-            for tok in t:
-                l = int(tok)
-                if l == 0:
-                    clauses.append(cur)
-                    cur = []
-                else:
-                    nv = max(nv, abs(l))
-                    cur.append(l)
-    from qexpand._cdcl_py import Kernel
-    k = Kernel()
-    k.ensure_vars(nv)
-    for c in clauses:
-        k.add_clause(c)
-    r = k.solve([])
-    if r == 1:
-        print("s SATISFIABLE")
-        lits = [v if k.model[v] else -v for v in range(1, nv + 1)]
-        print("v " + " ".join(map(str, lits)) + " 0")
-        sys.exit(10)
-    print("s UNSATISFIABLE")
-    sys.exit(20)
-
-main()
-"""
-
-
-@pytest.fixture
-def stub_solver(tmp_path):
-    p = tmp_path / "stubsat"
-    p.write_text(STUB)
-    p.chmod(p.stat().st_mode | stat.S_IEXEC)
-    return str(p)
-
-
-def test_external_solve(stub_solver):
-    out = external_solve(stub_solver, [[1, 2], [-1]], 2)
-    assert out.status == SAT
-    assert out.model[1] is False and out.model[2] is True
-    out = external_solve(stub_solver, [[1], [-1]], 1)
-    assert out.status == UNSAT
-
-
-def test_external_solver_wrapper(stub_solver):
-    s = ExternalSolver(stub_solver)
-    s.add_clause([1, 2])
-    s.add_clause([-2])
-    out = s.solve()
-    assert out.status == SAT and out.model[1] is True
-    out = s.solve(assumptions=[-1])
-    assert out.status == UNSAT
-    assert out.failed_assumptions == [-1]
-    with pytest.raises(TraceUnavailable):
-        s.proof_trace()
-    assert s.solve_calls == 2
-
-
-def test_external_solver_rejects_bad_literals(tmp_path):
-    # the binary must never run: a zero would end a DIMACS clause early
-    s = ExternalSolver(str(tmp_path / "never-run"))
-    s.add_clause([1, 2])
-    for bad in ([0], [1, 0], [None]):
-        with pytest.raises(ValueError):
-            s.solve(assumptions=bad)
-        with pytest.raises(ValueError):
-            s.add_clause(bad)
-    assert s.solve_calls == 0 and s.num_clauses == 1
-    with pytest.raises(ValueError):
-        external_solve(str(tmp_path / "never-run"), [[1]], 1, assumptions=[0])
-
-
-def test_external_spawn_failure(tmp_path):
-    with pytest.raises(SpawnFailure):
-        external_solve(str(tmp_path / "missing"), [[1]], 1)
-
-
-def test_external_protocol_violation(tmp_path):
-    p = tmp_path / "garbage"
-    p.write_text("#!/bin/sh\necho hello\nexit 3\n")
-    p.chmod(p.stat().st_mode | stat.S_IEXEC)
-    with pytest.raises(ProtocolViolation):
-        external_solve(str(p), [[1]], 1)
-    p2 = tmp_path / "satnomodel"
-    p2.write_text("#!/bin/sh\necho 's SATISFIABLE'\nexit 10\n")
-    p2.chmod(p2.stat().st_mode | stat.S_IEXEC)
-    with pytest.raises(ProtocolViolation):
-        external_solve(str(p2), [[1]], 1)
+def test_bench_sat_smoke(capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_sat.py")
+    spec = importlib.util.spec_from_file_location("bench_sat", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.main(["--cnf-vars", "12", "--cnf-count", "2", "--expand-count", "3"])
+    rows = capsys.readouterr().out.splitlines()
+    assert any(r.startswith("3-CNF n=12 ") for r in rows)
+    assert any(r.startswith("expansion x3 ") for r in rows)
