@@ -64,6 +64,7 @@ typedef struct {
     double *act;
     char *seen;
     int *hpos;           /* heap position, -1 when not in the heap */
+    char *decision;      /* 0 for variables the heap never holds */
     int *heap;
     int heap_size;
     int *trail;
@@ -175,6 +176,7 @@ reserve_vars(Kernel *k, int n)
     GROW(k->act, cap);
     GROW(k->seen, cap);
     GROW(k->hpos, cap);
+    GROW(k->decision, cap);
     GROW(k->heap, cap);
     GROW(k->trail, cap);
     GROW(k->learnt, cap + 1);
@@ -250,7 +252,7 @@ hdown(Kernel *k, int i)
 static void
 hinsert(Kernel *k, int v)
 {
-    if (k->hpos[v] != -1)
+    if (k->hpos[v] != -1 || !k->decision[v])
         return;
     k->heap[k->heap_size] = v;
     k->hpos[v] = k->heap_size;
@@ -303,6 +305,7 @@ ensure_vars(Kernel *k, int n)
         k->act[v] = 0.0;
         k->seen[v] = 0;
         k->hpos[v] = -1;
+        k->decision[v] = 1;
         hinsert(k, v);
     }
     return 0;
@@ -581,7 +584,7 @@ pick_branch(Kernel *k)
 {
     while (k->heap_size > 0) {
         int v = hpop(k);
-        if (k->assigns[v] == 0)
+        if (k->assigns[v] == 0 && k->decision[v])
             return v;
     }
     return 0;
@@ -645,6 +648,7 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     k->act[0] = 0.0;
     k->seen[0] = 0;
     k->hpos[0] = -1;
+    k->decision[0] = 0;
     return (PyObject *)k;
 }
 
@@ -664,6 +668,7 @@ Kernel_dealloc(Kernel *k)
     PyMem_Free(k->act);
     PyMem_Free(k->seen);
     PyMem_Free(k->hpos);
+    PyMem_Free(k->decision);
     PyMem_Free(k->heap);
     PyMem_Free(k->trail);
     PyMem_Free(k->learnt);
@@ -689,6 +694,32 @@ Kernel_ensure_vars(Kernel *k, PyObject *arg)
     }
     if (n > 0 && ensure_vars(k, (int)n) < 0)
         return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Kernel_set_decision(Kernel *k, PyObject *args)
+{
+    PyObject *var;
+    int flag;
+    if (!PyArg_ParseTuple(args, "Op:set_decision", &var, &flag))
+        return NULL;
+    long v = PyLong_Check(var) ? PyLong_AsLong(var) : 0;
+    if (v == -1 && PyErr_Occurred())
+        return NULL;
+    if (v <= 0) {
+        PyErr_SetString(PyExc_ValueError, "variable must be a positive int");
+        return NULL;
+    }
+    if (v > MAX_VAR) {
+        PyErr_SetString(PyExc_OverflowError, "variable index too large");
+        return NULL;
+    }
+    if (ensure_vars(k, (int)v) < 0)
+        return NULL;
+    k->decision[v] = (char)flag;
+    if (flag)
+        hinsert(k, (int)v);
     Py_RETURN_NONE;
 }
 
@@ -930,6 +961,8 @@ Kernel_get_trace(Kernel *k, PyObject *Py_UNUSED(ignored))
 static PyMethodDef Kernel_methods[] = {
     {"ensure_vars", (PyCFunction)Kernel_ensure_vars, METH_O,
      "ensure_vars(n): make variables 1..n exist."},
+    {"set_decision", (PyCFunction)Kernel_set_decision, METH_VARARGS,
+     "set_decision(v, flag): let v be branched on, or not; see _cdcl_py."},
     {"add_clause", (PyCFunction)Kernel_add_clause, METH_O,
      "add_clause(lits): add a clause of nonzero int literals."},
     {"solve", (PyCFunction)(void (*)(void))Kernel_solve,

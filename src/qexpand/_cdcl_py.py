@@ -13,6 +13,14 @@ Variables are 1-based ints.  Internally a literal is encoded as
 into the clause list.  Learned clauses are never deleted: instances
 here live for one expansion run, and keeping every learned clause
 keeps the recorded trace checkable by plain unit propagation.
+
+A variable marked non-decision with set_decision(v, False) stays out
+of the branching heap and is never picked as a decision; it is set
+only by propagation or as an assumption, and one left unassigned reads
+False in the model.  That model is sound only for variables that occur
+negatively in every clause, as activation selectors do: resolution
+never removes such a variable's literal, so learned clauses hold it
+negatively too, and False satisfies every clause it is in.
 """
 
 import time
@@ -53,6 +61,7 @@ class Kernel:
         self._act = [0.0]
         self._seen = bytearray(1)
         self._hpos = [-1]
+        self._decision = bytearray(1)
         self._heap = []
         self._watches = [[], []]
         self._clauses = []
@@ -73,9 +82,19 @@ class Kernel:
             self._act.append(0.0)
             self._seen.append(0)
             self._hpos.append(-1)
+            self._decision.append(1)
             self._watches.append([])
             self._watches.append([])
             self._hinsert(self.nvars)
+
+    def set_decision(self, v, flag):
+        """Let v be branched on (flag true) or not; see the module doc."""
+        if not isinstance(v, int) or v <= 0:
+            raise ValueError("variable must be a positive int")
+        self.ensure_vars(v)
+        self._decision[v] = 1 if flag else 0
+        if flag:
+            self._hinsert(v)
 
     def _value(self, p):
         va = self._assigns[p >> 1]
@@ -126,7 +145,7 @@ class Kernel:
         hpos[v] = i
 
     def _hinsert(self, v):
-        if self._hpos[v] != -1:
+        if self._hpos[v] != -1 or not self._decision[v]:
             return
         self._heap.append(v)
         self._hpos[v] = len(self._heap) - 1
@@ -367,7 +386,7 @@ class Kernel:
     def _pick_branch(self):
         while self._heap:
             v = self._hpop()
-            if self._assigns[v] == 0:
+            if self._assigns[v] == 0 and self._decision[v]:
                 return v
         return 0
 

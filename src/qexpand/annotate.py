@@ -185,13 +185,26 @@ def negate_instantiate(q, s, table):
     return NegationResult(False, tuple(sels), impls)
 
 
+def strip_cut(q, table):
+    """Prefix position below which strip reads its source: the head of
+    the last block of the kind table's models assign, 0 without one."""
+    want = EXISTS if table.kind == "universal" else FORALL
+    cut = head = 0
+    for b in q.blocks:
+        if b.quantifier == want:
+            cut = head
+        head += len(b.variables)
+    return cut
+
+
 def strip(model, source, table):
     """Read a model of an abstraction back as an assignment.
 
     source is the instantiating assignment whose annotations shaped the
     abstraction's variables; the result assigns every variable of the
     opposite kind, defaulting to False where the model never saw the
-    annotated copy.
+    annotated copy.  Only source.values[:strip_cut(q, table)] is read,
+    so sources that agree there strip to equal assignments.
     """
     q = source.qbf
     want = EXISTS if table.kind == "universal" else FORALL

@@ -15,6 +15,18 @@ instantiated clause and solves under assumptions, so resetting alphas
 deactivates clauses by dropping them from the live set instead of
 rebuilding the solver.  A reset replaces the alphas with the strips of
 the latest counter model, which lifts the bound on the iteration count.
+The selectors are non-decision variables of the all side's solver
+(sat.Solver.set_decision): a live selector is set by its assumption,
+and a dropped one is never branched on, so a forall solve does not
+decide every dropped selector again.  That is sound because each
+selector occurs only negatively, in its own clause: resolution keeps
+it negative in every learned clause, so leaving it unassigned (read as
+False) satisfies every clause it is in.
+
+A strip reads its source only below annotate.strip_cut, the head of
+the last block of the side it assigns, so each refinement step strips
+once per distinct prefix there and hands the result to every source
+that shares it; every (source, strip) pair is still formed and checked.
 
 Every iteration still adds to both sides, reset or not, so a stall
 (a refinement step that finds nothing new) is a bug and raises
@@ -115,6 +127,7 @@ class ForallAbstraction:
                 self.info[key] = (sel, pc.matrix_index, alpha)
                 self.by_selector[sel] = key
                 self.solver.add_clause((-sel,) + key)
+                self.solver.set_decision(sel, False)
             if key not in self.live:
                 self.live.add(key)
                 self.live_literals += len(key)
@@ -202,6 +215,21 @@ def _combined_eval(q, a, b):
         if not sat_c:
             return False
     return True
+
+
+def _strip_all(q, model, sources, table):
+    """(source, strip of model against it) for every source, in order;
+    sources that agree below annotate.strip_cut share one strip call."""
+    cut = annotate.strip_cut(q, table)
+    memo = {}
+    out = []
+    for source in sources:
+        prefix = source.values[:cut]
+        cand = memo.get(prefix)
+        if cand is None:
+            cand = memo[prefix] = annotate.strip(model, source, table)
+        out.append((source, cand))
+    return out
 
 
 def initial_alphas(q):
@@ -344,10 +372,9 @@ def solve(q, config=None, on_iteration=None):
             _finish_rec(rec, state)
             return finish(FALSE)
 
-        strips = [
-            (alpha, annotate.strip(out_f.model, alpha, fa.table))
-            for alpha in state.alphas
-        ]
+        t0 = time.perf_counter()
+        strips = _strip_all(state.q, out_f.model, state.alphas, fa.table)
+        rec["strip_time"] = time.perf_counter() - t0
         if cfg.verify_invariants:
             for alpha, cand in strips:
                 if not _combined_eval(state.q, alpha, cand):
@@ -379,10 +406,9 @@ def solve(q, config=None, on_iteration=None):
             _finish_rec(rec, state)
             return finish(TRUE)
 
-        strips_a = [
-            (sigma, annotate.strip(out_e.model, sigma, ea.table))
-            for sigma in state.sigmas
-        ]
+        t0 = time.perf_counter()
+        strips_a = _strip_all(state.q, out_e.model, state.sigmas, ea.table)
+        rec["strip_time"] += time.perf_counter() - t0
         if cfg.verify_invariants:
             for sigma, cand in strips_a:
                 if _combined_eval(state.q, cand, sigma):

@@ -54,36 +54,39 @@ def extract_certificate(state):
     """Build a certificate from a finished false run.
 
     The failed instantiation clauses are re-solved on a fresh
-    trace-recording solver; refused for true or unknown runs.
+    trace-recording solver; refused for true or unknown runs.  That
+    solver sees the core's ids renumbered 1..k in increasing order, so
+    it holds no variable the core does not use, and ties between
+    equally active variables still go to the smaller original id.
     """
     if state.verdict != "FALSE":
         raise CertificateUnavailable("only false verdicts have certificates")
     if not state.core:
         raise CertificateUnavailable("run recorded no failed clause core")
+    used = sorted({-l if l < 0 else l for lits, _, _ in state.core for l in lits})
+    dense = {aid: i for i, aid in enumerate(used, 1)}
     solver = sat.Solver(record_trace=True)
     axioms = []
     for lits, idx, alpha in state.core:
-        solver.add_clause(lits)
+        solver.add_clause([dense[l] if l > 0 else -dense[-l] for l in lits])
         axioms.append((idx, alpha.literals(), lits))
     out = solver.solve()
     if out.status != sat.UNSAT:
         raise CertificateError("failed clause core is satisfiable")
-    trace = solver.proof_trace()
+    trace = [
+        tuple(used[l - 1] if l > 0 else -used[-l - 1] for l in lits)
+        for lits in solver.proof_trace()
+    ]
     if not trace or trace[-1] != ():
         raise CertificateError("solver trace does not end in the empty clause")
     reverse = state.forall_abs.table.reverse
-    used = set()
-    for _, _, lits in axioms:
-        used.update(-l if l < 0 else l for l in lits)
-    for lits in trace:
-        used.update(-l if l < 0 else l for l in lits)
     dictionary = {}
-    for aid in sorted(used):
+    for aid in used:
         pair = reverse.get(aid)
         if pair is None:
             raise CertificateError("abstraction id %d has no annotation" % aid)
         dictionary[aid] = (pair[0], spell(pair[1]))
-    return Certificate(dictionary, axioms, list(trace))
+    return Certificate(dictionary, axioms, trace)
 
 
 def rup_check(clauses, derived):

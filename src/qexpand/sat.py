@@ -6,6 +6,12 @@ Python (qexpand._cdcl_py).  The compiled one is picked when importable;
 pass kernel="pure" (CLI: --kernel pure) to use the fallback anyway.
 Both implement the same search step for step, so switching kernels
 never changes models, verdicts, or recorded traces.
+
+Solver.set_decision(var, False) keeps var out of branching: only
+propagation or an assumption sets it, and left unassigned it reads
+False in the model.  Mark only variables that occur negatively in
+every clause, as activation selectors do; learned clauses then hold
+them negatively too, so that False satisfies every clause.
 """
 
 from dataclasses import dataclass, field
@@ -103,6 +109,12 @@ class Solver:
 
     def ensure_vars(self, n):
         self._k.ensure_vars(n)
+
+    def set_decision(self, var, flag):
+        """Let var be a decision variable (flag true) or not; see the
+        module doc for the clauses a non-decision variable may occur in.
+        ValueError unless var is a positive int."""
+        self._k.set_decision(var, flag)
 
     def add_clause(self, lits):
         self._k.add_clause(_checked_literals(lits))

@@ -10,6 +10,7 @@ from qexpand.annotate import (
     instantiate,
     negate_instantiate,
     strip,
+    strip_cut,
 )
 from qexpand.formula import EXISTS, FORALL, Assignment, Qbf
 from qexpand.proof import spell
@@ -173,6 +174,32 @@ def test_strip_defaults_and_values():
     # unseen annotated copies default to False
     other = Assignment.from_pairs(q, {1: False, 3: False})
     assert strip([None, True, True], other, table).as_dict() == {2: False, 4: False}
+
+
+@pytest.mark.parametrize("kind", ["universal", "existential"])
+def test_strip_reads_source_only_below_cut(kind):
+    # forall 1 exists 2 forall 3 exists 4: the last block of the other side
+    assert strip_cut(q4(), InternTable(kind)) == (3 if kind == "universal" else 2)
+    rng = random.Random(53)
+    grow = instantiate if kind == "universal" else negate_instantiate
+    for seed in range(150):
+        q = oracle.random_pcnf(seed)
+        side = q.universals if kind == "universal" else q.existentials
+        table = InternTable(kind)
+        sources = [
+            Assignment.from_pairs(q, [(v, rng.random() < 0.5) for v in side])
+            for _ in range(4)
+        ]
+        for a in sources:
+            grow(q, a, table)
+        cut = strip_cut(q, table)
+        model = [None] + [rng.random() < 0.5 for _ in range(max(table.reverse, default=0))]
+        for a in sources:
+            want = strip(model, a, table).values
+            for _ in range(4):
+                tail = bytes(rng.randrange(3) for _ in range(q.num_vars - cut))
+                other = Assignment(q, a.values[:cut] + tail)
+                assert strip(model, other, table).values == want
 
 
 def test_negate_instantiate():

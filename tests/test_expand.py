@@ -205,6 +205,7 @@ def test_stats_shape():
             "forall_conflicts",
             "exists_conflicts",
             "forall_time",
+            "strip_time",
         ):
             assert key in rec, key
     assert r.stats[-1]["exists_status"] == "unsat"
@@ -243,6 +244,71 @@ def test_hook_observes_every_iteration():
     for value in ([[3, -3, 1]], [], 0):
         with pytest.raises(ValueError, match="on_iteration"):
             solve(q, SolveConfig(), on_iteration=lambda state: value)
+
+
+def test_strip_once_per_distinct_prefix(monkeypatch):
+    q = equality(4)
+    real_strip = annotate.strip
+    cut = {
+        kind: annotate.strip_cut(q, annotate.InternTable(kind))
+        for kind in ("universal", "existential")
+    }
+    calls = []  # (iteration, table kind, the source bytes strip reads)
+    iteration = [1]
+
+    def counting_strip(model, source, table):
+        calls.append((iteration[0], table.kind, source.values[: cut[table.kind]]))
+        return real_strip(model, source, table)
+
+    monkeypatch.setattr(annotate, "strip", counting_strip)
+    sources = []  # sigmas stripped against per iteration
+
+    def hook(state):
+        # the counter model was stripped against exactly these sigmas
+        prefixes = {s.values[: cut["existential"]] for s in state.sigmas}
+        done = [c for c in calls if c[:2] == (iteration[0], "existential")]
+        assert len(done) == len(prefixes)
+        sources.append(len(state.sigmas))
+        iteration[0] = state.iteration + 1
+
+    r = solve(q, SolveConfig(verify_invariants=True), on_iteration=hook)
+    assert r.verdict == FALSE and r.state.resets == 0
+    assert len(calls) == len(set(calls))
+    # sigmas that agree on x share one strip
+    assert sum(1 for c in calls if c[1] == "existential") < sum(sources)
+
+
+def _outcome(q, period, kernel, drop):
+    """What a run shows, with timings and the stats keys in drop left out."""
+    r = solve(q, SolveConfig(reset_period=period, kernel=kernel))
+    cert = None
+    if r.verdict == FALSE:
+        cert = proof.format_certificate(proof.extract_certificate(r.state))
+    stats = [
+        {k: v for k, v in rec.items() if not k.endswith("_time") and k not in drop}
+        for rec in r.stats
+    ]
+    wit = [w.literals() for w in r.witness]
+    return (r.verdict, r.iterations, wit, cert, stats), cli.json_stats_lines(r)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("period", [0, 1])
+def test_non_decision_selectors_change_only_decision_counts(monkeypatch, period, kernel):
+    # without resets every selector is an assumption of every call, so
+    # nothing changes; after one, the dropped selectors are no longer
+    # decided, which moves only the forall decision and propagation counts
+    drop = () if period == 0 else ("forall_decisions", "forall_propagations")
+    qs = [oracle.random_pcnf(seed) for seed in range(200)]
+    normal = [_outcome(q, period, kernel, drop) for q in qs]
+    monkeypatch.setattr(sat.Solver, "set_decision", lambda self, var, flag: None)
+    moved = 0
+    for seed, q in enumerate(qs):
+        seen, lines = normal[seed]
+        plain_seen, plain_lines = _outcome(q, period, kernel, drop)
+        assert seen == plain_seen, "seed %d" % seed
+        moved += lines != plain_lines
+    assert moved == 0 if period == 0 else moved > 0
 
 
 def _traced_solve(q, kernel):

@@ -273,6 +273,27 @@ def test_random_false_instances_certify():
     assert done >= 40
 
 
+def test_trace_solver_holds_only_core_ids(monkeypatch):
+    # the core's ids are renumbered 1..k, so the trace solver has no
+    # variable that no core clause mentions
+    runs = [solve(oracle.random_pcnf(seed), SolveConfig(reset_period=0)) for seed in range(60)]
+    made = []
+    real = proof.sat.Solver
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(proof.sat, "Solver", recording)
+    done = 0
+    for r in runs:
+        if r.verdict == FALSE:
+            cert = extract_certificate(r.state)
+            assert made[-1].num_vars == len(cert.dictionary)
+            done += 1
+    assert done >= 15
+
+
 def test_certify_after_resets():
     done = 0
     for seed in range(60):

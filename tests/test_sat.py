@@ -157,6 +157,57 @@ def test_failed_assumptions_random(kernel):
                 assert out.model[abs(l)] == (l > 0)
 
 
+def test_non_decision_variable(kernel):
+    # 1 occurs only negatively.  As a decision variable it is decided
+    # first (ties go to the smaller index); as a non-decision one it is
+    # never decided and, left unassigned, reads False.
+    counts = []
+    for decide in (True, False):
+        s = Solver(kernel=kernel)
+        s.add_clause([-1, 2, -3])
+        s.set_decision(1, decide)
+        out = s.solve()
+        assert out.status == SAT and out.model[1] is False
+        counts.append(s.decisions)
+    assert counts == [3, 2]
+    # an assumption still sets it, and marking it again restores branching
+    out = s.solve(assumptions=[1])
+    assert out.status == SAT and out.model[1] is True
+    s.set_decision(1, True)
+    before = s.decisions
+    s.solve()
+    assert s.decisions - before == 3
+
+
+def test_non_decision_models_random(kernel):
+    # variables that occur only negatively may be left unassigned, and
+    # the model that reads them False still satisfies every clause
+    rng = random.Random(105)
+    for _ in range(300):
+        clauses, nv = random_cnf(rng)
+        neg = rng.sample(range(1, nv + 1), rng.randint(1, nv))
+        clauses = [[-abs(l) if abs(l) in neg else l for l in c] for c in clauses]
+        s = Solver(kernel=kernel)
+        s.ensure_vars(nv)
+        for v in neg:
+            s.set_decision(v, False)
+        for c in clauses:
+            s.add_clause(c)
+        out = s.solve()
+        assert out.status == (SAT if brute_sat(clauses, nv) else UNSAT)
+        if out.status == SAT:
+            for c in clauses:
+                assert any(out.model[abs(l)] == (l > 0) for l in c)
+
+
+def test_set_decision_rejects_bad_ids(kernel):
+    s = Solver(kernel=kernel)
+    for bad in (0, -1, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            s.set_decision(bad, False)
+    assert s.num_vars == 0
+
+
 def test_determinism(kernel):
     rng = random.Random(103)
     clauses, nv = random_cnf(rng, max_vars=8, max_clauses=20)
@@ -190,13 +241,16 @@ def observe(kernel, nv, steps):
     """Play steps on a fresh tracing solver over nv variables; return all
     a caller can see.
 
-    Each step is (clauses to add, then solve(assumptions, budget, deadline)).
+    Each step is (clauses to add, then solve(assumptions, budget,
+    deadline), after set_decision(var, flag) for each pair in marks).
     A solve that raises ValueError is seen as its message.
     """
     s = Solver(record_trace=True, kernel=kernel)
     s.ensure_vars(nv)
     seen = []
-    for clauses, assumptions, budget, deadline in steps:
+    for clauses, assumptions, budget, deadline, marks in steps:
+        for v, flag in marks:
+            s.set_decision(v, flag)
         for c in clauses:
             s.add_clause(c)
         try:
@@ -228,7 +282,7 @@ def random_steps(rng, clauses, nv):
         vs = rng.sample(range(1, nv + 1), rng.randint(0, nv))
         assumptions = [v if rng.random() < 0.5 else -v for v in vs]
         budget = rng.choice([None, None, 0, 1, 2])
-        steps.append((clauses[lo:hi], assumptions, budget, None))
+        steps.append((clauses[lo:hi], assumptions, budget, None, ()))
     return steps
 
 
@@ -238,18 +292,29 @@ def test_pure_and_compiled_agree():
     cases = []
     for _ in range(150):
         clauses, nv = random_cnf(rng, max_vars=9, max_clauses=30)
-        cases.append((nv, [(clauses, [], None, None)]))
+        cases.append((nv, [(clauses, [], None, None, ())]))
         cases.append((nv, random_steps(rng, clauses, nv)))
+        # some variables made negative-only and marked non-decision
+        neg = rng.sample(range(1, nv + 1), rng.randint(1, nv))
+        clauses = [[-abs(l) if abs(l) in neg else l for l in c] for c in clauses]
+        steps = random_steps(rng, clauses, nv)
+        steps[0] = steps[0][:4] + ([(v, False) for v in neg],)
+        cases.append((nv, steps))
     # budget, deadline (checked every 64 conflicts), clauses added after
     # an UNKNOWN; then nine guarded copies of a pigeonhole formula, each
     # solved under its own selector: restarts, long failed-assumption
-    # walks, and about 5,000 conflicts, past the activity rescale (1e100)
+    # walks, and about 5,000 conflicts, past the activity rescale (1e100);
+    # once more with the selectors non-decision, as the forall
+    # abstraction marks them, and one marked back before the last solve
     php = pigeonhole(7)
-    cases.append((42, [(php, [], 3, None), ([], [1], 500, None)]))
-    cases.append((42, [(php, [-1, 2], None, time.monotonic() - 1.0), ([[1, 2]], [], None, None)]))
-    cases.append((42, [([c + [-sel] for c in php], [sel], None, None) for sel in range(100, 109)]))
+    cases.append((42, [(php, [], 3, None, ()), ([], [1], 500, None, ())]))
+    cases.append((42, [(php, [-1, 2], None, time.monotonic() - 1.0, ()), ([[1, 2]], [], None, None, ())]))
+    guarded = [([c + [-sel] for c in php], [sel], None, None, ()) for sel in range(100, 109)]
+    cases.append((42, guarded))
+    marked = [step[:4] + ([(step[1][0], False)],) for step in guarded]
+    cases.append((42, marked + [([], [], None, None, [(104, True)])]))
     # a zero assumption is rejected, and the solver still answers after it
-    cases.append((3, [([[1, 2]], [0], None, None), ([[-1]], [], None, None)]))
+    cases.append((3, [([[1, 2]], [0], None, None, ()), ([[-1]], [], None, None, ())]))
     statuses = set()
     for nv, steps in cases:
         pure = observe("pure", nv, steps)
