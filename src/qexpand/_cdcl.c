@@ -127,15 +127,16 @@ extern_lit(int p)
 }
 
 /* A literal from Python: a nonzero int no larger than MAX_VAR in size.
-   Sets an exception and returns 0 otherwise. */
+   Sets an exception and returns 0 otherwise: ValueError for a zero or
+   non-int literal, OverflowError for one out of range. */
 static int
 lit_from_object(PyObject *o)
 {
-    long l = PyLong_AsLong(o);
+    long l = PyLong_Check(o) ? PyLong_AsLong(o) : 0;
     if (l == -1 && PyErr_Occurred())
         return 0;
     if (l == 0) {
-        PyErr_SetString(PyExc_ValueError, "literals must be nonzero");
+        PyErr_SetString(PyExc_ValueError, "literals must be nonzero ints");
         return 0;
     }
     if (l > MAX_VAR || l < -MAX_VAR) {
@@ -723,40 +724,53 @@ Kernel_set_decision(Kernel *k, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-Kernel_add_clause(Kernel *k, PyObject *arg)
+/* Read an iterable's literals into v, interned; return the largest
+   variable, or -1 with an exception set.  Touches nothing but v, so
+   callers check every literal before they change any state. */
+static int
+read_literals(PyObject *obj, const char *what, ivec *v)
 {
-    if (!k->ok)
-        Py_RETURN_NONE;
-    PyObject *seq = PySequence_Fast(arg, "clause must be iterable");
+    PyObject *seq = PySequence_Fast(obj, what);
     if (seq == NULL)
-        return NULL;
+        return -1;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    k->buf.size = 0;
-    if (ivec_reserve(&k->buf, n) < 0) {
+    v->size = 0;
+    if (ivec_reserve(v, n) < 0) {
         Py_DECREF(seq);
-        return NULL;
+        return -1;
     }
-    int *lits = k->buf.data;
     int mx = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         int l = lit_from_object(PySequence_Fast_GET_ITEM(seq, i));
         if (l == 0) {
             Py_DECREF(seq);
-            return NULL;
+            return -1;
         }
-        lits[i] = l;
+        v->data[v->size++] = intern_lit(l);
         int a = l > 0 ? l : -l;
         if (a > mx)
             mx = a;
     }
     Py_DECREF(seq);
+    return mx;
+}
+
+static PyObject *
+Kernel_add_clause(Kernel *k, PyObject *arg)
+{
+    int mx = read_literals(arg, "clause must be iterable", &k->buf);
+    if (mx < 0)
+        return NULL;
+    if (!k->ok)
+        Py_RETURN_NONE;
     if (ensure_vars(k, mx) < 0)
         return NULL;
+    int *lits = k->buf.data;
+    int n = k->buf.size;
     /* Filter in place.  seen[v] marks v (bit 1) and -v (bit 2) as kept. */
     int m = 0, keep = 1;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int p = intern_lit(lits[i]);
+    for (int i = 0; i < n; i++) {
+        int p = lits[i];
         int v = value(k, p);
         if (v == 1) {
             keep = 0; /* satisfied at top level */
@@ -839,38 +853,24 @@ finish(Kernel *k, int status)
 static PyObject *
 Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"assumptions", "conflict_budget", "deadline", NULL};
+    static char *kwlist[] = {"assumptions", "deadline", NULL};
     PyObject *assumptions = NULL;
-    long long budget = -1;
     double deadline = -1.0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|OLd:solve", kwlist,
-                                     &assumptions, &budget, &deadline))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|Od:solve", kwlist,
+                                     &assumptions, &deadline))
+        return NULL;
+    k->asum.size = 0;
+    int mx = assumptions == NULL ? 0
+             : read_literals(assumptions, "assumptions must be iterable", &k->asum);
+    if (mx < 0)
         return NULL;
     if (replace_list(&k->model, PyList_New(0)) < 0
         || replace_list(&k->failed, PyList_New(0)) < 0)
         return NULL;
     if (!k->ok)
         return finish(k, UNSAT);
-    k->asum.size = 0;
-    if (assumptions != NULL) {
-        PyObject *seq = PySequence_Fast(assumptions, "assumptions must be iterable");
-        if (seq == NULL)
-            return NULL;
-        Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-        if (ivec_reserve(&k->asum, n) < 0) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        for (Py_ssize_t i = 0; i < n; i++) {
-            int l = lit_from_object(PySequence_Fast_GET_ITEM(seq, i));
-            if (l == 0 || ensure_vars(k, l > 0 ? l : -l) < 0) {
-                Py_DECREF(seq);
-                return NULL;
-            }
-            k->asum.data[k->asum.size++] = intern_lit(l);
-        }
-        Py_DECREF(seq);
-    }
+    if (ensure_vars(k, mx) < 0)
+        return NULL;
     long long restart_limit = 100;
     long long since_restart = 0;
     long long conflicts_here = 0;
@@ -890,10 +890,6 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
             }
             if (handle_conflict(k, confl) < 0)
                 goto error;
-            if (budget >= 0 && budget <= conflicts_here) {
-                cancel_until(k, 0);
-                return finish(k, UNKNOWN);
-            }
             if (deadline > 0.0 && (conflicts_here & 63) == 0) {
                 int late = past_deadline(deadline);
                 if (late < 0)
@@ -967,9 +963,10 @@ static PyMethodDef Kernel_methods[] = {
      "add_clause(lits): add a clause of nonzero int literals."},
     {"solve", (PyCFunction)(void (*)(void))Kernel_solve,
      METH_VARARGS | METH_KEYWORDS,
-     "solve(assumptions=(), conflict_budget=-1, deadline=-1.0) -> 1, -1 or 0\n\n"
-     "SAT, UNSAT or UNKNOWN.  A negative budget or deadline means none;\n"
-     "deadline is an absolute time.monotonic() value."},
+     "solve(assumptions=(), deadline=-1.0) -> 1, -1 or 0\n\n"
+     "SAT, UNSAT or UNKNOWN.  deadline: absolute time.monotonic(), checked\n"
+     "every 64 conflicts, negative for none; no conflict budget.  A bad\n"
+     "literal raises ValueError before any state changes."},
     {"get_trace", (PyCFunction)Kernel_get_trace, METH_NOARGS,
      "get_trace() -> list of learned-clause tuples in derivation order."},
     {NULL}

@@ -21,6 +21,11 @@ False in the model.  That model is sound only for variables that occur
 negatively in every clause, as activation selectors do: resolution
 never removes such a variable's literal, so learned clauses hold it
 negatively too, and False satisfies every clause it is in.
+
+add_clause and solve raise ValueError on a zero or non-int literal
+before they change any state, also once the solver is UNSAT.  A solve
+has no conflict budget; it ends UNKNOWN only when found past its
+deadline, a time.monotonic() value checked every 64 conflicts.
 """
 
 import time
@@ -32,6 +37,7 @@ UNKNOWN = 0
 _RESCALE_LIMIT = 1e100
 _RESCALE = 1e-100
 _ACT_BUMP_DECAY = 1.0 / 0.95
+_BAD_LITERAL = "literals must be nonzero ints"
 
 
 def _intern(l):
@@ -175,13 +181,17 @@ class Kernel:
     # -- clauses ------------------------------------------------------
 
     def add_clause(self, lits):
-        if not self.ok:
-            return
+        if not isinstance(lits, (list, tuple)):
+            lits = list(lits)
         mx = 0
         for l in lits:
+            if not isinstance(l, int) or l == 0:
+                raise ValueError(_BAD_LITERAL)
             a = l if l > 0 else -l
             if a > mx:
                 mx = a
+        if not self.ok:
+            return
         self.ensure_vars(mx)
         out = []
         have = set()
@@ -392,16 +402,22 @@ class Kernel:
 
     # -- main ---------------------------------------------------------
 
-    def solve(self, assumptions=(), conflict_budget=-1, deadline=-1.0):
+    def solve(self, assumptions=(), deadline=-1.0):
+        asum = []
+        mx = 0
+        for l in assumptions:
+            if not isinstance(l, int) or l == 0:
+                raise ValueError(_BAD_LITERAL)
+            a = l if l > 0 else -l
+            if a > mx:
+                mx = a
+            asum.append(_intern(l))
         self.model = []
         self.failed = []
         if not self.ok:
             self.last_status = UNSAT
             return UNSAT
-        asum = []
-        for l in assumptions:
-            self.ensure_vars(l if l > 0 else -l)
-            asum.append(_intern(l))
+        self.ensure_vars(mx)
         restart_limit = 100
         since_restart = 0
         conflicts_here = 0
@@ -418,10 +434,6 @@ class Kernel:
                     self.last_status = UNSAT
                     return UNSAT
                 self._handle_conflict(confl)
-                if 0 <= conflict_budget <= conflicts_here:
-                    self._cancel_until(0)
-                    self.last_status = UNKNOWN
-                    return UNKNOWN
                 if (
                     deadline > 0.0
                     and conflicts_here & 63 == 0

@@ -57,7 +57,7 @@ def human_stats_lines(result):
     for rec in result.stats:
         out.append(
             "c iter=%d forall=%s exists=%s new_s=%d new_a=%d |A|=%d |S|=%d"
-            " reset=%d live=%d/%d time=%.3f+%.3f"
+            " reset=%d live=%d/%d time=%.3f+%.3f+%.3f"
             % (
                 rec["iteration"],
                 rec["forall_status"],
@@ -71,6 +71,7 @@ def human_stats_lines(result):
                 rec["live_literals"],
                 rec.get("forall_time", 0.0),
                 rec.get("exists_time", 0.0),
+                rec.get("strip_time", 0.0),
             )
         )
     state = result.state

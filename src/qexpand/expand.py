@@ -23,6 +23,13 @@ selector occurs only negatively, in its own clause: resolution keeps
 it negative in every learned clause, so leaving it unassigned (read as
 False) satisfies every clause it is in.
 
+The assumptions of a forall solve are the live selectors in ascending
+order.  Selector ids grow in the order clauses are first added, so the
+list is in first-added order: a clause that a reset drops and a later
+alpha brings back takes its old place, not a place at the end, and the
+list depends on which clauses are live, not on the order in which the
+current alphas produced them.
+
 A strip reads its source only below annotate.strip_cut, the head of
 the last block of the side it assigns, so each refinement step strips
 once per distinct prefix there and hands the result to every source
@@ -108,9 +115,9 @@ class ForallAbstraction:
         self.q = q
         self.solver = solver
         self.table = annotate.InternTable("universal")
-        self.info = {}  # clause lits -> (selector, matrix index, alpha)
-        self.by_selector = {}
-        self.live = set()  # clause keys activated by the current alphas
+        self.selector = {}  # clause lits -> selector
+        self.origin = {}  # selector -> (clause lits, matrix index, alpha)
+        self.live = set()  # selectors of the clauses the current alphas produce
         self.live_literals = 0
 
     @property
@@ -122,14 +129,14 @@ class ForallAbstraction:
         res = annotate.instantiate(self.q, alpha, self.table)
         for pc in res.clauses:
             key = pc.lits
-            if key not in self.info:
-                sel = self.table.fresh()
-                self.info[key] = (sel, pc.matrix_index, alpha)
-                self.by_selector[sel] = key
+            sel = self.selector.get(key)
+            if sel is None:
+                sel = self.selector[key] = self.table.fresh()
+                self.origin[sel] = (key, pc.matrix_index, alpha)
                 self.solver.add_clause((-sel,) + key)
                 self.solver.set_decision(sel, False)
-            if key not in self.live:
-                self.live.add(key)
+            if sel not in self.live:
+                self.live.add(sel)
                 self.live_literals += len(key)
 
     def drop_all_groups(self):
@@ -137,7 +144,7 @@ class ForallAbstraction:
         self.live_literals = 0
 
     def assumptions(self):
-        return [info[0] for key, info in self.info.items() if key in self.live]
+        return sorted(self.live)
 
     def solve(self, deadline=None):
         return self.solver.solve(assumptions=self.assumptions(), deadline=deadline)
@@ -150,12 +157,10 @@ class ExistsAbstraction:
         self.q = q
         self.solver = solver
         self.table = annotate.InternTable("existential")
-        self.tautologies = 0
 
     def add_negation(self, sigma):
         r = annotate.negate_instantiate(self.q, sigma, self.table)
         if r.tautology:
-            self.tautologies += 1
             return
         for imp in r.new_implications:
             self.solver.add_clause(imp)
@@ -365,10 +370,7 @@ def solve(q, config=None, on_iteration=None):
             _finish_rec(rec, state)
             return finish(UNKNOWN)
         if out_f.status == sat.UNSAT:
-            state.core = [
-                (fa.by_selector[s],) + fa.info[fa.by_selector[s]][1:]
-                for s in out_f.failed_assumptions
-            ]
+            state.core = [fa.origin[s] for s in out_f.failed_assumptions]
             _finish_rec(rec, state)
             return finish(FALSE)
 
@@ -417,23 +419,18 @@ def solve(q, config=None, on_iteration=None):
                     )
         do_reset = cfg.reset_period and state.iteration % cfg.reset_period == 0
         do_reset = do_reset or fa.live_literals > RESET_MEMORY_THRESHOLD
-        new_a = 0
+        before = state.alphas
         if do_reset:
-            fresh = AssignmentSet()
-            for _, cand in strips_a:
-                if fresh.add(cand) and cand not in state.alphas:
-                    new_a += 1
+            state.alphas = AssignmentSet()
             fa.drop_all_groups()
-            state.alphas = fresh
-            for alpha in fresh:
-                fa.add_group(alpha)
             state.resets += 1
             rec["reset"] = True
-        else:
-            for _, cand in strips_a:
-                if state.alphas.add(cand):
-                    fa.add_group(cand)
-                    new_a += 1
+        new_a = 0
+        for _, cand in strips_a:
+            novel = cand not in before
+            if state.alphas.add(cand):
+                fa.add_group(cand)
+                new_a += novel
         rec["new_alphas"] = new_a
         if new_a == 0:
             _stalled(state, "alpha")

@@ -7,6 +7,10 @@ pass kernel="pure" (CLI: --kernel pure) to use the fallback anyway.
 Both implement the same search step for step, so switching kernels
 never changes models, verdicts, or recorded traces.
 
+The kernels check literals themselves: add_clause and solve raise
+ValueError("literals must be nonzero ints") on a zero or non-int
+literal before they change any state, also on a solver already UNSAT.
+
 Solver.set_decision(var, False) keeps var out of branching: only
 propagation or an assumption sets it, and left unassigned it reads
 False in the model.  Mark only variables that occur negatively in
@@ -45,14 +49,6 @@ def kernel_name():
     return "compiled" if COMPILED else "pure"
 
 
-def _checked_literals(lits):
-    """lits as a list, or ValueError unless every one is a nonzero int."""
-    lits = list(lits)
-    if any(not isinstance(l, int) or l == 0 for l in lits):
-        raise ValueError("literals must be nonzero ints")
-    return lits
-
-
 @dataclass
 class SolveOutcome:
     status: str
@@ -81,7 +77,6 @@ class Solver:
             raise ValueError("kernel must be auto, pure, or compiled")
         self._k = mod.Kernel(record_trace)
         self.record_trace = record_trace
-        self.solve_calls = 0
 
     @property
     def num_vars(self):
@@ -117,20 +112,13 @@ class Solver:
         self._k.set_decision(var, flag)
 
     def add_clause(self, lits):
-        self._k.add_clause(_checked_literals(lits))
+        self._k.add_clause(lits)
 
-    def solve(self, assumptions=(), conflict_budget=None, deadline=None):
-        """Solve under assumptions; budgets turn the result into UNKNOWN.
-
-        deadline is an absolute time.monotonic() value.
-        """
-        assumptions = _checked_literals(assumptions)
-        r = self._k.solve(
-            assumptions,
-            -1 if conflict_budget is None else conflict_budget,
-            -1.0 if deadline is None else deadline,
-        )
-        self.solve_calls += 1
+    def solve(self, assumptions=(), deadline=None):
+        """Solve under assumptions.  deadline is an absolute
+        time.monotonic() value, checked every 64 conflicts; a solve found
+        past it returns UNKNOWN.  There is no conflict budget."""
+        r = self._k.solve(assumptions, -1.0 if deadline is None else deadline)
         status = _STATUS[r]
         return SolveOutcome(
             status=status,

@@ -90,6 +90,17 @@ def test_stats_json_deterministic(tmp_path, capsys):
             assert not key.endswith("_time")
 
 
+def test_stats_human_times(tmp_path, capsys):
+    # forall solve + exists solve + strip; the deciding iteration strips
+    # only the forall model
+    f = write(tmp_path, "t.qdimacs", TRUE_FILE)
+    assert main(["solve", f]) == 10
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("c iter=")]
+    assert lines
+    for line in lines:
+        assert re.search(r" time=\d+\.\d{3}\+\d+\.\d{3}\+\d+\.\d{3}$", line), line
+
+
 def test_stats_file(tmp_path, capsys):
     f = write(tmp_path, "t.qdimacs", TRUE_FILE)
     stats = tmp_path / "stats.jsonl"

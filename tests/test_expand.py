@@ -311,6 +311,34 @@ def test_non_decision_selectors_change_only_decision_counts(monkeypatch, period,
     assert moved == 0 if period == 0 else moved > 0
 
 
+@pytest.mark.parametrize("period", [1, 64])
+def test_assumptions_are_the_live_selectors(period):
+    def hook(state):
+        fa = state.forall_abs
+        live = {}
+        for alpha in state.alphas:
+            for pc in annotate.instantiate(state.q, alpha, fa.table).clauses:
+                live[fa.selector[pc.lits]] = len(pc.lits)
+        asum = fa.assumptions()
+        assert all(a < b for a, b in zip(asum, asum[1:]))
+        assert set(asum) == set(live)
+        assert fa.live_literals == sum(live.values())
+
+    for seed in range(200):
+        q = oracle.random_pcnf(seed)
+        r = solve(q, SolveConfig(reset_period=period), on_iteration=hook)
+        if r.verdict == FALSE:
+            # a core clause is live; its alpha is the one that first
+            # produced it, which a reset may have dropped since
+            hook(r.state)
+            fa = r.state.forall_abs
+            for lits, idx, alpha in r.state.core:
+                assert fa.selector[lits] in fa.live, "seed %d" % seed
+                assert fa.origin[fa.selector[lits]] == (lits, idx, alpha)
+                made = annotate.instantiate(q, alpha, fa.table).clauses
+                assert (lits, idx) in [(pc.lits, pc.matrix_index) for pc in made]
+
+
 def _traced_solve(q, kernel):
     tracemalloc.start()
     try:

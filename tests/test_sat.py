@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from qexpand import cli, expand, oracle, sat
+from qexpand import _cdcl_py, cli, expand, oracle, sat
 from qexpand.sat import (
     SAT,
     UNKNOWN,
@@ -125,7 +125,6 @@ def test_assumptions(kernel):
     for bad in ([0], [1, 0], [1.0]):
         with pytest.raises(ValueError):
             s.solve(assumptions=bad)
-    assert s.solve_calls == 4
 
 
 def test_contradictory_assumptions(kernel):
@@ -208,6 +207,50 @@ def test_set_decision_rejects_bad_ids(kernel):
     assert s.num_vars == 0
 
 
+BAD_LITERALS = ([0], [1.0], ["1"], [None], [1, 0])
+
+
+def kernel_handle(kernel, direct):
+    """A kernel object itself (direct) or a sat.Solver over one; returns
+    (handle, kernel object)."""
+    if not direct:
+        s = Solver(kernel=kernel)
+        return s, s._k
+    mod = _cdcl_py if kernel == "pure" else importlib.import_module("qexpand._cdcl")
+    k = mod.Kernel()
+    return k, k
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["kernel", "solver"])
+def test_bad_literals_rejected(kernel, direct):
+    # the kernels check literals themselves, before any state changes,
+    # also once the solver is UNSAT; sat.Solver hands them straight on
+    for setup in ([], [[1, 2]], [[1], [-1]]):  # fresh, SAT, UNSAT
+        h, k = kernel_handle(kernel, direct)
+        for c in setup:
+            h.add_clause(c)
+        if setup:
+            h.solve()
+        before = (k.nvars, k.num_clauses, k.last_status, k.model, k.failed)
+        for bad in BAD_LITERALS:
+            with pytest.raises(ValueError, match="^literals must be nonzero ints$"):
+                h.add_clause(bad)
+            with pytest.raises(ValueError, match="^literals must be nonzero ints$"):
+                h.solve(assumptions=bad)
+            assert (k.nvars, k.num_clauses, k.last_status, k.model, k.failed) == before
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["kernel", "solver"])
+def test_generator_clause_added_whole(kernel, direct):
+    h, k = kernel_handle(kernel, direct)
+    h.add_clause(l for l in (1, 2))
+    h.solve(assumptions=(l for l in (-1,)))
+    assert (k.nvars, k.num_clauses, k.last_status) == (2, 1, 1)
+    assert k.model[2] is True
+    h.solve(assumptions=(l for l in (-1, -2)))
+    assert k.last_status == -1 and sorted(k.failed) == [-2, -1]
+
+
 def test_determinism(kernel):
     rng = random.Random(103)
     clauses, nv = random_cnf(rng, max_vars=8, max_clauses=20)
@@ -241,20 +284,20 @@ def observe(kernel, nv, steps):
     """Play steps on a fresh tracing solver over nv variables; return all
     a caller can see.
 
-    Each step is (clauses to add, then solve(assumptions, budget,
-    deadline), after set_decision(var, flag) for each pair in marks).
-    A solve that raises ValueError is seen as its message.
+    Each step is (clauses to add, then solve(assumptions, deadline),
+    after set_decision(var, flag) for each pair in marks).  A step whose
+    add_clause or solve raises ValueError is seen as its message.
     """
     s = Solver(record_trace=True, kernel=kernel)
     s.ensure_vars(nv)
     seen = []
-    for clauses, assumptions, budget, deadline, marks in steps:
+    for clauses, assumptions, deadline, marks in steps:
         for v, flag in marks:
             s.set_decision(v, flag)
-        for c in clauses:
-            s.add_clause(c)
         try:
-            o = s.solve(assumptions, conflict_budget=budget, deadline=deadline)
+            for c in clauses:
+                s.add_clause(c)
+            o = s.solve(assumptions, deadline=deadline)
         except ValueError as e:
             seen.append(("ValueError", str(e), s.num_vars, s.num_clauses))
             continue
@@ -272,7 +315,7 @@ def observe(kernel, nv, steps):
 
 def random_steps(rng, clauses, nv):
     """Split clauses over up to three solves, each under random assumptions
-    and sometimes a small conflict budget.  Some clauses get a repeated or
+    and sometimes a deadline already past.  Some clauses get a repeated or
     a complementary literal."""
     clauses = [c + [rng.choice([1, -1]) * rng.choice(c)] if rng.random() < 0.2 else c
                for c in clauses]
@@ -281,8 +324,8 @@ def random_steps(rng, clauses, nv):
     for lo, hi in zip([0] + cuts, cuts + [len(clauses)]):
         vs = rng.sample(range(1, nv + 1), rng.randint(0, nv))
         assumptions = [v if rng.random() < 0.5 else -v for v in vs]
-        budget = rng.choice([None, None, 0, 1, 2])
-        steps.append((clauses[lo:hi], assumptions, budget, None, ()))
+        deadline = rng.choice([None, None, time.monotonic() - 1.0])
+        steps.append((clauses[lo:hi], assumptions, deadline, ()))
     return steps
 
 
@@ -292,29 +335,36 @@ def test_pure_and_compiled_agree():
     cases = []
     for _ in range(150):
         clauses, nv = random_cnf(rng, max_vars=9, max_clauses=30)
-        cases.append((nv, [(clauses, [], None, None, ())]))
+        cases.append((nv, [(clauses, [], None, ())]))
         cases.append((nv, random_steps(rng, clauses, nv)))
         # some variables made negative-only and marked non-decision
         neg = rng.sample(range(1, nv + 1), rng.randint(1, nv))
         clauses = [[-abs(l) if abs(l) in neg else l for l in c] for c in clauses]
         steps = random_steps(rng, clauses, nv)
-        steps[0] = steps[0][:4] + ([(v, False) for v in neg],)
+        steps[0] = steps[0][:3] + ([(v, False) for v in neg],)
         cases.append((nv, steps))
-    # budget, deadline (checked every 64 conflicts), clauses added after
-    # an UNKNOWN; then nine guarded copies of a pigeonhole formula, each
-    # solved under its own selector: restarts, long failed-assumption
-    # walks, and about 5,000 conflicts, past the activity rescale (1e100);
-    # once more with the selectors non-decision, as the forall
-    # abstraction marks them, and one marked back before the last solve
+    # a past deadline (checked every 64 conflicts), then solving on to
+    # the end, and clauses added after an UNKNOWN; then nine guarded
+    # copies of a pigeonhole formula, each solved under its own selector:
+    # restarts, long failed-assumption walks, and about 5,000 conflicts,
+    # past the activity rescale (1e100); once more with the selectors
+    # non-decision, as the forall abstraction marks them, and one marked
+    # back before the last solve
     php = pigeonhole(7)
-    cases.append((42, [(php, [], 3, None, ()), ([], [1], 500, None, ())]))
-    cases.append((42, [(php, [-1, 2], None, time.monotonic() - 1.0, ()), ([[1, 2]], [], None, None, ())]))
-    guarded = [([c + [-sel] for c in php], [sel], None, None, ()) for sel in range(100, 109)]
+    past = time.monotonic() - 1.0
+    cases.append((42, [(php, [], past, ()), ([], [1], None, ())]))
+    cases.append((42, [(php, [-1, 2], past, ()), ([[1, 2]], [], None, ())]))
+    guarded = [([c + [-sel] for c in php], [sel], None, ()) for sel in range(100, 109)]
     cases.append((42, guarded))
-    marked = [step[:4] + ([(step[1][0], False)],) for step in guarded]
-    cases.append((42, marked + [([], [], None, None, [(104, True)])]))
+    marked = [step[:3] + ([(step[1][0], False)],) for step in guarded]
+    cases.append((42, marked + [([], [], None, [(104, True)])]))
     # a zero assumption is rejected, and the solver still answers after it
-    cases.append((3, [([[1, 2]], [0], None, None, ()), ([[-1]], [], None, None, ())]))
+    cases.append((3, [([[1, 2]], [0], None, ()), ([[-1]], [], None, ())]))
+    # a bad clause and a bad assumption after an UNSAT step are rejected too
+    cases.append(
+        (3, [([[1], [-1]], [], None, ()), ([[2, 0]], [], None, ()),
+             ([], [2, None], None, ()), ([[2]], [3], None, ())])
+    )
     statuses = set()
     for nv, steps in cases:
         pure = observe("pure", nv, steps)
@@ -356,11 +406,13 @@ def test_c_kernel_compiles_without_warnings(tmp_path):
 
 
 def test_conflict_budget_unknown(kernel):
+    # the only budget is the deadline, checked every 64 conflicts
     s = Solver(kernel=kernel)
     for c in pigeonhole(7):
         s.add_clause(c)
-    out = s.solve(conflict_budget=3)
+    out = s.solve(deadline=time.monotonic() - 1.0)
     assert out.status == UNKNOWN
+    assert s.conflicts == 64
 
 
 def test_trace_recording(kernel):
@@ -403,7 +455,6 @@ def test_stats_accumulate(kernel):
     s.add_clause([1, 2])
     s.solve()
     s.solve(assumptions=[-1])
-    assert s.solve_calls == 2
     assert s.num_vars == 2
     assert s.num_clauses == 1
     assert s.propagations > 0
