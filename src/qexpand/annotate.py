@@ -5,8 +5,8 @@ variables away and renames every surviving variable x to an annotated
 copy: the annotation is the values the assignment gives to the
 variables that precede x in prefix order.  Two occurrences of x under
 equal annotations are the same propositional variable; an InternTable
-maps (variable, annotation) pairs to dense solver ids, bijectively and
-stably for the lifetime of one abstraction.
+maps (variable, annotation) pairs to solver ids, bijectively and stably
+for the lifetime of one abstraction.
 
 An annotation is the assignment's own bytes before x's block,
 a.values[:head] with head the prefix position of the block's first
@@ -18,10 +18,12 @@ unassigned in them are the same for every assignment of that side.
 The key stops at the block head rather than at x itself so that all
 variables of a block share one slice per instantiation: a slice per
 variable would hold a separate copy in every interned key.
-"""
 
-from dataclasses import dataclass
-from typing import NamedTuple
+This layer only instantiates, names and strips: an InternTable names
+annotated variables and nothing else.  How an abstraction encodes its
+clauses (activation or negation selectors) is the abstraction's own
+business, kept in expand.
+"""
 
 from .formula import EXISTS, FORALL, Assignment
 
@@ -35,9 +37,9 @@ class InternTable:
 
     kind names the variables the instantiating assignments cover:
     "universal" for the all-instantiations side, "existential" for the
-    negated side.  Selector ids for activation/negation encodings are
-    drawn from the same dense id space via fresh().  clause_selector
-    deduplicates negated clauses per table, never across tables.
+    negated side.  forward is the only map: (var, annotation) -> id.
+    fresh() draws an id no annotated variable has, from the same dense
+    id space, for the abstraction's own selectors.
     """
 
     def __init__(self, kind):
@@ -45,18 +47,14 @@ class InternTable:
             raise ValueError("kind must be universal or existential")
         self.kind = kind
         self.forward = {}  # (var, bytes before var's block) -> id
-        self.reverse = {}  # id -> (var, bytes before var's block)
-        self.clause_selector = {}  # produced clause -> selector id
         self._next = 1
 
     def intern(self, var, prefix):
         key = (var, prefix)
         i = self.forward.get(key)
         if i is None:
-            i = self._next
+            i = self.forward[key] = self._next
             self._next += 1
-            self.forward[key] = i
-            self.reverse[i] = key
         return i
 
     def fresh(self):
@@ -118,71 +116,33 @@ def _check_domain(q, a, table):
         )
 
 
-class ProducedClause(NamedTuple):
-    lits: tuple  # signed intern ids
-    matrix_index: int
-
-
-@dataclass
-class InstantiationResult:
-    clauses: list  # ProducedClause, in matrix order
-    empty_clause: bool  # some clause reduced to the empty clause
-
-
 def instantiate(q, a, table):
     """Instantiate the matrix under a full assignment of the table's kind.
 
-    Produced clauses are over interned ids, so equal annotated clauses
-    from different assignments come out equal and callers can share
-    rather than re-add them.
+    Returns (matrix index, interned lits) for every clause a does not
+    satisfy, in matrix order; a clause a falsifies comes out with no
+    lits.  Lits are signed intern ids, so equal annotated clauses from
+    different assignments come out equal and callers can share rather
+    than re-add them.
     """
     _check_domain(q, a, table)
-    produced = []
-    empty = False
-    for idx, lits in _instantiate_core(q, a):
-        ilits = _intern_lits(table, lits)
-        if not ilits:
-            empty = True
-        produced.append(ProducedClause(ilits, idx))
-    return InstantiationResult(produced, empty)
-
-
-@dataclass
-class NegationResult:
-    tautology: bool  # instantiation was falsified, its negation says nothing
-    selector_clause: tuple  # one selector per distinct clause; empty = no escape
-    new_implications: list  # (selector -> literal false) binary clauses
+    return [(idx, _intern_lits(table, lits)) for idx, lits in _instantiate_core(q, a)]
 
 
 def negate_instantiate(q, s, table):
-    """Encode the negation of an instantiation for the counter abstraction.
+    """The clauses whose negation the counter abstraction adds for s.
 
-    Each distinct produced clause C gets a selector d with one-directional
-    implications d -> not-l for every l in C; the returned selector clause
-    (d1 | ... | dk) asserts that some clause of the instantiation is
-    falsified.  Selectors are shared when different assignments produce
-    the same clause.  An empty selector clause means the instantiation
-    was already true, so its negation is unsatisfiable.
+    None when s falsifies a clause: the instantiation is false, its
+    negation says nothing, and nothing is interned.  Otherwise the
+    distinct interned clauses of the instantiation in first-occurrence
+    order, () when s satisfies every clause, so that the negation is
+    unsatisfiable.
     """
     _check_domain(q, s, table)
-    sels = []
-    seen_here = set()
-    impls = []
-    for idx, lits in _instantiate_core(q, s):
-        if not lits:
-            return NegationResult(True, (), [])
-        ilits = _intern_lits(table, lits)
-        if ilits in seen_here:
-            continue
-        seen_here.add(ilits)
-        d = table.clause_selector.get(ilits)
-        if d is None:
-            d = table.fresh()
-            table.clause_selector[ilits] = d
-            for il in ilits:
-                impls.append((-d, -il))
-        sels.append(d)
-    return NegationResult(False, tuple(sels), impls)
+    core = _instantiate_core(q, s)
+    if any(not lits for _, lits in core):
+        return None
+    return tuple(dict.fromkeys(_intern_lits(table, lits) for _, lits in core))
 
 
 def strip_cut(q, table):

@@ -10,6 +10,15 @@ of one side are stripped of annotations to grow the other side, both
 sets only ever grow between resets, and each is bounded by its full
 assignment space, which bounds the number of iterations.
 
+Each abstraction owns its clause selectors, drawn from its intern
+table's id space (annotate.InternTable.fresh) and kept in its own
+selector map (clause -> selector); the table itself only names
+annotated variables.  The counter side's selector d for a clause C
+means "C is false": add_negation records d only in the step that adds
+its implications d -> not-l for every l in C, so a recorded selector
+always constrains its clause, and each sigma adds the clause of the
+selectors of its distinct instantiated clauses.
+
 The all side attaches an activation selector to every distinct
 instantiated clause and solves under assumptions, so resetting alphas
 deactivates clauses by dropping them from the live set instead of
@@ -75,7 +84,9 @@ class InvariantViolation(Exception):
 
 @dataclass
 class SolveConfig:
-    reset_period: int = 64  # iterations between alpha resets; 0 disables
+    # Iterations between alpha resets.  0 turns periodic resets off; more
+    # than RESET_MEMORY_THRESHOLD live literals still force one.
+    reset_period: int = 64
     verify_invariants: bool = False
     max_iterations: int = 0  # 0 = unlimited
     time_limit: float = None  # seconds, cooperative
@@ -126,13 +137,11 @@ class ForallAbstraction:
 
     def add_group(self, alpha):
         """Instantiate under alpha and activate the produced clauses."""
-        res = annotate.instantiate(self.q, alpha, self.table)
-        for pc in res.clauses:
-            key = pc.lits
+        for idx, key in annotate.instantiate(self.q, alpha, self.table):
             sel = self.selector.get(key)
             if sel is None:
                 sel = self.selector[key] = self.table.fresh()
-                self.origin[sel] = (key, pc.matrix_index, alpha)
+                self.origin[sel] = (key, idx, alpha)
                 self.solver.add_clause((-sel,) + key)
                 self.solver.set_decision(sel, False)
             if sel not in self.live:
@@ -157,14 +166,23 @@ class ExistsAbstraction:
         self.q = q
         self.solver = solver
         self.table = annotate.InternTable("existential")
+        self.selector = {}  # clause lits -> selector implying the clause false
 
     def add_negation(self, sigma):
-        r = annotate.negate_instantiate(self.q, sigma, self.table)
-        if r.tautology:
+        """Assert that some clause of the instantiation under sigma is
+        false: one selector per distinct clause, shared across sigmas."""
+        clauses = annotate.negate_instantiate(self.q, sigma, self.table)
+        if clauses is None:
             return
-        for imp in r.new_implications:
-            self.solver.add_clause(imp)
-        self.solver.add_clause(r.selector_clause)
+        sels = []
+        for key in clauses:
+            sel = self.selector.get(key)
+            if sel is None:
+                sel = self.selector[key] = self.table.fresh()
+                for l in key:
+                    self.solver.add_clause((-sel, -l))
+            sels.append(sel)
+        self.solver.add_clause(sels)
 
     def solve(self, deadline=None):
         return self.solver.solve(deadline=deadline)

@@ -133,13 +133,12 @@ def decide_full_expansion(q, max_universals=12, kernel="auto"):
         a = Assignment.from_pairs(
             q, [(v, bool(bits >> i & 1)) for i, v in enumerate(U)]
         )
-        res = annotate.instantiate(q, a, table)
-        if res.empty_clause:
-            return False
-        for pc in res.clauses:
-            if pc.lits not in added:
-                added.add(pc.lits)
-                s.add_clause(pc.lits)
+        for _, lits in annotate.instantiate(q, a, table):
+            if not lits:
+                return False
+            if lits not in added:
+                added.add(lits)
+                s.add_clause(lits)
     return s.solve().status == sat.SAT
 
 

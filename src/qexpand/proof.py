@@ -54,10 +54,12 @@ def extract_certificate(state):
     """Build a certificate from a finished false run.
 
     The failed instantiation clauses are re-solved on a fresh
-    trace-recording solver; refused for true or unknown runs.  That
-    solver sees the core's ids renumbered 1..k in increasing order, so
-    it holds no variable the core does not use, and ties between
-    equally active variables still go to the smaller original id.
+    trace-recording solver with the run's kernel; refused for true or
+    unknown runs.  That solver sees the core's ids renumbered 1..k in
+    increasing order, so it holds no variable the core does not use, and
+    ties between equally active variables still go to the smaller
+    original id.  The dictionary names those ids in one pass over the
+    forall side's intern table.
     """
     if state.verdict != "FALSE":
         raise CertificateUnavailable("only false verdicts have certificates")
@@ -65,7 +67,7 @@ def extract_certificate(state):
         raise CertificateUnavailable("run recorded no failed clause core")
     used = sorted({-l if l < 0 else l for lits, _, _ in state.core for l in lits})
     dense = {aid: i for i, aid in enumerate(used, 1)}
-    solver = sat.Solver(record_trace=True)
+    solver = sat.Solver(record_trace=True, kernel=state.config.kernel)
     axioms = []
     for lits, idx, alpha in state.core:
         solver.add_clause([dense[l] if l > 0 else -dense[-l] for l in lits])
@@ -79,13 +81,14 @@ def extract_certificate(state):
     ]
     if not trace or trace[-1] != ():
         raise CertificateError("solver trace does not end in the empty clause")
-    reverse = state.forall_abs.table.reverse
-    dictionary = {}
+    dictionary = {
+        aid: (var, spell(prefix))
+        for (var, prefix), aid in state.forall_abs.table.forward.items()
+        if aid in dense
+    }
     for aid in used:
-        pair = reverse.get(aid)
-        if pair is None:
+        if aid not in dictionary:
             raise CertificateError("abstraction id %d has no annotation" % aid)
-        dictionary[aid] = (pair[0], spell(pair[1]))
     return Certificate(dictionary, axioms, trace)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qexpand import annotate, oracle, sat
+from qexpand import expand, oracle, sat
 from qexpand.annotate import (
     InternTable,
     WrongDomain,
@@ -109,16 +109,10 @@ def test_instantiate_universal_side():
     table = InternTable("universal")
     sigma = Assignment.from_pairs(q, {1: True, 3: False})
     res = instantiate(q, sigma, table)
-    assert not res.empty_clause
-    assert [(pc.lits, pc.matrix_index) for pc in res.clauses] == [
-        ((-1, 2), 1),
-        ((-2,), 2),
-    ]
-    assert table.reverse[1] == (2, b"\1")
-    assert table.reverse[2] == (4, b"\1\0\2")
+    assert res == [(1, (-1, 2)), (2, (-2,))]
+    assert table.forward == {(2, b"\1"): 1, (4, b"\1\0\2"): 2}
     # same assignment again: the same clauses over the same ids
-    res2 = instantiate(q, sigma, table)
-    assert res2.clauses == res.clauses
+    assert instantiate(q, sigma, table) == res
     assert len(table) == 2
 
 
@@ -126,10 +120,9 @@ def test_instantiate_existential_side():
     q = q4()
     table = InternTable("existential")
     tau = Assignment.from_pairs(q, {2: False, 4: False})
-    res = instantiate(q, tau, table)
-    assert [(pc.lits, pc.matrix_index) for pc in res.clauses] == [((1,), 0)]
+    assert instantiate(q, tau, table) == [(0, (1,))]
     # variable 1 sits in the first block: bare annotation
-    assert table.reverse[1] == (1, b"")
+    assert table.forward == {(1, b""): 1}
 
 
 def test_instantiate_shares_across_assignments():
@@ -137,19 +130,16 @@ def test_instantiate_shares_across_assignments():
     table = InternTable("universal")
     instantiate(q, Assignment.from_pairs(q, {1: True, 3: False}), table)
     res = instantiate(q, Assignment.from_pairs(q, {1: False, 3: True}), table)
-    assert [(pc.lits, pc.matrix_index) for pc in res.clauses] == [
-        ((3, 4), 0),
-    ]
-    assert table.reverse[3] == (2, b"\2")
-    assert table.reverse[4] == (4, b"\2\0\1")
+    assert res == [(0, (3, 4))]
+    assert table.forward[(2, b"\2")] == 3
+    assert table.forward[(4, b"\2\0\1")] == 4
 
 
 def test_instantiate_empty_clause():
     q = Qbf([(FORALL, [1]), (EXISTS, [2])], [[1, 2], [1, -2], [-1]])
     table = InternTable("universal")
     res = instantiate(q, Assignment.from_pairs(q, {1: True}), table)
-    assert res.empty_clause
-    assert ((), 2) in [tuple(pc) for pc in res.clauses]
+    assert res == [(2, ())]
 
 
 def test_unstrip_matches_restriction():
@@ -193,7 +183,7 @@ def test_strip_reads_source_only_below_cut(kind):
         for a in sources:
             grow(q, a, table)
         cut = strip_cut(q, table)
-        model = [None] + [rng.random() < 0.5 for _ in range(max(table.reverse, default=0))]
+        model = [None] + [rng.random() < 0.5 for _ in range(len(table))]
         for a in sources:
             want = strip(model, a, table).values
             for _ in range(4):
@@ -202,44 +192,63 @@ def test_strip_reads_source_only_below_cut(kind):
                 assert strip(model, other, table).values == want
 
 
+class RecordingSolver(sat.Solver):
+    """A solver that also keeps every clause it was given."""
+
+    def __init__(self):
+        super().__init__()
+        self.added = []
+
+    def add_clause(self, lits):
+        self.added.append(tuple(lits))
+        super().add_clause(lits)
+
+
 def test_negate_instantiate():
     q = q4()
     table = InternTable("existential")
     tau = Assignment.from_pairs(q, {2: False, 4: False})
-    r1 = negate_instantiate(q, tau, table)
-    assert not r1.tautology
-    assert r1.selector_clause == (2,)
-    assert r1.new_implications == [(-2, -1)]
+    assert negate_instantiate(q, tau, table) == ((1,),)
     tau2 = Assignment.from_pairs(q, {2: True, 4: False})
-    r2 = negate_instantiate(q, tau2, table)
-    assert r2.selector_clause == (3,)
-    assert r2.new_implications == [(-3, 1)]
+    assert negate_instantiate(q, tau2, table) == ((-1,),)
+    assert table.forward == {(1, b""): 1}
     # both negated instantiations together are unsatisfiable: the two
     # candidate assignments cover every universal choice
-    s = sat.Solver()
-    for r in (r1, r2):
-        for imp in r.new_implications:
-            s.add_clause(imp)
-        s.add_clause(r.selector_clause)
-    assert s.solve().status == sat.UNSAT
+    ea = expand.ExistsAbstraction(q, sat.Solver())
+    ea.add_negation(tau)
+    ea.add_negation(tau2)
+    assert ea.selector == {(1,): 2, (-1,): 3}
+    assert ea.solve().status == sat.UNSAT
 
 
 def test_negate_instantiate_shares_selectors():
-    q = Qbf([(EXISTS, [1]), (FORALL, [2]), (EXISTS, [3])], [[1, 2, 3]])
+    q = Qbf([(EXISTS, [1]), (FORALL, [2]), (EXISTS, [3, 4])], [[1, 2, 3], [1, 2, 4]])
     table = InternTable("existential")
-    r1 = negate_instantiate(q, Assignment.from_pairs(q, {1: False, 3: False}), table)
-    r2 = negate_instantiate(q, Assignment.from_pairs(q, {1: False, 3: False}), table)
-    assert r1.selector_clause == r2.selector_clause
-    assert r2.new_implications == []
+    s = Assignment.from_pairs(q, {1: False, 3: False, 4: False})
+    # both clauses instantiate to (2): one clause, listed once
+    assert negate_instantiate(q, s, table) == ((1,),)
+    assert negate_instantiate(q, s, table) == ((1,),)
+    ea = expand.ExistsAbstraction(q, RecordingSolver())
+    ea.add_negation(s)
+    ea.add_negation(Assignment.from_pairs(q, {1: False, 3: False, 4: True}))
+    # the shared clause keeps its selector and adds no implication again
+    assert ea.selector == {(1,): 2}
+    assert ea.solver.added == [(-2, -1), (2,), (2,)]
 
 
 def test_negate_instantiate_tautology():
-    q = Qbf([(EXISTS, [1])], [[1]])
+    q = Qbf([(EXISTS, [1]), (FORALL, [2]), (EXISTS, [3])], [[1, 2, 3], [1]])
     table = InternTable("existential")
-    r = negate_instantiate(q, Assignment.from_pairs(q, {1: False}), table)
-    assert r.tautology
-    r2 = negate_instantiate(q, Assignment.from_pairs(q, {1: True}), table)
-    assert not r2.tautology and r2.selector_clause == ()
+    # s falsifies (1): no clause to negate, and nothing is interned
+    r = negate_instantiate(q, Assignment.from_pairs(q, {1: False, 3: False}), table)
+    assert r is None
+    assert len(table) == 0 and table.fresh() == 1
+    # s satisfies every clause: its negation is the empty clause
+    r2 = negate_instantiate(q, Assignment.from_pairs(q, {1: True, 3: False}), table)
+    assert r2 == ()
+    ea = expand.ExistsAbstraction(q, sat.Solver())
+    ea.add_negation(Assignment.from_pairs(q, {1: True, 3: True}))
+    assert ea.solve().status == sat.UNSAT
 
 
 def test_wrong_domain():
@@ -273,11 +282,11 @@ def test_intern_table_bijective_random():
             a = Assignment.from_pairs(
                 q, [(v, rng.random() < 0.5) for v in q.universals]
             )
-            res = instantiate(q, a, table)
-            for pc in res.clauses:
-                for il in pc.lits:
-                    v, prefix = table.reverse[abs(il)]
-                    assert table.forward[(v, prefix)] == abs(il)
+            clauses = instantiate(q, a, table)
+            names = {i: k for k, i in table.forward.items()}
+            for _, lits in clauses:
+                for il in lits:
+                    v, prefix = names[abs(il)]
                     assert not q.is_universal(v)
                     # the annotation spells a's value of every universal before v
                     want = "".join(
@@ -286,7 +295,8 @@ def test_intern_table_bijective_random():
                         if q.position(u) < q.position(v)
                     )
                     assert spell(prefix) == (want or "-")
-        assert sorted(table.reverse) == list(range(1, len(table) + 1))
+        # ids are distinct and dense
+        assert sorted(table.forward.values()) == list(range(1, len(table) + 1))
 
 
 def test_unstrip_equivalence_random():

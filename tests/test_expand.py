@@ -317,8 +317,8 @@ def test_assumptions_are_the_live_selectors(period):
         fa = state.forall_abs
         live = {}
         for alpha in state.alphas:
-            for pc in annotate.instantiate(state.q, alpha, fa.table).clauses:
-                live[fa.selector[pc.lits]] = len(pc.lits)
+            for _, lits in annotate.instantiate(state.q, alpha, fa.table):
+                live[fa.selector[lits]] = len(lits)
         asum = fa.assumptions()
         assert all(a < b for a, b in zip(asum, asum[1:]))
         assert set(asum) == set(live)
@@ -335,8 +335,39 @@ def test_assumptions_are_the_live_selectors(period):
             for lits, idx, alpha in r.state.core:
                 assert fa.selector[lits] in fa.live, "seed %d" % seed
                 assert fa.origin[fa.selector[lits]] == (lits, idx, alpha)
-                made = annotate.instantiate(q, alpha, fa.table).clauses
-                assert (lits, idx) in [(pc.lits, pc.matrix_index) for pc in made]
+                assert (idx, lits) in annotate.instantiate(q, alpha, fa.table)
+
+
+def test_counter_selector_is_recorded_with_its_implications():
+    # 2=3=False falsifies (3), so the first negation adds nothing; the
+    # second must not reuse a selector for the instantiated clause (1)
+    # that has no implications
+    q = Qbf([(FORALL, [1]), (EXISTS, [2, 3])], [[1, 2], [3]])
+    ea = expand.ExistsAbstraction(q, sat.Solver())
+    ea.add_negation(Assignment.from_pairs(q, {2: False, 3: False}))
+    assert ea.selector == {} and len(ea.table) == 0
+    ea.add_negation(Assignment.from_pairs(q, {2: False, 3: True}))
+    x = ea.table.forward[(1, b"")]
+    assert ea.solver.solve(assumptions=[x]).status == sat.UNSAT
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("period", [1, 64])
+def test_counter_selectors_imply_their_clause_false(period, kernel):
+    rng = random.Random(period)
+
+    def hook(state):
+        ea = state.exists_abs
+        sels = list(ea.selector.items())
+        assert len({d for _, d in sels}) == len(sels)
+        for key, d in rng.sample(sels, min(3, len(sels))):
+            for l in key:
+                out = ea.solver.solve(assumptions=[d, l])
+                assert out.status == sat.UNSAT, (key, d, l)
+
+    for seed in range(200):
+        q = oracle.random_pcnf(seed)
+        solve(q, SolveConfig(reset_period=period, kernel=kernel), on_iteration=hook)
 
 
 def _traced_solve(q, kernel):

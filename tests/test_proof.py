@@ -1,6 +1,6 @@
 import pytest
 
-from qexpand import oracle, proof
+from qexpand import oracle, proof, sat
 from qexpand.expand import FALSE, SolveConfig, solve
 from qexpand.formula import EXISTS, FORALL, Qbf
 from qexpand.proof import (
@@ -305,3 +305,27 @@ def test_certify_after_resets():
         assert res.ok, "seed %d: %s" % (seed, res.reason)
         done += 1
     assert done >= 15
+
+
+def test_extract_uses_the_runs_kernel(monkeypatch):
+    class Refusing:
+        """A default kernel that may not be used."""
+
+        class Kernel:
+            def __init__(self, record_trace):
+                raise AssertionError("certificate solved on the default kernel")
+
+    monkeypatch.setattr(sat, "_default", Refusing)
+    q, cert = false_cert(config=SolveConfig(kernel="pure"))
+    assert check_certificate(q, cert).ok
+
+
+def test_unnamed_core_id_rejected():
+    r = solve(switch_false_qbf(), SolveConfig())
+    forward = r.state.forall_abs.table.forward
+    lits = r.state.core[0][0]
+    aid = abs(lits[0])
+    [name] = [k for k, v in forward.items() if v == aid]
+    del forward[name]
+    with pytest.raises(CertificateError, match="abstraction id %d has no annotation" % aid):
+        extract_certificate(r.state)
