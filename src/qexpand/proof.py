@@ -6,8 +6,17 @@ instantiation clauses.  The certificate records those clauses as axioms
 dictionary naming every annotated variable, and a clause trace whose
 every step must follow by reverse unit propagation, ending in the empty
 clause.  Checking recomputes each axiom from the formula alone and
-replays the trace with a standalone propagator, so a certificate is
-evidence independent of the solver that produced it.
+replays the trace forward on a standalone propagator, so a certificate
+is evidence independent of the solver that produced it.
+
+The replay loads the axioms once into a ClauseDatabase: units and their
+consequences sit on a level-0 trail that is never undone, clauses that
+level 0 satisfies are dropped, and every other clause is watched on two
+literals that level 0 leaves free.  A trace step assigns its negation
+above the level-0 trail, propagates through the watch lists of the
+literals that became false, undoes back to level 0 and is then added as
+a clause.  Ids come from a parsed file, so values and watches are keyed
+by literal and nothing is sized by the largest id.
 """
 
 import re
@@ -92,49 +101,128 @@ def extract_certificate(state):
     return Certificate(dictionary, axioms, trace)
 
 
-def rup_check(clauses, derived):
-    """True when negating derived and unit-propagating over clauses conflicts."""
-    assign = {}
-    for l in derived:
-        v = -l if l < 0 else l
-        want = l < 0
-        if assign.get(v, want) != want:
-            return True
-        assign[v] = want
-    changed = True
-    while changed:
-        changed = False
+class ClauseDatabase:
+    """The clauses of one replay, over a level-0 trail that is never undone.
+
+    add() drops a clause that level 0 already satisfies (a tautology
+    included) and the literals level 0 makes false; what is left is a
+    unit, which extends the level-0 trail and is propagated, or two or
+    more free literals, of which the first two are watched.  Once level
+    0 is contradictory, conflict is true and every clause follows.
+    """
+
+    def __init__(self, clauses):
+        self.value = {}  # literal -> True or False, both signs of each assigned var
+        self.watches = {}  # literal -> clauses watching it; c[0], c[1] are c's watches
+        self.trail = []  # true literals in assignment order
+        self.conflict = False
         for c in clauses:
-            unit = None
-            unknown = 0
-            satisfied = False
-            for l in c:
-                v = -l if l < 0 else l
-                val = assign.get(v)
-                if val is None:
-                    unknown += 1
-                    unit = l
-                    if unknown > 1:
-                        break
-                elif val == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied or unknown > 1:
+            self.add(c)
+
+    def add(self, clause):
+        if self.conflict:
+            return
+        value = self.value
+        free = []
+        for l in clause:
+            v = value.get(l)
+            if v:
+                return
+            if v is None and l not in free:
+                if -l in free:
+                    return  # a tautology
+                free.append(l)
+        if len(free) > 1:
+            watches = self.watches
+            watches.setdefault(free[0], []).append(free)
+            watches.setdefault(free[1], []).append(free)
+        elif free:
+            unit = free[0]
+            value[unit] = True
+            value[-unit] = False
+            self.trail.append(unit)
+            self.conflict = self.propagate(len(self.trail) - 1)
+        else:
+            self.conflict = True
+
+    def propagate(self, head):
+        """Propagate the trail from position head; True on a conflict."""
+        trail = self.trail
+        value = self.value
+        get = value.get
+        watches = self.watches
+        while head < len(trail):
+            false = -trail[head]
+            head += 1
+            ws = watches.get(false)
+            if not ws:
                 continue
-            if unknown == 0:
+            kept = []
+            keep = kept.append
+            for i, c in enumerate(ws):
+                other = c[0]
+                if other == false:
+                    other = c[0] = c[1]
+                    c[1] = false
+                if get(other):
+                    keep(c)
+                    continue
+                for k in range(2, len(c)):
+                    l = c[k]
+                    if get(l) is not False:
+                        c[1] = l
+                        c[k] = false
+                        watches.setdefault(l, []).append(c)
+                        break
+                else:
+                    keep(c)
+                    if other in value:  # every literal is false
+                        kept += ws[i + 1 :]
+                        watches[false] = kept
+                        return True
+                    value[other] = True
+                    value[-other] = False
+                    trail.append(other)
+            watches[false] = kept
+        return False
+
+
+def rup_check(db, derived):
+    """True when negating derived and unit-propagating over db conflicts.
+
+    db is a ClauseDatabase.  The negation and what it propagates are
+    assigned above db's level-0 trail and undone before returning, so db
+    is left as it was.
+    """
+    if db.conflict:
+        return True
+    value = db.value
+    trail = db.trail
+    base = len(trail)
+    try:
+        for l in derived:
+            v = value.get(l)
+            if v:
                 return True
-            v = -unit if unit < 0 else unit
-            assign[v] = unit > 0
-            changed = True
-    return False
+            if v is None:
+                value[-l] = True
+                value[l] = False
+                trail.append(-l)
+        return db.propagate(base)
+    finally:
+        for l in trail[base:]:
+            del value[l]
+            del value[-l]
+        del trail[base:]
 
 
 def check_certificate(q, cert):
     """Validate a certificate against a formula; returns a CheckResult.
 
     Every axiom is recomputed from the matrix and compared through the
-    dictionary, every trace clause is replayed by reverse unit
-    propagation, and the trace must end in the empty clause.
+    dictionary.  The axioms are then loaded once into a ClauseDatabase,
+    every trace clause in turn must pass rup_check against it before it
+    is added, and the trace must end in the empty clause.
     """
     from .formula import Assignment
 
@@ -170,15 +258,15 @@ def check_certificate(q, cert):
             got.add((l > 0, pair[0], pair[1]))
         if want != got:
             return CheckResult(False, "%s: instantiation mismatch" % where)
-    clauses = [lits for _, _, lits in cert.axioms]
     if not cert.trace:
         return CheckResult(False, "trace is empty")
+    db = ClauseDatabase(lits for _, _, lits in cert.axioms)
     for pos, derived in enumerate(cert.trace):
-        if not rup_check(clauses, derived):
+        if not rup_check(db, derived):
             return CheckResult(
                 False, "trace clause %d is not propagation derivable" % pos
             )
-        clauses.append(derived)
+        db.add(derived)
     if cert.trace[-1] != ():
         return CheckResult(False, "trace does not end in the empty clause")
     return CheckResult(True)

@@ -325,7 +325,7 @@ def test_08_certificates(suite, acceptance, tmp_path):
         r = expand.solve(q, SolveConfig(reset_period=0))
         if r.verdict == FALSE:
             cert = proof.extract_certificate(r.state)
-            if not proof.rup_check([ax[2] for ax in cert.axioms], ()):
+            if not proof.rup_check(proof.ClauseDatabase(ax[2] for ax in cert.axioms), ()):
                 eligible.append((q, cert))
         seed += 1
     assert len(eligible) == 50

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qexpand import oracle, proof, sat
@@ -7,6 +9,7 @@ from qexpand.proof import (
     Certificate,
     CertificateError,
     CertificateUnavailable,
+    ClauseDatabase,
     check_certificate,
     extract_certificate,
     format_certificate,
@@ -15,6 +18,8 @@ from qexpand.proof import (
     rup_check,
     write_certificate_file,
 )
+
+KERNELS = ["pure"] + (["compiled"] if sat.COMPILED else [])
 
 
 def switch_false_qbf():
@@ -42,14 +47,277 @@ def false_cert(q=None, config=None):
 
 def test_rup_check_basic():
     clauses = [(1, 2), (-1, 2), (-2, 3)]
-    assert rup_check(clauses, (2,))
-    assert rup_check(clauses + [(-2,), (2,)], ())
-    assert rup_check(clauses, (3,))
-    assert not rup_check(clauses, (1,))
-    assert not rup_check(clauses, ())
-    assert rup_check([()], ())
+    assert rup_check(ClauseDatabase(clauses), (2,))
+    assert rup_check(ClauseDatabase(clauses + [(-2,), (2,)]), ())
+    assert rup_check(ClauseDatabase(clauses), (3,))
+    assert not rup_check(ClauseDatabase(clauses), (1,))
+    assert not rup_check(ClauseDatabase(clauses), ())
+    assert rup_check(ClauseDatabase([()]), ())
     # negated clause already contradicts itself
-    assert rup_check([], (1, -1))
+    assert rup_check(ClauseDatabase([]), (1, -1))
+
+
+def reference_rup_check(clauses, derived):
+    """The fixpoint scan the replay replaced: rescan every clause until
+    nothing changes.  It counts a repeated literal twice, so a clause
+    such as (x, x) never becomes unit here."""
+    assign = {}
+    for l in derived:
+        v = -l if l < 0 else l
+        want = l < 0
+        if assign.get(v, want) != want:
+            return True
+        assign[v] = want
+    changed = True
+    while changed:
+        changed = False
+        for c in clauses:
+            unit = None
+            unknown = 0
+            satisfied = False
+            for l in c:
+                v = -l if l < 0 else l
+                val = assign.get(v)
+                if val is None:
+                    unknown += 1
+                    unit = l
+                    if unknown > 1:
+                        break
+                elif val == (l > 0):
+                    satisfied = True
+                    break
+            if satisfied or unknown > 1:
+                continue
+            if unknown == 0:
+                return True
+            v = -unit if unit < 0 else unit
+            assign[v] = unit > 0
+            changed = True
+    return False
+
+
+def first_rejected(axioms, trace):
+    """Position of the first trace step the replay rejects, else None."""
+    db = ClauseDatabase(axioms)
+    for pos, derived in enumerate(trace):
+        if not rup_check(db, derived):
+            return pos
+        db.add(derived)
+    return None
+
+
+def reference_first_rejected(axioms, trace):
+    clauses = [tuple(c) for c in axioms]
+    for pos, derived in enumerate(trace):
+        if not reference_rup_check(clauses, derived):
+            return pos
+        clauses.append(tuple(derived))
+    return None
+
+
+def random_clause(rng, ids, longest, shortest=0):
+    """Distinct variables, random signs: no repeated literal."""
+    k = rng.randint(min(shortest, len(ids)), min(longest, len(ids)))
+    return tuple(v if rng.random() < 0.5 else -v for v in rng.sample(ids, k))
+
+
+def derivable_step(rng, clauses, ids):
+    """A weakening of a known clause, a resolvent of two, or a random
+    clause, so that a random trace passes some steps before it fails."""
+    pick = rng.random()
+    if clauses and pick < 0.35:
+        c = rng.choice(clauses)
+        free = [v for v in ids if v not in c and -v not in c]
+        return c + random_clause(rng, free, 1)
+    if clauses and pick < 0.7:
+        c = rng.choice(clauses)
+        for d in rng.sample(clauses, min(4, len(clauses))):
+            clash = [l for l in c if -l in d]
+            if len(clash) == 1:
+                return tuple(dict.fromkeys(l for l in c + d if abs(l) != abs(clash[0])))
+    return random_clause(rng, ids, 3)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_replay_matches_reference_on_random_clauses(sparse):
+    rng = random.Random(15)
+    rejected_late = 0
+    for _ in range(600):
+        n = rng.randint(3, 8)
+        ids = [rng.randrange(1, 2**48) if sparse else v for v in range(1, n + 1)]
+        ids = list(dict.fromkeys(ids))
+        axioms = [random_clause(rng, ids, 3, 2) for _ in range(rng.randint(n, 3 * n))]
+        if rng.random() < 0.1:
+            axioms.insert(rng.randrange(len(axioms) + 1), random_clause(rng, ids, 1))
+        trace = []
+        for _ in range(rng.randint(1, 8)):
+            trace.append(derivable_step(rng, axioms + trace, ids))
+        # a tautology now and then, as an axiom and as a step
+        if rng.random() < 0.2:
+            v = rng.choice(ids)
+            axioms.append((v, -v) + random_clause(rng, [i for i in ids if i != v], 1))
+            trace.insert(rng.randrange(len(trace) + 1), (-v, v))
+        want = reference_first_rejected(axioms, trace)
+        assert first_rejected(axioms, trace) == want, (axioms, trace)
+        if want is not None and want > 0:
+            rejected_late += 1
+    assert rejected_late >= 100
+
+
+def qparity(n):
+    """Exists x1..xn forall z exists t1..tn, t_i the parity of x1..xi
+    and t_n != z: false, with a trace that propagation alone does not
+    close."""
+    xs = list(range(1, n + 1))
+    z = n + 1
+    ts = list(range(n + 2, 2 * n + 2))
+    clauses = [[-xs[0], ts[0]], [xs[0], -ts[0]]]
+    for p, x, t in zip(ts, xs[1:], ts[1:]):
+        clauses += [[p, x, -t], [-p, -x, -t], [p, -x, t], [-p, x, t]]
+    clauses += [[z, ts[-1]], [-z, -ts[-1]]]
+    return Qbf([(EXISTS, xs), (FORALL, [z]), (EXISTS, ts)], clauses)
+
+
+def tampered(cert, rng):
+    """The certificate's trace changed by a deleted step, a flipped
+    literal or an inserted clause over its own ids."""
+    trace = list(cert.trace)
+    ids = sorted(cert.dictionary)
+    kind = rng.randrange(3)
+    if kind == 0 and len(trace) > 1:
+        del trace[rng.randrange(len(trace) - 1)]
+    elif kind == 1 and any(trace):
+        pos = rng.choice([i for i, c in enumerate(trace) if c])
+        j = rng.randrange(len(trace[pos]))
+        c = trace[pos]
+        trace[pos] = c[:j] + (-c[j],) + c[j + 1 :]
+    else:
+        trace.insert(rng.randrange(len(trace)), random_clause(rng, ids, 3))
+    return Certificate(cert.dictionary, cert.axioms, trace)
+
+
+def checked_rejection(q, cert):
+    """First rejected step as check_certificate reports it, else None."""
+    res = check_certificate(q, cert)
+    if res.ok:
+        return None
+    assert "derivable" in res.reason, res.reason
+    return int(res.reason.split()[2])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_replay_matches_reference_on_tampered_certificates(kernel):
+    rng = random.Random(7)
+    formulas = [qparity(n) for n in (4, 6, 9, 12, 16)]
+    formulas += [oracle.random_pcnf(seed) for seed in range(60)]
+    certified = rejected = 0
+    for q in formulas:
+        r = solve(q, SolveConfig(reset_period=0, kernel=kernel))
+        if r.verdict != FALSE:
+            continue
+        cert = extract_certificate(r.state)
+        axioms = [lits for _, _, lits in cert.axioms]
+        assert checked_rejection(q, cert) is None
+        assert reference_first_rejected(axioms, cert.trace) is None
+        certified += 1
+        for _ in range(6):
+            bad = tampered(cert, rng)
+            want = reference_first_rejected(axioms, bad.trace)
+            assert checked_rejection(q, bad) == want, bad.trace
+            rejected += want is not None
+    assert certified >= 20
+    assert rejected >= 15
+
+
+def test_replay_duplicate_literal():
+    # (1, 1) is the unit 1, as an axiom and as an added step
+    db = ClauseDatabase([(1, 1), (-1, 2, 2, 3)])
+    assert rup_check(db, (2, 3))
+    assert not rup_check(db, (2,))
+    db.add((-3, -3))
+    assert rup_check(db, (2,))
+    assert rup_check(db, (2, 2))
+    assert not rup_check(db, (4, 4))
+
+
+def test_replay_tautologies():
+    db = ClauseDatabase([(1, -1), (2, -2, 3)])
+    assert not rup_check(db, ())
+    assert not rup_check(db, (1,))
+    assert not rup_check(db, (3,))
+    watches = {l: list(ws) for l, ws in db.watches.items()}
+    # a tautological step follows from anything and adds nothing
+    assert rup_check(db, (4, -4))
+    db.add((4, -4))
+    assert db.watches == watches and db.trail == [] and not db.conflict
+    assert not rup_check(db, ())
+
+
+def test_replay_empty_axiom():
+    db = ClauseDatabase([(1, 2), (), (3,)])
+    assert db.conflict
+    assert rup_check(db, ())
+    assert rup_check(db, (-3,))
+
+
+def test_replay_conflicting_units():
+    assert ClauseDatabase([(1,), (-1,)]).conflict
+    # by propagation at level 0, in either order of loading
+    assert ClauseDatabase([(1,), (-1, 2), (-2,)]).conflict
+    assert ClauseDatabase([(-2,), (-1, 2), (1,)]).conflict
+    db = ClauseDatabase([(-1, 2), (-2,)])
+    assert not db.conflict and not rup_check(db, ())
+    db.add((1,))
+    assert db.conflict and rup_check(db, ())
+
+
+def test_replay_step_satisfied_at_level_0():
+    db = ClauseDatabase([(1,), (-1, 2), (3, 4)])
+    assert db.trail == [1, 2]
+    watches = {l: list(ws) for l, ws in db.watches.items()}
+    assert rup_check(db, (2, 5))
+    db.add((2, 5))
+    assert db.trail == [1, 2] and db.watches == watches
+    # level-0 false literals are dropped, so what is left is a unit
+    db.add((-1, -2, 3))
+    assert db.trail == [1, 2, 3]
+    assert rup_check(db, (3,)) and not rup_check(db, (4,))
+
+
+def test_replay_sparse_ids():
+    big = 2**40
+    db = ClauseDatabase([(big, big + 1), (-big, big + 1), (-(big + 1), 2**62)])
+    assert rup_check(db, (big + 1,))
+    assert rup_check(db, (2**62,))
+    assert not rup_check(db, (-big,))
+    assert len(db.value) == 0
+    # a real certificate with its ids spread far apart still checks
+    q, cert = false_cert()
+    spread = {aid: aid * big + 1 for aid in cert.dictionary}
+
+    def move(lits):
+        return tuple(spread[l] if l > 0 else -spread[-l] for l in lits)
+
+    moved = Certificate(
+        {spread[aid]: name for aid, name in cert.dictionary.items()},
+        [(idx, alpha, move(lits)) for idx, alpha, lits in cert.axioms],
+        [move(lits) for lits in cert.trace],
+    )
+    assert check_certificate(q, moved).ok
+
+
+def test_replay_undoes_each_step():
+    # step 1 assigns -1 and -2 and conflicts through 3; step 2 (-1,)
+    # follows only if those trial assignments outlived step 1
+    axioms = [(1, 2, 3), (1, 2, -3), (4, 5), (4, -5)]
+    trace = [(4,), (1, 2), (-1,), ()]
+    assert first_rejected(axioms, trace) == 2
+    assert reference_first_rejected(axioms, trace) == 2
+    db = ClauseDatabase(axioms)
+    db.add((4,))
+    before = (dict(db.value), list(db.trail))
+    assert rup_check(db, (1, 2))
+    assert (db.value, db.trail) == before
 
 
 def test_extract_and_check():
