@@ -2,12 +2,14 @@
 
 A false verdict rests on an unsatisfiable conjunction of annotated
 instantiation clauses.  The certificate records those clauses as axioms
-(matrix index plus the instantiating universal assignment), a
-dictionary naming every annotated variable, and a clause trace whose
-every step must follow by reverse unit propagation, ending in the empty
-clause.  Checking recomputes each axiom from the formula alone and
-replays the trace forward on a standalone propagator, so a certificate
-is evidence independent of the solver that produced it.
+(matrix index, instantiating universal assignment, clause over the
+certificate's own ids) and a clause trace whose every step must follow
+by reverse unit propagation, ending in the empty clause.  An axiom's
+matrix clause and assignment fix the annotated variable behind each of
+its literals, so the axioms name every id.  Checking recomputes each
+axiom from the formula alone and replays the trace forward on a
+standalone propagator, so a certificate is evidence independent of the
+solver that produced it.
 
 The replay loads the axioms once into a ClauseDatabase: units and their
 consequences sit on a level-0 trail that is never undone, clauses that
@@ -19,13 +21,9 @@ a clause.  Ids come from a parsed file, so values and watches are keyed
 by literal and nothing is sized by the largest id.
 """
 
-import re
 from dataclasses import dataclass
 
 from . import annotate, sat
-
-_SPELLING = bytes.maketrans(b"\1\2", b"10")
-_SPELLED = re.compile(r"-|[01]+")
 
 
 class CertificateUnavailable(Exception):
@@ -42,8 +40,7 @@ class CertificateError(Exception):
 
 @dataclass
 class Certificate:
-    dictionary: dict  # abstraction id -> (original var, spelled annotation)
-    axioms: list  # (matrix index, alpha literals, abstraction clause) triples
+    axioms: list  # (matrix index, alpha literals, clause over own ids) triples
     trace: list  # derived abstraction clauses, last one empty
 
 
@@ -53,22 +50,16 @@ class CheckResult:
     reason: str = ""
 
 
-def spell(prefix):
-    """Text form of an annotation: the assigned values, first predecessor
-    first, as 1 (true) and 0 (false); "-" when none is assigned."""
-    return prefix.translate(_SPELLING, b"\0").decode("ascii") or "-"
-
-
 def extract_certificate(state):
     """Build a certificate from a finished false run.
 
     The failed instantiation clauses are re-solved on a fresh
     trace-recording solver with the run's kernel; refused for true or
-    unknown runs.  That solver sees the core's ids renumbered 1..k in
-    increasing order, so it holds no variable the core does not use, and
+    unknown runs.  The core's ids are renumbered 1..k in increasing
+    order, so the solver holds no variable the core does not use and
     ties between equally active variables still go to the smaller
-    original id.  The dictionary names those ids in one pass over the
-    forall side's intern table.
+    original id.  The axioms carry those ids and the trace is the
+    solver's own.
     """
     if state.verdict != "FALSE":
         raise CertificateUnavailable("only false verdicts have certificates")
@@ -79,26 +70,16 @@ def extract_certificate(state):
     solver = sat.Solver(record_trace=True, kernel=state.config.kernel)
     axioms = []
     for lits, idx, alpha in state.core:
-        solver.add_clause([dense[l] if l > 0 else -dense[-l] for l in lits])
+        lits = tuple(dense[l] if l > 0 else -dense[-l] for l in lits)
+        solver.add_clause(lits)
         axioms.append((idx, alpha.literals(), lits))
     out = solver.solve()
     if out.status != sat.UNSAT:
         raise CertificateError("failed clause core is satisfiable")
-    trace = [
-        tuple(used[l - 1] if l > 0 else -used[-l - 1] for l in lits)
-        for lits in solver.proof_trace()
-    ]
+    trace = solver.proof_trace()
     if not trace or trace[-1] != ():
         raise CertificateError("solver trace does not end in the empty clause")
-    dictionary = {
-        aid: (var, spell(prefix))
-        for (var, prefix), aid in state.forall_abs.table.forward.items()
-        if aid in dense
-    }
-    for aid in used:
-        if aid not in dictionary:
-            raise CertificateError("abstraction id %d has no annotation" % aid)
-    return Certificate(dictionary, axioms, trace)
+    return Certificate(axioms, trace)
 
 
 class ClauseDatabase:
@@ -219,8 +200,12 @@ def rup_check(db, derived):
 def check_certificate(q, cert):
     """Validate a certificate against a formula; returns a CheckResult.
 
-    Every axiom is recomputed from the matrix and compared through the
-    dictionary.  The axioms are then loaded once into a ClauseDatabase,
+    Every axiom is recomputed from the matrix under its assignment, and
+    its lits must match the recomputed literals one for one, sign for
+    sign, in the order the matrix clause lists them.  That position
+    names each id as an annotated variable; the first axiom to use an id
+    names it, and every later use must give the same name.  No literal
+    may be 0.  The axioms are then loaded once into a ClauseDatabase,
     every trace clause in turn must pass rup_check against it before it
     is added, and the trace must end in the empty clause.
     """
@@ -228,8 +213,11 @@ def check_certificate(q, cert):
 
     universals = set(q.universals)
     by_alpha = {}
+    names = {}  # id -> (original var, annotation bytes)
     for pos, (idx, alpha_lits, lits) in enumerate(cert.axioms):
         where = "axiom %d" % pos
+        if 0 in lits:
+            return CheckResult(False, "%s: literal 0" % where)
         if not 0 <= idx < len(q.matrix):
             return CheckResult(False, "%s: matrix index out of range" % where)
         seen = {l if l > 0 else -l for l in alpha_lits}
@@ -246,22 +234,18 @@ def check_certificate(q, cert):
             return CheckResult(
                 False, "%s: clause is satisfied by the assignment" % where
             )
-        want = set()
-        for l, prefix in produced:
-            want.add((l > 0, -l if l < 0 else l, spell(prefix)))
-        got = set()
-        for l in lits:
-            aid = -l if l < 0 else l
-            pair = cert.dictionary.get(aid)
-            if pair is None:
-                return CheckResult(False, "%s: id %d not in dictionary" % (where, aid))
-            got.add((l > 0, pair[0], pair[1]))
-        if want != got:
+        if len(lits) != len(produced):
             return CheckResult(False, "%s: instantiation mismatch" % where)
+        for l, (v, prefix) in zip(lits, produced):
+            name = (-v if v < 0 else v, prefix)
+            if (l > 0) != (v > 0) or names.setdefault(-l if l < 0 else l, name) != name:
+                return CheckResult(False, "%s: instantiation mismatch" % where)
     if not cert.trace:
         return CheckResult(False, "trace is empty")
     db = ClauseDatabase(lits for _, _, lits in cert.axioms)
     for pos, derived in enumerate(cert.trace):
+        if 0 in derived:
+            return CheckResult(False, "trace clause %d: literal 0" % pos)
         if not rup_check(db, derived):
             return CheckResult(
                 False, "trace clause %d is not propagation derivable" % pos
@@ -275,9 +259,6 @@ def check_certificate(q, cert):
 def format_certificate(cert):
     """Render a certificate in its line-oriented text form."""
     out = []
-    for aid in sorted(cert.dictionary):
-        var, text = cert.dictionary[aid]
-        out.append("d %d %d %s" % (aid, var, text))
     for idx, alpha_lits, lits in cert.axioms:
         out.append(
             "a %d %s0 %s0"
@@ -294,7 +275,6 @@ def format_certificate(cert):
 
 def parse_certificate(text):
     """Parse the text form back into a Certificate."""
-    dictionary = {}
     axioms = []
     trace = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -303,20 +283,7 @@ def parse_certificate(text):
             continue
         tokens = line.split()
         kind = tokens[0]
-        if kind == "d":
-            if len(tokens) != 4:
-                raise CertificateError("dictionary line needs id, var, bits", lineno)
-            try:
-                aid = int(tokens[1])
-                var = int(tokens[2])
-            except ValueError:
-                raise CertificateError("malformed dictionary line", lineno)
-            if not _SPELLED.fullmatch(tokens[3]):
-                raise CertificateError("malformed dictionary line", lineno)
-            if aid in dictionary:
-                raise CertificateError("duplicate dictionary id %d" % aid, lineno)
-            dictionary[aid] = (var, tokens[3])
-        elif kind == "a":
+        if kind == "a":
             try:
                 nums = [int(t) for t in tokens[1:]]
             except ValueError:
@@ -344,7 +311,7 @@ def parse_certificate(text):
             raise CertificateError("unknown line kind %r" % kind, lineno)
     if not axioms and not trace:
         raise CertificateError("certificate has no content")
-    return Certificate(dictionary, axioms, trace)
+    return Certificate(axioms, trace)
 
 
 def write_certificate_file(cert, path):

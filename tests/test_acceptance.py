@@ -280,13 +280,14 @@ def _mutate_axiom_literal(q, cert, rng):
         j = rng.choice(spots)
         alpha = alpha[:j] + (-alpha[j],) + alpha[j + 1 :]
         axioms[i] = (idx, alpha, lits)
-    return proof.Certificate(dict(cert.dictionary), axioms, list(cert.trace))
+    return proof.Certificate(axioms, list(cert.trace))
 
 
 def _inject_underivable_clause(cert):
-    fresh = max(cert.dictionary) + 1
+    clauses = [lits for _, _, lits in cert.axioms] + list(cert.trace)
+    fresh = max((abs(l) for lits in clauses for l in lits), default=0) + 1
     trace = [(fresh,)] + list(cert.trace)
-    return proof.Certificate(dict(cert.dictionary), list(cert.axioms), trace)
+    return proof.Certificate(list(cert.axioms), trace)
 
 
 def test_08_certificates(suite, acceptance, tmp_path):

@@ -13,7 +13,6 @@ from qexpand.annotate import (
     strip_cut,
 )
 from qexpand.formula import EXISTS, FORALL, Assignment, Qbf
-from qexpand.proof import spell
 
 
 def annotation_of(a, vid):
@@ -76,25 +75,15 @@ def test_apply_empty_clause_and_satisfied():
     assert apply_assignment(b, q.matrix) == []
 
 
-def test_annotation_packing():
-    assert spell(b"") == "-"
-    assert spell(b"\0\0") == "-"
-    assert spell(b"\1\0\2") == "10"
-    assert spell(b"\2\1") == "01"
-    assert spell(b"\1\2\0\1") == "101"
-
-
 def test_annotation_of():
     q = q4()
     assert q.block_heads == (0, 1, 2, 3)
     sigma = Assignment.from_pairs(q, {1: True, 3: False})
     assert annotation_of(sigma, 2) == b"\1"
     assert annotation_of(sigma, 4) == b"\1\0\2"
-    assert spell(annotation_of(sigma, 4)) == "10"
     tau = Assignment.from_pairs(q, {2: False, 4: False})
     assert annotation_of(tau, 1) == b""
     assert annotation_of(tau, 3) == b"\0\2"
-    assert spell(annotation_of(tau, 3)) == "0"
     # one slice per block: every variable of a block gets the same object
     q2 = Qbf([(FORALL, [1, 2]), (EXISTS, [3, 4, 5])], [[1, 3, 4], [-2, 4, 5]])
     assert q2.block_heads == (0, 0, 2, 2, 2)
@@ -288,13 +277,14 @@ def test_intern_table_bijective_random():
                 for il in lits:
                     v, prefix = names[abs(il)]
                     assert not q.is_universal(v)
-                    # the annotation spells a's value of every universal before v
-                    want = "".join(
-                        "1" if a.value(u) else "0"
+                    # the annotation holds a's value of every universal
+                    # before v, 1 for true and 2 for false, in prefix order
+                    want = bytes(
+                        1 if a.value(u) else 2
                         for u in q.universals
                         if q.position(u) < q.position(v)
                     )
-                    assert spell(prefix) == (want or "-")
+                    assert prefix.replace(b"\0", b"") == want
         # ids are distinct and dense
         assert sorted(table.forward.values()) == list(range(1, len(table) + 1))
 

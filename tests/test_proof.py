@@ -182,7 +182,7 @@ def tampered(cert, rng):
     """The certificate's trace changed by a deleted step, a flipped
     literal or an inserted clause over its own ids."""
     trace = list(cert.trace)
-    ids = sorted(cert.dictionary)
+    ids = sorted({abs(l) for _, _, lits in cert.axioms for l in lits})
     kind = rng.randrange(3)
     if kind == 0 and len(trace) > 1:
         del trace[rng.randrange(len(trace) - 1)]
@@ -193,7 +193,7 @@ def tampered(cert, rng):
         trace[pos] = c[:j] + (-c[j],) + c[j + 1 :]
     else:
         trace.insert(rng.randrange(len(trace)), random_clause(rng, ids, 3))
-    return Certificate(cert.dictionary, cert.axioms, trace)
+    return Certificate(cert.axioms, trace)
 
 
 def checked_rejection(q, cert):
@@ -293,13 +293,11 @@ def test_replay_sparse_ids():
     assert len(db.value) == 0
     # a real certificate with its ids spread far apart still checks
     q, cert = false_cert()
-    spread = {aid: aid * big + 1 for aid in cert.dictionary}
 
     def move(lits):
-        return tuple(spread[l] if l > 0 else -spread[-l] for l in lits)
+        return tuple(l * big + 1 if l > 0 else l * big - 1 for l in lits)
 
     moved = Certificate(
-        {spread[aid]: name for aid, name in cert.dictionary.items()},
         [(idx, alpha, move(lits)) for idx, alpha, lits in cert.axioms],
         [move(lits) for lits in cert.trace],
     )
@@ -339,26 +337,26 @@ def test_text_roundtrip():
     assert check_certificate(q, back).ok
 
 
+def equality_2_qbf():
+    # Equality n=2: exists x1 x2, forall y3 y4, exists z5 z6 with
+    # (x1 = y3) -> z5, (x2 = y4) -> z6 and not (z5 and z6); false,
+    # since y can copy x.
+    return Qbf(
+        [(EXISTS, [1, 2]), (FORALL, [3, 4]), (EXISTS, [5, 6])],
+        [[-5, -6], [1, 3, 5], [-1, -3, 5], [2, 4, 6], [-2, -4, 6]],
+    )
+
+
 EQUALITY_2_CERTIFICATE = """\
-d 1 5 00
-d 2 6 00
-d 3 1 -
-d 4 2 -
-d 8 5 01
-d 9 6 01
-d 13 5 10
-d 14 6 10
-d 18 5 11
-d 19 6 11
-a 4 3 4 0 -4 19 0
-a 2 3 4 0 -3 18 0
-a 0 3 4 0 -18 -19 0
-a 3 3 -4 0 4 14 0
-a 2 3 -4 0 -3 13 0
-a 0 3 -4 0 -13 -14 0
-a 4 -3 4 0 -4 9 0
-a 1 -3 4 0 3 8 0
-a 0 -3 4 0 -8 -9 0
+a 4 3 4 0 -4 10 0
+a 2 3 4 0 -3 9 0
+a 0 3 4 0 -9 -10 0
+a 3 3 -4 0 4 8 0
+a 2 3 -4 0 -3 7 0
+a 0 3 -4 0 -7 -8 0
+a 4 -3 4 0 -4 6 0
+a 1 -3 4 0 3 5 0
+a 0 -3 4 0 -5 -6 0
 a 3 -3 -4 0 4 2 0
 a 1 -3 -4 0 3 1 0
 a 0 -3 -4 0 -1 -2 0
@@ -368,15 +366,9 @@ r 0
 
 
 def test_certificate_text_is_pinned():
-    # Equality n=2: exists x1 x2, forall y3 y4, exists z5 z6 with
-    # (x1 = y3) -> z5, (x2 = y4) -> z6 and not (z5 and z6); false,
-    # since y can copy x.
-    # A consistent but reversed annotation spelling would still round
-    # trip and check, so the text itself is pinned.
-    q = Qbf(
-        [(EXISTS, [1, 2]), (FORALL, [3, 4]), (EXISTS, [5, 6])],
-        [[-5, -6], [1, 3, 5], [-1, -3, 5], [2, 4, 6], [-2, -4, 6]],
-    )
+    # The text itself is pinned, so that a change of numbering, order
+    # or line format shows here even when the certificate still checks.
+    q = equality_2_qbf()
     r = solve(q, SolveConfig(kernel="pure"))
     assert (r.verdict, r.iterations) == (FALSE, 4)
     cert = extract_certificate(r.state)
@@ -426,7 +418,6 @@ def test_tampered_axiom_literal_rejected():
     if not lits:
         idx, alpha_lits, lits = cert.axioms[1]
     bad = Certificate(
-        cert.dictionary,
         [(idx, alpha_lits, (-lits[0],) + lits[1:])] + cert.axioms[1:],
         cert.trace,
     )
@@ -439,13 +430,11 @@ def test_tampered_matrix_index_rejected():
     idx, alpha_lits, lits = cert.axioms[0]
     bad_idx = (idx + 1) % len(q.matrix)
     bad = Certificate(
-        cert.dictionary,
         [(bad_idx, alpha_lits, lits)] + cert.axioms[1:],
         cert.trace,
     )
     assert not check_certificate(q, bad).ok
     out_of_range = Certificate(
-        cert.dictionary,
         [(len(q.matrix), alpha_lits, lits)] + cert.axioms[1:],
         cert.trace,
     )
@@ -457,49 +446,75 @@ def test_tampered_alpha_rejected():
     q, cert = false_cert()
     idx, alpha_lits, lits = cert.axioms[0]
     flipped = (-alpha_lits[0],) + alpha_lits[1:]
-    bad = Certificate(
-        cert.dictionary, [(idx, flipped, lits)] + cert.axioms[1:], cert.trace
-    )
+    bad = Certificate([(idx, flipped, lits)] + cert.axioms[1:], cert.trace)
     assert not check_certificate(q, bad).ok
-    partial = Certificate(
-        cert.dictionary, [(idx, alpha_lits[:1], lits)] + cert.axioms[1:], cert.trace
-    )
+    partial = Certificate([(idx, alpha_lits[:1], lits)] + cert.axioms[1:], cert.trace)
     res = check_certificate(q, partial)
     assert not res.ok and "universal" in res.reason
 
 
-def test_tampered_dictionary_rejected():
-    q, cert = false_cert()
-    aid, (var, text) = next(
-        (a, p) for a, p in cert.dictionary.items() if p[1] != "-"
-    )
-    twisted = dict(cert.dictionary)
-    twisted[aid] = (var, ("1" if text[0] == "0" else "0") + text[1:])
-    res = check_certificate(q, Certificate(twisted, cert.axioms, cert.trace))
-    assert not res.ok and "mismatch" in res.reason
-    missing = dict(cert.dictionary)
-    del missing[aid]
-    res = check_certificate(q, Certificate(missing, cert.axioms, cert.trace))
-    assert not res.ok and "dictionary" in res.reason
+def test_id_named_twice_rejected():
+    # forall u exists x with (u or x) and (not u or not x) is true; read
+    # as one id, x under u=F and x under u=T would refute it at once
+    q = Qbf([(FORALL, [1]), (EXISTS, [2])], [[1, 2], [-1, -2]])
+    axioms = [(0, (-1,), (1,)), (1, (1,), (-1,))]
+    res = check_certificate(q, Certificate(axioms, [()]))
+    assert not res.ok and res.reason == "axiom 1: instantiation mismatch"
+    # a real certificate with one occurrence moved to another core id
+    q, cert = false_cert(equality_2_qbf())
+    ids = sorted({abs(l) for _, _, lits in cert.axioms for l in lits})
+    for pos, (idx, alpha, lits) in enumerate(cert.axioms):
+        for j, l in enumerate(lits):
+            other = next(i for i in ids if i != abs(l))
+            moved = lits[:j] + (other if l > 0 else -other,) + lits[j + 1 :]
+            axioms = list(cert.axioms)
+            axioms[pos] = (idx, alpha, moved)
+            res = check_certificate(q, Certificate(axioms, cert.trace))
+            assert not res.ok and "mismatch" in res.reason
+
+
+def test_permuted_axiom_literals_rejected():
+    # the position of a literal in its matrix clause names its id
+    q, cert = false_cert(equality_2_qbf())
+    permuted = 0
+    for pos, (idx, alpha, lits) in enumerate(cert.axioms):
+        if len(set(lits)) < 2:
+            continue
+        axioms = list(cert.axioms)
+        axioms[pos] = (idx, alpha, lits[::-1])
+        res = check_certificate(q, Certificate(axioms, cert.trace))
+        assert not res.ok and res.reason == "axiom %d: instantiation mismatch" % pos
+        permuted += 1
+    assert permuted >= 6
+
+
+def test_literal_0_rejected():
+    # 0 and -0 are one literal, so two units (0) and (0) would close a
+    # true formula
+    q = Qbf([(EXISTS, [1])], [[-1]])
+    forged = Certificate([(0, (), (0,)), (0, (), (0,))], [()])
+    res = check_certificate(q, forged)
+    assert not res.ok and "literal 0" in res.reason
+    res = check_certificate(q, Certificate([(0, (), (-1,))], [(0,), ()]))
+    assert not res.ok and "literal 0" in res.reason
 
 
 def test_non_rup_insert_rejected():
     # axioms (x under u=F) and (not-x under u=T) are consistent as
     # plain clauses, so neither a fresh unit nor the empty clause follows
     q = Qbf([(FORALL, [1]), (EXISTS, [2])], [[1, 2], [-1, -2]])
-    dictionary = {1: (2, "0"), 2: (2, "1")}
     axioms = [(0, (-1,), (1,)), (1, (1,), (-2,))]
-    res = check_certificate(q, Certificate(dictionary, axioms, [(), ()]))
+    res = check_certificate(q, Certificate(axioms, [(), ()]))
     assert not res.ok and "derivable" in res.reason
-    res = check_certificate(q, Certificate(dictionary, axioms, [(2,), ()]))
+    res = check_certificate(q, Certificate(axioms, [(2,), ()]))
     assert not res.ok and "derivable" in res.reason
 
 
 def test_truncated_trace_rejected():
     q, cert = false_cert()
-    res = check_certificate(q, Certificate(cert.dictionary, cert.axioms, cert.trace[:-1]))
+    res = check_certificate(q, Certificate(cert.axioms, cert.trace[:-1]))
     assert not res.ok
-    res = check_certificate(q, Certificate(cert.dictionary, cert.axioms, []))
+    res = check_certificate(q, Certificate(cert.axioms, []))
     assert not res.ok and "empty" in res.reason
 
 
@@ -507,23 +522,18 @@ def test_parse_errors():
     with pytest.raises(CertificateError):
         parse_certificate("x 1 2 0\n")
     with pytest.raises(CertificateError):
-        parse_certificate("d 1 2\n")
-    with pytest.raises(CertificateError):
-        parse_certificate("d 1 2 102\n")
-    with pytest.raises(CertificateError):
-        parse_certificate("d 1 2 0-1\n")
-    with pytest.raises(CertificateError):
         parse_certificate("a 0 1 0 2\n")
     with pytest.raises(CertificateError):
         parse_certificate("r 1 2\n")
     with pytest.raises(CertificateError):
         parse_certificate("c just a comment\n")
-    err = None
-    try:
-        parse_certificate("d 1 2 -\nr bad 0\n")
-    except CertificateError as e:
-        err = e
-    assert err is not None and err.line == 2
+    with pytest.raises(CertificateError) as err:
+        parse_certificate("a 0 0 0\nr bad 0\n")
+    assert err.value.line == 2
+    # the dictionary lines of the old format are not read
+    with pytest.raises(CertificateError, match="unknown line kind 'd'") as err:
+        parse_certificate("a 0 0 1 0\nd 1 2 -\nr 0\n")
+    assert err.value.line == 2
 
 
 def test_random_false_instances_certify():
@@ -543,7 +553,8 @@ def test_random_false_instances_certify():
 
 def test_trace_solver_holds_only_core_ids(monkeypatch):
     # the core's ids are renumbered 1..k, so the trace solver has no
-    # variable that no core clause mentions
+    # variable that no core clause mentions, and its trace is the
+    # certificate's as it stands
     runs = [solve(oracle.random_pcnf(seed), SolveConfig(reset_period=0)) for seed in range(60)]
     made = []
     real = proof.sat.Solver
@@ -557,7 +568,10 @@ def test_trace_solver_holds_only_core_ids(monkeypatch):
     for r in runs:
         if r.verdict == FALSE:
             cert = extract_certificate(r.state)
-            assert made[-1].num_vars == len(cert.dictionary)
+            ids = {abs(l) for _, _, lits in cert.axioms for l in lits}
+            assert ids == set(range(1, len(ids) + 1))
+            assert made[-1].num_vars == len(ids)
+            assert cert.trace == made[-1].proof_trace()
             done += 1
     assert done >= 15
 
@@ -586,14 +600,3 @@ def test_extract_uses_the_runs_kernel(monkeypatch):
     monkeypatch.setattr(sat, "_default", Refusing)
     q, cert = false_cert(config=SolveConfig(kernel="pure"))
     assert check_certificate(q, cert).ok
-
-
-def test_unnamed_core_id_rejected():
-    r = solve(switch_false_qbf(), SolveConfig())
-    forward = r.state.forall_abs.table.forward
-    lits = r.state.core[0][0]
-    aid = abs(lits[0])
-    [name] = [k for k, v in forward.items() if v == aid]
-    del forward[name]
-    with pytest.raises(CertificateError, match="abstraction id %d has no annotation" % aid):
-        extract_certificate(r.state)
