@@ -1,9 +1,15 @@
 /* Incremental CDCL SAT kernel, compiled edition.
 
-   Same algorithm as qexpand._cdcl_py operation for operation: identical
-   decisions, models, counters and proof traces.  Keep the two in lock
-   step; any behaviour change must land in both files.  _cdcl_py.py is
-   the reference and documents the algorithm.
+   Same algorithm as qexpand._cdcl_py: identical decisions, models,
+   counters and proof traces.  Keep the two in lock step; any behaviour
+   change must land in both files.  _cdcl_py.py is the reference and
+   documents the algorithm.
+
+   The order contract: each pick is the maximum of (activity, -index)
+   over the unassigned decision variables.  Here a binary heap keeps it
+   (_cdcl_py keeps a heapq list).  A rescale can round two activities
+   to equal ones and leave the larger index above the smaller, so the
+   heap is rebuilt after it.
 
    Plain C against the CPython API, so any C compiler builds it and the
    module loads no C++ runtime.  Every function here runs with the
@@ -285,8 +291,10 @@ bump(Kernel *k, int v)
         for (int i = 1; i <= k->nvars; i++)
             act[i] *= RESCALE;
         k->var_inc *= RESCALE;
+        for (int i = k->heap_size / 2 - 1; i >= 0; i--)
+            hdown(k, i);
     }
-    if (k->hpos[v] != -1)
+    else if (k->hpos[v] != -1)
         hup(k, k->hpos[v]);
 }
 

@@ -1,12 +1,12 @@
 """Incremental CDCL SAT kernel, pure Python edition.
 
-Two-watched-literal propagation, first-UIP learning, VSIDS branching
-with a deterministic tie-break on variable index, geometric restarts,
-fixed default phase False, and literal assumptions with
-failed-assumption extraction.  qexpand._cdcl, built from _cdcl.c, is
-the compiled twin; the two must stay in lock step operation for
-operation so that both produce identical models, counters, and proof
-traces.
+Two-watched-literal propagation, first-UIP learning, VSIDS branching,
+geometric restarts, fixed default phase False, and literal assumptions
+with failed-assumption extraction.  qexpand._cdcl, built from _cdcl.c,
+is the compiled twin; the two must produce identical models, counters,
+and proof traces.  Both keep one order contract: each pick is the
+maximum of (activity, -index) over the unassigned decision variables.
+That is a strict total order, so any exact priority queue picks alike.
 
 Variables are 1-based ints.  Internally a literal is encoded as
 2*v (positive) or 2*v+1 (negative); clause references are indices
@@ -14,8 +14,19 @@ into the clause list.  Learned clauses are never deleted: instances
 here live for one expansion run, and keeping every learned clause
 keeps the recorded trace checkable by plain unit propagation.
 
+The order queue is a heapq list of (-activity, v) entries; _queued[v]
+is set while v is in the queue.  A bump pushes a fresh entry for a
+queued variable and leaves the old one stale.  Activities only grow
+between rebuilds, so a stale entry never sorts before its variable's
+fresh one: it pops once the variable has left the queue, and a pick
+skips it.  The list is rebuilt with heapify at an activity rescale, which shrinks
+every key, and once it passes 2*nvars + 64 entries.
+
+In solve, assumptions already true open their empty levels in one
+inner loop: nothing can propagate or restart until a literal is set.
+
 A variable marked non-decision with set_decision(v, False) stays out
-of the branching heap and is never picked as a decision; it is set
+of the order queue and is never picked as a decision; it is set
 only by propagation or as an assumption, and one left unassigned reads
 False in the model.  That model is sound only for variables that occur
 negatively in every clause, as activation selectors do: resolution
@@ -29,6 +40,7 @@ deadline, a time.monotonic() value checked every 64 conflicts.
 """
 
 import time
+from heapq import heapify, heappop, heappush
 
 SAT = 1
 UNSAT = -1
@@ -66,9 +78,9 @@ class Kernel:
         self._reason = [-1]
         self._act = [0.0]
         self._seen = bytearray(1)
-        self._hpos = [-1]
+        self._queued = bytearray(1)
         self._decision = bytearray(1)
-        self._heap = []
+        self._queue = []  # heapq of (-activity, v), stale entries included
         self._watches = [[], []]
         self._clauses = []
         self._trail = []
@@ -87,11 +99,11 @@ class Kernel:
             self._reason.append(-1)
             self._act.append(0.0)
             self._seen.append(0)
-            self._hpos.append(-1)
+            self._queued.append(1)
             self._decision.append(1)
             self._watches.append([])
             self._watches.append([])
-            self._hinsert(self.nvars)
+            heappush(self._queue, (-0.0, self.nvars))
 
     def set_decision(self, v, flag):
         """Let v be branched on (flag true) or not; see the module doc."""
@@ -99,8 +111,10 @@ class Kernel:
             raise ValueError("variable must be a positive int")
         self.ensure_vars(v)
         self._decision[v] = 1 if flag else 0
-        if flag:
-            self._hinsert(v)
+        if flag and not self._queued[v]:
+            self._queued[v] = 1
+            heappush(self._queue, (-self._act[v], v))
+            self._bound_queue()
 
     def _value(self, p):
         va = self._assigns[p >> 1]
@@ -108,65 +122,17 @@ class Kernel:
             return 0
         return 3 - va if p & 1 else va
 
-    # -- branching heap (max-activity, ties to the smaller index) -----
+    # -- order queue (max-activity, ties to the smaller index) --------
 
-    def _hbetter(self, u, v):
-        au = self._act[u]
-        av = self._act[v]
-        return au > av or (au == av and u < v)
+    def _bound_queue(self):
+        if len(self._queue) > 2 * self.nvars + 64:
+            self._rebuild_queue()
 
-    def _hup(self, i):
-        heap = self._heap
-        hpos = self._hpos
-        v = heap[i]
-        while i > 0:
-            pi = (i - 1) >> 1
-            pv = heap[pi]
-            if not self._hbetter(v, pv):
-                break
-            heap[i] = pv
-            hpos[pv] = i
-            i = pi
-        heap[i] = v
-        hpos[v] = i
-
-    def _hdown(self, i):
-        heap = self._heap
-        hpos = self._hpos
-        v = heap[i]
-        n = len(heap)
-        while True:
-            l = 2 * i + 1
-            if l >= n:
-                break
-            r = l + 1
-            c = r if r < n and self._hbetter(heap[r], heap[l]) else l
-            cv = heap[c]
-            if not self._hbetter(cv, v):
-                break
-            heap[i] = cv
-            hpos[cv] = i
-            i = c
-        heap[i] = v
-        hpos[v] = i
-
-    def _hinsert(self, v):
-        if self._hpos[v] != -1 or not self._decision[v]:
-            return
-        self._heap.append(v)
-        self._hpos[v] = len(self._heap) - 1
-        self._hup(len(self._heap) - 1)
-
-    def _hpop(self):
-        heap = self._heap
-        v = heap[0]
-        self._hpos[v] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            self._hpos[last] = 0
-            self._hdown(0)
-        return v
+    def _rebuild_queue(self):
+        act = self._act
+        queued = self._queued
+        self._queue = [(-act[v], v) for v in range(1, self.nvars + 1) if queued[v]]
+        heapify(self._queue)
 
     def _bump(self, v):
         act = self._act
@@ -175,8 +141,10 @@ class Kernel:
             for i in range(1, self.nvars + 1):
                 act[i] *= _RESCALE
             self._var_inc *= _RESCALE
-        if self._hpos[v] != -1:
-            self._hup(self._hpos[v])
+            self._rebuild_queue()
+        elif self._queued[v]:
+            heappush(self._queue, (-act[v], v))
+            self._bound_queue()
 
     # -- clauses ------------------------------------------------------
 
@@ -236,21 +204,29 @@ class Kernel:
         trail = self._trail
         limit = self._trail_lim[lvl]
         assigns = self._assigns
-        hpos = self._hpos
-        for i in range(len(trail) - 1, limit - 1, -1):
-            v = trail[i] >> 1
+        queued = self._queued
+        decision = self._decision
+        act = self._act
+        queue = self._queue
+        for p in trail[limit:]:
+            v = p >> 1
             assigns[v] = 0
-            if hpos[v] == -1:
-                self._hinsert(v)
+            if not queued[v] and decision[v]:
+                queued[v] = 1
+                heappush(queue, (-act[v], v))
         del trail[limit:]
         del self._trail_lim[lvl:]
         self._qhead = limit
+        self._bound_queue()
 
     def _propagate(self):
         trail = self._trail
         clauses = self._clauses
         watches = self._watches
         assigns = self._assigns
+        level = self._level
+        reason = self._reason
+        lvl = len(self._trail_lim)
         while self._qhead < len(trail):
             pt = trail[self._qhead]
             self._qhead += 1
@@ -295,7 +271,11 @@ class Kernel:
                     del ws[j:]
                     self._qhead = len(trail)
                     return ci
-                self._enqueue(first, ci)
+                v = first >> 1
+                assigns[v] = 2 if first & 1 else 1
+                level[v] = lvl
+                reason[v] = ci
+                trail.append(first)
             del ws[j:]
         return -1
 
@@ -394,8 +374,13 @@ class Kernel:
     # -- branching ----------------------------------------------------
 
     def _pick_branch(self):
-        while self._heap:
-            v = self._hpop()
+        queue = self._queue
+        queued = self._queued
+        while queue:
+            v = heappop(queue)[1]
+            if not queued[v]:
+                continue  # stale: v left the queue after a bump
+            queued[v] = 0
             if self._assigns[v] == 0 and self._decision[v]:
                 return v
         return 0
@@ -418,6 +403,11 @@ class Kernel:
             self.last_status = UNSAT
             return UNSAT
         self.ensure_vars(mx)
+        assigns = self._assigns
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        trail_lim = self._trail_lim
         restart_limit = 100
         since_restart = 0
         conflicts_here = 0
@@ -427,7 +417,7 @@ class Kernel:
                 self.conflicts += 1
                 conflicts_here += 1
                 since_restart += 1
-                if not self._trail_lim:
+                if not trail_lim:
                     self.ok = False
                     if self.record_trace:
                         self._trace.append(())
@@ -450,23 +440,23 @@ class Kernel:
                 self._cancel_until(0)
                 continue
             p = -1
-            dl = len(self._trail_lim)
-            if dl < len(asum):
+            dl = len(trail_lim)
+            while dl < len(asum):
                 q = asum[dl]
-                vq = self._value(q)
-                if vq == 1:
-                    self._trail_lim.append(len(self._trail))
-                    continue
-                if vq == 2:
+                va = assigns[q >> 1]
+                if va == 0:
+                    p = q
+                    break
+                if (3 - va if q & 1 else va) == 2:
                     self.failed = [_extern(x) for x in self._analyze_final(q)]
                     self._cancel_until(0)
                     self.last_status = UNSAT
                     return UNSAT
-                p = q
+                trail_lim.append(len(trail))  # already true: an empty level
+                dl += 1
             if p == -1:
                 v = self._pick_branch()
                 if v == 0:
-                    assigns = self._assigns
                     self.model = [None] + [
                         assigns[i] == 1 for i in range(1, self.nvars + 1)
                     ]
@@ -475,8 +465,12 @@ class Kernel:
                     return SAT
                 self.decisions += 1
                 p = (v << 1) | 1  # default phase: False
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(p, -1)
+            trail_lim.append(len(trail))
+            v = p >> 1
+            assigns[v] = 2 if p & 1 else 1
+            level[v] = dl + 1
+            reason[v] = -1
+            trail.append(p)
 
     def get_trace(self):
         return list(self._trace)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import os
@@ -329,6 +330,17 @@ def random_steps(rng, clauses, nv):
     return steps
 
 
+def guarded_pigeonhole_steps():
+    """Nine copies of pigeonhole(7), each guarded by its own selector,
+    which is marked non-decision and then assumed: about 5,000
+    conflicts, past the activity rescale."""
+    php = pigeonhole(7)
+    return [
+        ([c + [-sel] for c in php], [sel], None, [(sel, False)])
+        for sel in range(100, 109)
+    ]
+
+
 @pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
 def test_pure_and_compiled_agree():
     rng = random.Random(104)
@@ -354,9 +366,8 @@ def test_pure_and_compiled_agree():
     past = time.monotonic() - 1.0
     cases.append((42, [(php, [], past, ()), ([], [1], None, ())]))
     cases.append((42, [(php, [-1, 2], past, ()), ([[1, 2]], [], None, ())]))
-    guarded = [([c + [-sel] for c in php], [sel], None, ()) for sel in range(100, 109)]
-    cases.append((42, guarded))
-    marked = [step[:3] + ([(step[1][0], False)],) for step in guarded]
+    marked = guarded_pigeonhole_steps()
+    cases.append((42, [step[:3] + ((),) for step in marked]))
     cases.append((42, marked + [([], [], None, [(104, True)])]))
     # a zero assumption is rejected, and the solver still answers after it
     cases.append((3, [([[1, 2]], [0], None, ()), ([[-1]], [], None, ())]))
@@ -385,6 +396,78 @@ def test_pure_and_compiled_agree_on_expansion(period):
             for k in ("pure", "compiled")
         ]
         assert lines[0] == lines[1], "seed %d" % seed
+
+
+# sha256 over cli.json_stats_lines of oracle.random_pcnf seeds 0-199,
+# one line per iteration and run, by reset period; and over repr(observe)
+# on the guarded pigeonhole copies and one last solve with no selector
+PINNED_STATS = {
+    0: "23b6f5bb6f4ee281baa5ff43bd70068041b22aa749855b35707e3ca7eed1db4a",
+    1: "0cff87cbd225b2b518332654bf6f3f39d3e5751014efdf72125456500f663bcf",
+}
+PINNED_PIGEONHOLE = "4daaa383c92981e59d833c7ba286fb920ef849d328a537088d577676b3174f2c"
+
+
+@pytest.mark.parametrize("period", [0, 1])
+def test_search_is_pinned(kernel, period):
+    # without a C compiler nothing else would notice a changed search
+    h = hashlib.sha256()
+    for seed in range(200):
+        result = expand.solve(
+            oracle.random_pcnf(seed),
+            expand.SolveConfig(reset_period=period, kernel=kernel),
+        )
+        for line in cli.json_stats_lines(result):
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == PINNED_STATS[period]
+
+
+def test_pure_kernel_order_contract(monkeypatch):
+    """Each pick is the maximum of (activity, -index) over the unassigned
+    decision variables, and stale entries never leave the order queue
+    longer than 2 * nvars + 64 after a solve."""
+    pick = _cdcl_py.Kernel._pick_branch
+    solve = _cdcl_py.Kernel.solve
+    picks = []
+    rescaled = []
+
+    def checked_pick(k):
+        free = [v for v in range(1, k.nvars + 1) if k._assigns[v] == 0 and k._decision[v]]
+        want = max(free, key=lambda v: (k._act[v], -v), default=0)
+        v = pick(k)
+        assert v == want
+        picks.append(v)
+        return v
+
+    def checked_solve(k, *args, **kwargs):
+        out = solve(k, *args, **kwargs)
+        assert len(k._queue) <= 2 * k.nvars + 64
+        # without a rescale var_inc is at least DECAY ** (conflicts - 1)
+        rescaled.append(k._var_inc < _cdcl_py._ACT_BUMP_DECAY ** (k.conflicts - 1))
+        return out
+
+    monkeypatch.setattr(_cdcl_py.Kernel, "_pick_branch", checked_pick)
+    monkeypatch.setattr(_cdcl_py.Kernel, "solve", checked_solve)
+    # then a solve with no selector assumed picks every variable in turn
+    seen = observe("pure", 42, guarded_pigeonhole_steps() + [([], [], None, ())])
+    assert [step[0] for step in seen] == [UNSAT] * 9 + [SAT]
+    assert picks and rescaled[-1]
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == PINNED_PIGEONHOLE
+
+
+def test_pure_kernel_rescale_reorders_queue():
+    # right after a rescale a variable is bumped past one that was above
+    # it; entries keyed by the old activities would still put it second
+    k = _cdcl_py.Kernel()
+    k.ensure_vars(3)
+    k._bump(3)
+    k._var_inc = 0.6e100
+    k._bump(2)
+    k._bump(2)  # past 1e100: every activity scales by 1e-100
+    assert k._var_inc < 1.0
+    for _ in range(3):
+        k._bump(3)
+    assert [k._pick_branch() for _ in range(4)] == [3, 2, 1, 0]
 
 
 def test_c_kernel_compiles_without_warnings(tmp_path):
