@@ -1,9 +1,9 @@
 /* Incremental CDCL SAT kernel, compiled edition.
 
    Same algorithm as qexpand._cdcl_py: identical decisions, models,
-   counters and proof traces.  Keep the two in lock step; any behaviour
-   change must land in both files.  _cdcl_py.py is the reference and
-   documents the algorithm.
+   counters and proof traces, which every kernel records.  Keep the two
+   in lock step; any behaviour change must land in both files.
+   _cdcl_py.py is the reference and documents the algorithm.
 
    The order contract: each pick is the maximum of (activity, -index)
    over the unassigned decision variables.  Here a binary heap keeps it
@@ -52,7 +52,6 @@ typedef struct {
     PyObject_HEAD
     int nvars;
     char ok;
-    char record_trace;
     long long conflicts;
     long long decisions;
     long long propagations;
@@ -580,7 +579,7 @@ handle_conflict(Kernel *k, int confl)
             return -1;
         enqueue(k, learnt[0], ci);
     }
-    if (k->record_trace && append_trace(k, learnt, nl) < 0)
+    if (append_trace(k, learnt, nl) < 0)
         return -1;
     k->var_inc *= ACT_BUMP_DECAY;
     return 0;
@@ -631,16 +630,13 @@ replace_list(PyObject **slot, PyObject *list)
 static PyObject *
 Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"record_trace", NULL};
-    int record_trace = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|p:Kernel", kwlist,
-                                     &record_trace))
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, ":Kernel", kwlist))
         return NULL;
     Kernel *k = (Kernel *)type->tp_alloc(type, 0);
     if (k == NULL)
         return NULL;
     k->ok = 1;
-    k->record_trace = (char)record_trace;
     k->last_status = UNKNOWN;
     k->var_inc = 1.0;
     k->model = PyList_New(0);
@@ -810,7 +806,7 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
     k->num_clauses++;
     if (m == 0) {
         k->ok = 0;
-        if (k->record_trace && append_trace(k, NULL, 0) < 0)
+        if (append_trace(k, NULL, 0) < 0)
             return NULL;
         Py_RETURN_NONE;
     }
@@ -892,7 +888,7 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
             since_restart++;
             if (k->trail_lim.size == 0) {
                 k->ok = 0;
-                if (k->record_trace && append_trace(k, NULL, 0) < 0)
+                if (append_trace(k, NULL, 0) < 0)
                     goto error;
                 return finish(k, UNSAT);
             }
@@ -983,7 +979,6 @@ static PyMethodDef Kernel_methods[] = {
 static PyMemberDef Kernel_members[] = {
     {"nvars", T_INT, offsetof(Kernel, nvars), READONLY, NULL},
     {"ok", T_BOOL, offsetof(Kernel, ok), READONLY, NULL},
-    {"record_trace", T_BOOL, offsetof(Kernel, record_trace), 0, NULL},
     {"conflicts", T_LONGLONG, offsetof(Kernel, conflicts), READONLY, NULL},
     {"decisions", T_LONGLONG, offsetof(Kernel, decisions), READONLY, NULL},
     {"propagations", T_LONGLONG, offsetof(Kernel, propagations), READONLY, NULL},
@@ -1001,7 +996,7 @@ static PyTypeObject KernelType = {
     .tp_basicsize = sizeof(Kernel),
     .tp_dealloc = (destructor)Kernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Kernel(record_trace=False): incremental CDCL SAT solver.",
+    .tp_doc = "Kernel(): incremental CDCL SAT solver.",
     .tp_methods = Kernel_methods,
     .tp_members = Kernel_members,
     .tp_new = Kernel_new,

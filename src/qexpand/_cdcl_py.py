@@ -10,9 +10,11 @@ That is a strict total order, so any exact priority queue picks alike.
 
 Variables are 1-based ints.  Internally a literal is encoded as
 2*v (positive) or 2*v+1 (negative); clause references are indices
-into the clause list.  Learned clauses are never deleted: instances
-here live for one expansion run, and keeping every learned clause
-keeps the recorded trace checkable by plain unit propagation.
+into the clause list.  Every kernel records its proof trace: each
+learned clause in order, and () once UNSAT without assumptions.
+Learned clauses are never deleted: instances here live for one
+expansion run, and keeping every one keeps the trace checkable by plain
+unit propagation.  get_trace shares one int per distinct literal.
 
 The order queue is a heapq list of (-activity, v) entries; _queued[v]
 is set while v is in the queue.  A bump pushes a fresh entry for a
@@ -61,10 +63,9 @@ def _extern(p):
 
 
 class Kernel:
-    def __init__(self, record_trace=False):
+    def __init__(self):
         self.nvars = 0
         self.ok = True
-        self.record_trace = record_trace
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -87,11 +88,12 @@ class Kernel:
         self._trail_lim = []
         self._qhead = 0
         self._var_inc = 1.0
-        self._trace = []
+        self._trace = []  # learned clauses as internal literal lists
 
     # -- variables ----------------------------------------------------
 
     def ensure_vars(self, n):
+        # a new entry sorts after every queued one: append keeps the heap
         while self.nvars < n:
             self.nvars += 1
             self._assigns.append(0)
@@ -103,7 +105,7 @@ class Kernel:
             self._decision.append(1)
             self._watches.append([])
             self._watches.append([])
-            heappush(self._queue, (-0.0, self.nvars))
+            self._queue.append((-0.0, self.nvars))
 
     def set_decision(self, v, flag):
         """Let v be branched on (flag true) or not; see the module doc."""
@@ -160,7 +162,8 @@ class Kernel:
                 mx = a
         if not self.ok:
             return
-        self.ensure_vars(mx)
+        if mx > self.nvars:
+            self.ensure_vars(mx)
         out = []
         have = set()
         for l in lits:
@@ -178,8 +181,7 @@ class Kernel:
         self.num_clauses += 1
         if not out:
             self.ok = False
-            if self.record_trace:
-                self._trace.append(())
+            self._trace.append([])
             return
         if len(out) == 1:
             self._enqueue(out[0], -1)
@@ -367,8 +369,7 @@ class Kernel:
             self._watches[learnt[0]].append(ci)
             self._watches[learnt[1]].append(ci)
             self._enqueue(learnt[0], ci)
-        if self.record_trace:
-            self._trace.append(tuple(_extern(q) for q in learnt))
+        self._trace.append(learnt[:])  # propagation reorders the stored clause
         self._var_inc *= _ACT_BUMP_DECAY
 
     # -- branching ----------------------------------------------------
@@ -419,8 +420,7 @@ class Kernel:
                 since_restart += 1
                 if not trail_lim:
                     self.ok = False
-                    if self.record_trace:
-                        self._trace.append(())
+                    self._trace.append([])
                     self.last_status = UNSAT
                     return UNSAT
                 self._handle_conflict(confl)
@@ -473,4 +473,5 @@ class Kernel:
             trail.append(p)
 
     def get_trace(self):
-        return list(self._trace)
+        ext = {q: _extern(q) for q in set().union(*self._trace)}
+        return [tuple([ext[q] for q in c]) for c in self._trace]

@@ -1,15 +1,33 @@
 """Clausal certificates for false formulas.
 
 A false verdict rests on an unsatisfiable conjunction of annotated
-instantiation clauses.  The certificate records those clauses as axioms
-(matrix index, instantiating universal assignment, clause over the
-certificate's own ids) and a clause trace whose every step must follow
-by reverse unit propagation, ending in the empty clause.  An axiom's
-matrix clause and assignment fix the annotated variable behind each of
-its literals, so the axioms name every id.  Checking recomputes each
-axiom from the formula alone and replays the trace forward on a
-standalone propagator, so a certificate is evidence independent of the
-solver that produced it.
+instantiation clauses.  The certificate records them as axioms (matrix
+index, instantiating universal assignment, clause over integer ids) and
+a clause trace whose every step must follow by reverse unit
+propagation, ending in the empty clause.  An axiom's matrix clause and
+assignment fix the annotated variable behind each of its literals, so
+the axioms name every id.  Checking recomputes each axiom from the
+formula alone and replays the trace on a standalone propagator, so a
+certificate is evidence independent of the solver that produced it.
+
+Extraction reads it off the run's forall solver, UNSAT under the live
+selectors: its clauses are (-sel or C), sel the clause's activation
+selector, and the failed assumptions name the core.  The axioms are the
+core's clauses C with the solver's own ids; the trace is the solver's
+proof trace without the steps that name a selector outside the core,
+with the core's selectors removed, up to its first empty step (or with
+() appended).  That refutes the core:
+
+1. A selector occurs only negatively and is set only by an assumption,
+   above level 0 with no reason, so conflict analysis never resolves
+   it away or drops it as a level-0 literal.
+2. So a learned clause keeps -sel for every guarded clause in its
+   derivation, below the conflict level or as the unique implication
+   point: a kept step follows by unit propagation from core clauses
+   and earlier kept steps, all with the core's selectors removed.
+3. analyze_final collects the selector of every reason on its path,
+   so the core clauses and kept steps propagate to a conflict.  The
+   checker does not rely on this argument: it replays every step.
 
 The replay loads the axioms once into a ClauseDatabase: units and their
 consequences sit on a level-0 trail that is never undone, clauses that
@@ -23,7 +41,7 @@ by literal and nothing is sized by the largest id.
 
 from dataclasses import dataclass
 
-from . import annotate, sat
+from . import annotate
 
 
 class CertificateUnavailable(Exception):
@@ -40,7 +58,7 @@ class CertificateError(Exception):
 
 @dataclass
 class Certificate:
-    axioms: list  # (matrix index, alpha literals, clause over own ids) triples
+    axioms: list  # (matrix index, alpha literals, clause over annotated ids) triples
     trace: list  # derived abstraction clauses, last one empty
 
 
@@ -51,34 +69,22 @@ class CheckResult:
 
 
 def extract_certificate(state):
-    """Build a certificate from a finished false run.
-
-    The failed instantiation clauses are re-solved on a fresh
-    trace-recording solver with the run's kernel; refused for true or
-    unknown runs.  The core's ids are renumbered 1..k in increasing
-    order, so the solver holds no variable the core does not use and
-    ties between equally active variables still go to the smaller
-    original id.  The axioms carry those ids and the trace is the
-    solver's own.
-    """
+    """The certificate of a finished false run; see the module doc."""
     if state.verdict != "FALSE":
         raise CertificateUnavailable("only false verdicts have certificates")
     if not state.core:
         raise CertificateUnavailable("run recorded no failed clause core")
-    used = sorted({-l if l < 0 else l for lits, _, _ in state.core for l in lits})
-    dense = {aid: i for i, aid in enumerate(used, 1)}
-    solver = sat.Solver(record_trace=True, kernel=state.config.kernel)
-    axioms = []
-    for lits, idx, alpha in state.core:
-        lits = tuple(dense[l] if l > 0 else -dense[-l] for l in lits)
-        solver.add_clause(lits)
-        axioms.append((idx, alpha.literals(), lits))
-    out = solver.solve()
-    if out.status != sat.UNSAT:
-        raise CertificateError("failed clause core is satisfiable")
-    trace = solver.proof_trace()
-    if not trace or trace[-1] != ():
-        raise CertificateError("solver trace does not end in the empty clause")
+    fa = state.forall_abs
+    core = {fa.selector[lits] for lits, _, _ in state.core}
+    axioms = [(idx, alpha.literals(), lits) for lits, idx, alpha in state.core]
+    trace = []
+    for step in fa.solver.proof_trace():
+        if not any(-l in fa.origin and -l not in core for l in step):
+            trace.append(tuple(l for l in step if -l not in core))
+            if not trace[-1]:
+                break
+    else:
+        trace.append(())
     return Certificate(axioms, trace)
 
 

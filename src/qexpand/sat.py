@@ -5,7 +5,7 @@ from _cdcl.c when a C compiler is present at install time) and as pure
 Python (qexpand._cdcl_py).  The compiled one is picked when importable;
 pass kernel="pure" (CLI: --kernel pure) to use the fallback anyway.
 Both implement the same search step for step, so switching kernels
-never changes models, verdicts, or recorded traces.
+never changes models, verdicts, or the proof traces both always record.
 
 The kernels check literals themselves: add_clause and solve raise
 ValueError("literals must be nonzero ints") on a zero or non-int
@@ -42,7 +42,7 @@ class ResourceLimit(Exception):
 
 
 class TraceUnavailable(Exception):
-    """No proof trace: tracing disabled or last solve not UNSAT."""
+    """No proof trace: the last solve was not UNSAT."""
 
 
 def kernel_name():
@@ -64,7 +64,7 @@ class Solver:
     as read-only.
     """
 
-    def __init__(self, record_trace=False, kernel="auto"):
+    def __init__(self, kernel="auto"):
         if kernel == "auto":
             mod = _default
         elif kernel == "pure":
@@ -75,8 +75,7 @@ class Solver:
             mod = _default
         else:
             raise ValueError("kernel must be auto, pure, or compiled")
-        self._k = mod.Kernel(record_trace)
-        self.record_trace = record_trace
+        self._k = mod.Kernel()
 
     @property
     def num_vars(self):
@@ -129,8 +128,6 @@ class Solver:
     def proof_trace(self):
         """Learned clauses in derivation order; ends with () after a
         top-level (assumption-free) UNSAT result."""
-        if not self.record_trace:
-            raise TraceUnavailable("tracing was not enabled")
         if self._k.last_status != -1:
             raise TraceUnavailable("last solve was not unsat")
         return self._k.get_trace()

@@ -282,14 +282,14 @@ def pigeonhole(n):
 
 
 def observe(kernel, nv, steps):
-    """Play steps on a fresh tracing solver over nv variables; return all
-    a caller can see.
+    """Play steps on a fresh solver over nv variables; return all a
+    caller can see.
 
     Each step is (clauses to add, then solve(assumptions, deadline),
     after set_decision(var, flag) for each pair in marks).  A step whose
     add_clause or solve raises ValueError is seen as its message.
     """
-    s = Solver(record_trace=True, kernel=kernel)
+    s = Solver(kernel=kernel)
     s.ensure_vars(nv)
     seen = []
     for clauses, assumptions, deadline, marks in steps:
@@ -499,7 +499,7 @@ def test_conflict_budget_unknown(kernel):
 
 
 def test_trace_recording(kernel):
-    s = Solver(record_trace=True, kernel=kernel)
+    s = Solver(kernel=kernel)
     for c in ([1, 2], [1, -2], [-1, 2], [-1, -2]):
         s.add_clause(c)
     out = s.solve()
@@ -515,11 +515,6 @@ def test_trace_unavailable(kernel):
     s.solve()
     with pytest.raises(TraceUnavailable):
         s.proof_trace()
-    s2 = Solver(record_trace=True, kernel=kernel)
-    s2.add_clause([1])
-    s2.solve()
-    with pytest.raises(TraceUnavailable):
-        s2.proof_trace()
 
 
 def test_instance_independence(kernel):
