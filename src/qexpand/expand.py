@@ -63,6 +63,14 @@ values chosen so far.  Then alpha and sigma together satisfy the
 matrix (m_f satisfies the instantiation under alpha) and falsify it
 (m_e falsifies a clause of the instantiation under sigma), a
 contradiction.
+
+The same pairs witness completion.  The forall step strips against
+every alpha and the exists step against every sigma, so with
+verify_invariants each step checks its own pairs: the strip satisfies
+its alpha (falsifies its sigma) and is in S (A) once inserted.  Then
+every alpha is satisfied by a named sigma, and every sigma falsified
+by a named alpha, with no search.  check_completion searches instead:
+it is the full scan for any state.
 """
 
 import time
@@ -105,9 +113,6 @@ class AssignmentSet:
             return False
         self._by_key[k] = a
         return True
-
-    def has_key(self, k):
-        return k in self._by_key
 
     def __contains__(self, a):
         return a.key() in self._by_key
@@ -204,8 +209,6 @@ class ExpansionState:
         self.core = None  # (clause lits, matrix index, alpha) triples on FALSE
         self.resets = 0
         self.deadline = None
-        self._wit_s_for_a = {}  # alpha key -> satisfying sigma key
-        self._wit_a_for_s = {}  # sigma key -> falsifying alpha key
 
 
 @dataclass
@@ -272,59 +275,47 @@ def initial_alphas(q):
 
 
 def check_completion(state, s_side=True, a_side=True):
-    """Report violations of the mutual-coverage invariants.
+    """Report violations of the mutual-coverage invariants by a full scan.
 
     s_side: every collected universal assignment is satisfied by some
     candidate (holds right after candidate extraction).  a_side: every
     candidate is falsified by some universal assignment (holds right
     after universal extraction or a reset).
     """
-    q = state.q
+    sides = []
+    if s_side:
+        sides.append(("s-completes-a", state.alphas, state.sigmas, True))
+    if a_side:
+        sides.append(("a-completes-s", state.sigmas, state.alphas, False))
     checked = 0
     violations = []
-    if s_side:
-        for alpha in state.alphas:
-            ak = alpha.key()
-            wit = state._wit_s_for_a.get(ak)
-            if wit is not None and state.sigmas.has_key(wit):
-                continue
-            found = None
-            for sigma in state.sigmas:
+    for direction, sources, others, want in sides:
+        for source in sources:
+            for other in others:
                 checked += 1
-                if _combined_eval(q, alpha, sigma):
-                    found = sigma.key()
+                if _combined_eval(state.q, source, other) == want:
                     break
-            if found is None:
-                violations.append(("s-completes-a", alpha, None))
             else:
-                state._wit_s_for_a[ak] = found
-    if a_side:
-        for sigma in state.sigmas:
-            sk = sigma.key()
-            wit = state._wit_a_for_s.get(sk)
-            if wit is not None and state.alphas.has_key(wit):
-                continue
-            found = None
-            for alpha in state.alphas:
-                checked += 1
-                if not _combined_eval(q, alpha, sigma):
-                    found = alpha.key()
-                    break
-            if found is None:
-                violations.append(("a-completes-s", sigma, None))
-            else:
-                state._wit_a_for_s[sk] = found
+                violations.append((direction, source, None))
     return CompletionReport(checked, violations)
 
 
-def _verify_completion(state, s_side, a_side):
-    report = check_completion(state, s_side=s_side, a_side=a_side)
-    if report.violations:
-        direction = report.violations[0][0]
-        raise InvariantViolation(
-            "completion violated (%s) at iteration %d"
-            % (direction, state.iteration)
-        )
+def _verify_pairs(state, pairs, target, s_side):
+    """Check the (source, strip) pairs of one refinement step: each strip
+    satisfies its alpha (s_side) or falsifies its sigma, and is in the
+    target set, so it witnesses completion for its source."""
+    for source, cand in pairs:
+        if _combined_eval(state.q, source, cand) != s_side:
+            raise InvariantViolation(
+                "extracted candidate does not satisfy its source"
+                if s_side
+                else "extracted universal does not falsify its source"
+            )
+        if cand not in target:
+            raise InvariantViolation(
+                "completion violated (%s) at iteration %d"
+                % ("s-completes-a" if s_side else "a-completes-s", state.iteration)
+            )
 
 
 def _stalled(state, side):
@@ -332,6 +323,10 @@ def _stalled(state, side):
         "no new %s at iteration %d (%d resets so far)"
         % (side, state.iteration, state.resets)
     )
+
+
+def _expired(state):
+    return state.deadline is not None and time.monotonic() > state.deadline
 
 
 def solve(q, config=None, on_iteration=None):
@@ -354,19 +349,11 @@ def solve(q, config=None, on_iteration=None):
         if state.alphas.add(alpha):
             state.forall_abs.add_group(alpha)
 
-    def out_of_time():
-        return state.deadline is not None and time.monotonic() > state.deadline
-
-    def finish(verdict):
-        state.verdict = verdict
-        witness = list(state.sigmas) if verdict == TRUE else []
-        return SolveResult(verdict, state.iteration, state.stats, witness, state)
-
     while True:
-        if cfg.max_iterations and state.iteration >= cfg.max_iterations:
-            return finish(UNKNOWN)
-        if out_of_time():
-            return finish(UNKNOWN)
+        at_limit = cfg.max_iterations and state.iteration >= cfg.max_iterations
+        if at_limit or _expired(state):
+            verdict = UNKNOWN
+            break
         state.iteration += 1
         rec = {
             "iteration": state.iteration,
@@ -377,87 +364,82 @@ def solve(q, config=None, on_iteration=None):
             "reset": False,
         }
         state.stats.append(rec)
-        fa = state.forall_abs
-        ea = state.exists_abs
-
-        t0 = time.perf_counter()
-        out_f = fa.solve(deadline=state.deadline)
-        rec["forall_time"] = time.perf_counter() - t0
-        rec["forall_status"] = out_f.status
-        if out_f.status == sat.UNKNOWN:
-            _finish_rec(rec, state)
-            return finish(UNKNOWN)
-        if out_f.status == sat.UNSAT:
-            state.core = [fa.origin[s] for s in out_f.failed_assumptions]
-            _finish_rec(rec, state)
-            return finish(FALSE)
-
-        t0 = time.perf_counter()
-        strips = _strip_all(state.q, out_f.model, state.alphas, fa.table)
-        rec["strip_time"] = time.perf_counter() - t0
-        if cfg.verify_invariants:
-            for alpha, cand in strips:
-                if not _combined_eval(state.q, alpha, cand):
-                    raise InvariantViolation(
-                        "extracted candidate does not satisfy its source"
-                    )
-        new_s = 0
-        for _, cand in strips:
-            if state.sigmas.add(cand):
-                ea.add_negation(cand)
-                new_s += 1
-        rec["new_sigmas"] = new_s
-        if new_s == 0:
-            _stalled(state, "sigma")
-        if cfg.verify_invariants:
-            _verify_completion(state, s_side=True, a_side=False)
-
-        if out_of_time():
-            _finish_rec(rec, state)
-            return finish(UNKNOWN)
-        t0 = time.perf_counter()
-        out_e = ea.solve(deadline=state.deadline)
-        rec["exists_time"] = time.perf_counter() - t0
-        rec["exists_status"] = out_e.status
-        if out_e.status == sat.UNKNOWN:
-            _finish_rec(rec, state)
-            return finish(UNKNOWN)
-        if out_e.status == sat.UNSAT:
-            _finish_rec(rec, state)
-            return finish(TRUE)
-
-        t0 = time.perf_counter()
-        strips_a = _strip_all(state.q, out_e.model, state.sigmas, ea.table)
-        rec["strip_time"] += time.perf_counter() - t0
-        if cfg.verify_invariants:
-            for sigma, cand in strips_a:
-                if _combined_eval(state.q, cand, sigma):
-                    raise InvariantViolation(
-                        "extracted universal does not falsify its source"
-                    )
-        do_reset = cfg.reset_period and state.iteration % cfg.reset_period == 0
-        do_reset = do_reset or fa.live_literals > RESET_MEMORY_THRESHOLD
-        before = state.alphas
-        if do_reset:
-            state.alphas = AssignmentSet()
-            fa.drop_all_groups()
-            state.resets += 1
-            rec["reset"] = True
-        new_a = 0
-        for _, cand in strips_a:
-            novel = cand not in before
-            if state.alphas.add(cand):
-                fa.add_group(cand)
-                new_a += novel
-        rec["new_alphas"] = new_a
-        if new_a == 0:
-            _stalled(state, "alpha")
-        if cfg.verify_invariants:
-            _verify_completion(state, s_side=False, a_side=True)
-
+        verdict = _iterate(state, rec)
         _finish_rec(rec, state)
+        if verdict is not None:
+            break
         if on_iteration is not None and on_iteration(state) is not None:
             raise ValueError("on_iteration must return None")
+    state.verdict = verdict
+    witness = list(state.sigmas) if verdict == TRUE else []
+    return SolveResult(verdict, state.iteration, state.stats, witness, state)
+
+
+def _iterate(state, rec):
+    """One refinement round, recorded in rec: the verdict it reaches, or
+    None when both sides grew."""
+    cfg = state.config
+    fa = state.forall_abs
+    ea = state.exists_abs
+
+    t0 = time.perf_counter()
+    out_f = fa.solve(deadline=state.deadline)
+    rec["forall_time"] = time.perf_counter() - t0
+    rec["forall_status"] = out_f.status
+    if out_f.status == sat.UNKNOWN:
+        return UNKNOWN
+    if out_f.status == sat.UNSAT:
+        state.core = [fa.origin[s] for s in out_f.failed_assumptions]
+        return FALSE
+
+    t0 = time.perf_counter()
+    strips = _strip_all(state.q, out_f.model, state.alphas, fa.table)
+    rec["strip_time"] = time.perf_counter() - t0
+    new_s = 0
+    for _, cand in strips:
+        if state.sigmas.add(cand):
+            ea.add_negation(cand)
+            new_s += 1
+    rec["new_sigmas"] = new_s
+    if cfg.verify_invariants:
+        _verify_pairs(state, strips, state.sigmas, s_side=True)
+    if new_s == 0:
+        _stalled(state, "sigma")
+
+    if _expired(state):
+        return UNKNOWN
+    t0 = time.perf_counter()
+    out_e = ea.solve(deadline=state.deadline)
+    rec["exists_time"] = time.perf_counter() - t0
+    rec["exists_status"] = out_e.status
+    if out_e.status == sat.UNKNOWN:
+        return UNKNOWN
+    if out_e.status == sat.UNSAT:
+        return TRUE
+
+    t0 = time.perf_counter()
+    strips_a = _strip_all(state.q, out_e.model, state.sigmas, ea.table)
+    rec["strip_time"] += time.perf_counter() - t0
+    do_reset = cfg.reset_period and state.iteration % cfg.reset_period == 0
+    do_reset = do_reset or fa.live_literals > RESET_MEMORY_THRESHOLD
+    before = state.alphas
+    if do_reset:
+        state.alphas = AssignmentSet()
+        fa.drop_all_groups()
+        state.resets += 1
+        rec["reset"] = True
+    new_a = 0
+    for _, cand in strips_a:
+        novel = cand not in before
+        if state.alphas.add(cand):
+            fa.add_group(cand)
+            new_a += novel
+    rec["new_alphas"] = new_a
+    if cfg.verify_invariants:
+        _verify_pairs(state, strips_a, state.alphas, s_side=False)
+    if new_a == 0:
+        _stalled(state, "alpha")
+    return None
 
 
 def _finish_rec(rec, state):

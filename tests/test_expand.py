@@ -415,15 +415,64 @@ def test_check_completion_reports_violation():
     ]
     report = check_completion(state, s_side=False, a_side=True)
     assert report.violations == []
-    state.sigmas.add(Assignment.from_pairs(q, {2: True}))
+    # {2: True} covers {1: False}, but no alpha falsifies it
+    uncovered = Assignment.from_pairs(q, {2: True})
+    state.sigmas.add(uncovered)
     report = check_completion(state, s_side=True, a_side=False)
     assert report.violations == []
+    report = check_completion(state, s_side=False, a_side=True)
+    assert report.violations == [("a-completes-s", uncovered, None)]
 
 
 def test_check_completion_clean_after_true_run():
     r = solve(alternating_true_qbf(), SolveConfig(reset_period=0))
     report = check_completion(r.state, s_side=True, a_side=False)
     assert report.violations == []
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("universal", "extracted candidate does not satisfy its source"),
+        ("existential", "extracted universal does not falsify its source"),
+    ],
+    ids=["sigma", "alpha"],
+)
+def test_verify_invariants_catches_bad_strips(monkeypatch, kind, message):
+    # on xor every strip assigns one variable, and flipping it turns a
+    # sigma strip against its alpha, or an alpha strip toward its sigma
+    real_strip = annotate.strip
+
+    def flipping_strip(model, source, table):
+        cand = real_strip(model, source, table)
+        if table.kind != kind:
+            return cand
+        return Assignment.from_pairs(cand.qbf, {abs(l): l < 0 for l in cand.literals()})
+
+    monkeypatch.setattr(annotate, "strip", flipping_strip)
+    with pytest.raises(InvariantViolation, match=message):
+        solve(xor_true_qbf(), SolveConfig(reset_period=0, verify_invariants=True))
+
+
+@pytest.mark.parametrize(
+    "lost, direction",
+    [({2: True}, "s-completes-a"), ({1: True}, "a-completes-s")],
+    ids=["sigma", "alpha"],
+)
+def test_verify_invariants_catches_lost_strips(monkeypatch, lost, direction):
+    # add reports the first strip of one side as new but never stores it
+    q = xor_true_qbf()
+    lost = Assignment.from_pairs(q, lost)
+    real_add = expand.AssignmentSet.add
+
+    def lossy_add(self, a):
+        return True if a == lost else real_add(self, a)
+
+    monkeypatch.setattr(expand.AssignmentSet, "add", lossy_add)
+    with pytest.raises(
+        InvariantViolation, match=r"completion violated \(%s\) at iteration 1" % direction
+    ):
+        solve(q, SolveConfig(reset_period=0, verify_invariants=True))
 
 
 def test_stall_without_resets_is_a_bug(monkeypatch):
