@@ -11,6 +11,10 @@
    to equal ones and leave the larger index above the smaller, so the
    heap is rebuilt after it.
 
+   A SAT answer keeps its trail, and the next solve whose assumptions
+   extend the kept list goes on from it, as _cdcl_py documents; kept,
+   kept_k and has_kept hold that state.
+
    Plain C against the CPython API, so any C compiler builds it and the
    module loads no C++ runtime.  Every function here runs with the
    interpreter lock held.  Literals use the encoding of _cdcl_py: 2*v
@@ -83,6 +87,9 @@ typedef struct {
     int clauses_cap;
     ivec trail_lim;
     ivec asum;           /* interned assumptions of the running solve */
+    ivec kept;           /* assumptions of the SAT answer whose trail is kept */
+    int kept_k;          /* bottom levels that hold kept[0..kept_k), one each */
+    char has_kept;       /* 0 once the trail is cancelled to level 0 */
     ivec buf;            /* add_clause input */
     int qhead;
     double var_inc;
@@ -403,6 +410,13 @@ cancel_until(Kernel *k, int lvl)
     k->qhead = limit;
 }
 
+static void
+forget_trail(Kernel *k)
+{
+    cancel_until(k, 0);
+    k->has_kept = 0;
+}
+
 /* Returns the index of a conflicting clause, -1 when none, or
    PROPAGATE_ERROR with an exception set. */
 static int
@@ -680,6 +694,7 @@ Kernel_dealloc(Kernel *k)
     PyMem_Free(k->to_clear);
     PyMem_Free(k->trail_lim.data);
     PyMem_Free(k->asum.data);
+    PyMem_Free(k->kept.data);
     PyMem_Free(k->buf.data);
     Py_XDECREF(k->model);
     Py_XDECREF(k->failed);
@@ -722,6 +737,8 @@ Kernel_set_decision(Kernel *k, PyObject *args)
     }
     if (ensure_vars(k, (int)v) < 0)
         return NULL;
+    if (!flag && k->assigns[v] && k->level[v] > 0)
+        forget_trail(k);
     k->decision[v] = (char)flag;
     if (flag)
         hinsert(k, (int)v);
@@ -775,7 +792,7 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
     int m = 0, keep = 1;
     for (int i = 0; i < n; i++) {
         int p = lits[i];
-        int v = value(k, p);
+        int v = k->level[p >> 1] == 0 ? value(k, p) : 0;
         if (v == 1) {
             keep = 0; /* satisfied at top level */
             break;
@@ -797,6 +814,19 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
         k->seen[lits[i] >> 1] = 0;
     if (!keep)
         Py_RETURN_NONE;
+    if (k->trail_lim.size > 0) {
+        /* watch two literals the kept trail leaves non-false, if any */
+        int j = 0;
+        for (int i = 0; i < m && j < 2; i++) {
+            if (value(k, lits[i]) != 2) {
+                int tmp = lits[j];
+                lits[j++] = lits[i];
+                lits[i] = tmp;
+            }
+        }
+        if (j < 2)
+            forget_trail(k);
+    }
     if (m >= 2) {
         if (store_clause(k, lits, m) < 0)
             return NULL;
@@ -875,6 +905,16 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
         return finish(k, UNSAT);
     if (ensure_vars(k, mx) < 0)
         return NULL;
+    int kept_k = k->kept_k;
+    int nkept = k->kept.size;
+    const int *kept = k->kept.data;
+    const int *asum = k->asum.data;
+    int fast = k->has_kept && nkept <= k->asum.size
+               && (nkept == 0 || memcmp(kept, asum, (size_t)nkept * sizeof(int)) == 0);
+    if (!fast)
+        cancel_until(k, 0);
+    k->has_kept = 0;
+    int ai = nkept; /* the fast path's next assumption */
     long long restart_limit = 100;
     long long since_restart = 0;
     long long conflicts_here = 0;
@@ -883,6 +923,13 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
         if (confl == PROPAGATE_ERROR)
             goto error;
         if (confl >= 0) {
+            if (fast) {
+                fast = 0;
+                if (k->trail_lim.size > kept_k) {
+                    cancel_until(k, kept_k); /* learn nothing, count nothing */
+                    continue;
+                }
+            }
             k->conflicts++;
             conflicts_here++;
             since_restart++;
@@ -914,7 +961,23 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
         }
         int p = -1;
         int dl = k->trail_lim.size;
-        if (dl < k->asum.size) {
+        while (fast && ai < k->asum.size) {
+            int q = k->asum.data[ai];
+            int vq = value(k, q);
+            if (vq == 0) {
+                p = q;
+                ai++;
+                break;
+            }
+            if (vq == 2) {
+                fast = 0;
+                cancel_until(k, kept_k);
+                dl = kept_k;
+                break;
+            }
+            ai++; /* already true: no level */
+        }
+        if (!fast && dl < k->asum.size) {
             int q = k->asum.data[dl];
             int vq = value(k, q);
             if (vq == 1) {
@@ -936,7 +999,11 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
             if (v == 0) {
                 if (replace_list(&k->model, model_list(k)) < 0)
                     goto error;
-                cancel_until(k, 0);
+                ivec t = k->kept;
+                k->kept = k->asum;
+                k->asum = t;
+                k->kept_k = fast ? kept_k : k->kept.size;
+                k->has_kept = 1;
                 return finish(k, SAT);
             }
             k->decisions++;

@@ -27,6 +27,29 @@ every key, and once it passes 2*nvars + 64 entries.
 In solve, assumptions already true open their empty levels in one
 inner loop: nothing can propagate or restart until a literal is set.
 
+A SAT answer keeps its trail.  _kept is that call's assumption list
+and _kept_k the number of bottom levels that hold _kept[:_kept_k], one
+level each; UNSAT, UNKNOWN and set_decision or add_clause cancelling to
+level 0 set _kept to None.  add_clause simplifies against level-0
+values only: a literal true by a kept decision must not drop the clause
+as satisfied.  Above level 0 it moves the first two literals that the
+trail leaves non-false to the watch positions; with fewer than two (a
+unit, or a clause false under the trail) it cancels to level 0 and adds
+the clause as at level 0.  A watched pair that is non-false when added
+keeps the watch invariant on every trail below.
+
+solve takes a fast path when _kept is a prefix of its assumptions.  The
+new ones open levels on top of the kept trail (a true one opens none, a
+false one falls back), and branching goes on as usual.  At the first
+conflict above _kept_k levels it falls back: it cancels to _kept_k and
+runs the usual loop, so the fast path learns nothing and counts no
+conflict, and selectors stay assumption-only decisions.  A conflict with
+no level above _kept_k, such as one a unit added at level 0 causes on a
+trail kept at level 0 alone, goes through the usual conflict code; lost,
+it would answer SAT.  When _kept is not a prefix, solve cancels to
+level 0 and runs the usual loop.  SAT from the usual loop keeps
+len(assumptions) levels; SAT from the fast path keeps _kept_k.
+
 A variable marked non-decision with set_decision(v, False) stays out
 of the order queue and is never picked as a decision; it is set
 only by propagation or as an assumption, and one left unassigned reads
@@ -89,6 +112,8 @@ class Kernel:
         self._qhead = 0
         self._var_inc = 1.0
         self._trace = []  # learned clauses as internal literal lists
+        self._kept = None  # assumptions of the SAT answer whose trail is kept
+        self._kept_k = 0  # bottom levels that hold _kept[:_kept_k], one each
 
     # -- variables ----------------------------------------------------
 
@@ -112,6 +137,8 @@ class Kernel:
         if not isinstance(v, int) or v <= 0:
             raise ValueError("variable must be a positive int")
         self.ensure_vars(v)
+        if not flag and self._assigns[v] and self._level[v] > 0:
+            self._forget_trail()
         self._decision[v] = 1 if flag else 0
         if flag and not self._queued[v]:
             self._queued[v] = 1
@@ -166,12 +193,13 @@ class Kernel:
             self.ensure_vars(mx)
         out = []
         have = set()
+        level = self._level
         for l in lits:
             p = _intern(l)
             v = self._value(p)
-            if v == 1:
-                return  # satisfied at top level
-            if v == 2:
+            if v and level[p >> 1] == 0:
+                if v == 1:
+                    return  # satisfied at top level
                 continue
             if p ^ 1 in have:
                 return  # tautology
@@ -179,6 +207,17 @@ class Kernel:
                 have.add(p)
                 out.append(p)
         self.num_clauses += 1
+        if self._trail_lim:
+            # watch two literals the kept trail leaves non-false, if any
+            j = 0
+            for i, p in enumerate(out):
+                if self._value(p) != 2:
+                    out[j], out[i] = p, out[j]
+                    j += 1
+                    if j == 2:
+                        break
+            if j < 2:
+                self._forget_trail()
         if not out:
             self.ok = False
             self._trace.append([])
@@ -192,6 +231,10 @@ class Kernel:
         self._watches[out[1]].append(ci)
 
     # -- trail --------------------------------------------------------
+
+    def _forget_trail(self):
+        self._cancel_until(0)
+        self._kept = None
 
     def _enqueue(self, p, reason):
         v = p >> 1
@@ -409,12 +452,24 @@ class Kernel:
         reason = self._reason
         trail = self._trail
         trail_lim = self._trail_lim
+        kept = self._kept
+        kept_k = self._kept_k
+        self._kept = None
+        fast = kept is not None and asum[: len(kept)] == kept
+        if not fast:
+            self._cancel_until(0)
+        ai = len(kept) if fast else 0  # the fast path's next assumption
         restart_limit = 100
         since_restart = 0
         conflicts_here = 0
         while True:
             confl = self._propagate()
             if confl >= 0:
+                if fast:
+                    fast = False
+                    if len(trail_lim) > kept_k:
+                        self._cancel_until(kept_k)  # learn nothing, count nothing
+                        continue
                 self.conflicts += 1
                 conflicts_here += 1
                 since_restart += 1
@@ -441,7 +496,20 @@ class Kernel:
                 continue
             p = -1
             dl = len(trail_lim)
-            while dl < len(asum):
+            while fast and ai < len(asum):
+                q = asum[ai]
+                va = assigns[q >> 1]
+                if va == 0:
+                    p = q
+                    ai += 1
+                    break
+                if (3 - va if q & 1 else va) == 2:
+                    fast = False
+                    self._cancel_until(kept_k)
+                    dl = kept_k
+                    break
+                ai += 1  # already true: no level
+            while not fast and dl < len(asum):
                 q = asum[dl]
                 va = assigns[q >> 1]
                 if va == 0:
@@ -460,7 +528,8 @@ class Kernel:
                     self.model = [None] + [
                         assigns[i] == 1 for i in range(1, self.nvars + 1)
                     ]
-                    self._cancel_until(0)
+                    self._kept = asum
+                    self._kept_k = kept_k if fast else len(asum)
                     self.last_status = SAT
                     return SAT
                 self.decisions += 1

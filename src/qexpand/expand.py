@@ -37,7 +37,12 @@ order.  Selector ids grow in the order clauses are first added, so the
 list is in first-added order: a clause that a reset drops and a later
 alpha brings back takes its old place, not a place at the end, and the
 list depends on which clauses are live, not on the order in which the
-current alphas produced them.
+current alphas produced them.  In a run without a reset the live set
+only grows and every newly live selector is fresh, so the last forall
+call's assumptions are a prefix of the next call's, and the solver goes
+on from the trail of the last model (sat.Solver keeps it after SAT).
+After a reset the list shrinks, and a dropped clause that comes back
+takes its old place; then the solver starts again from level 0.
 
 A strip reads its source only below annotate.strip_cut, the head of
 the last block of the side it assigns, so each refinement step strips

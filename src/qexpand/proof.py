@@ -20,7 +20,11 @@ with the core's selectors removed, up to its first empty step (or with
 
 1. A selector occurs only negatively and is set only by an assumption,
    above level 0 with no reason, so conflict analysis never resolves
-   it away or drops it as a level-0 literal.
+   it away or drops it as a level-0 literal.  A trail kept from the
+   last SAT answer does not change that: the kept and the new
+   assumptions are decisions above level 0 there too, branching never
+   picks a selector (it is non-decision), and the fast path learns
+   nothing; conflicts are analysed only by the usual search.
 2. So a learned clause keeps -sel for every guarded clause in its
    derivation, below the conflict level or as the unique implication
    point: a kept step follows by unit propagation from core clauses

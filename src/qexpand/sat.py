@@ -16,6 +16,20 @@ propagation or an assumption sets it, and left unassigned it reads
 False in the model.  Mark only variables that occur negatively in
 every clause, as activation selectors do; learned clauses then hold
 them negatively too, so that False satisfies every clause.
+
+A SAT answer keeps its trail: the model's assignments stay on it, with
+the call's assumption list.  UNSAT, UNKNOWN and a raised error cancel
+to level 0 and forget it.  add_clause simplifies against level-0 values
+only, so a literal that a kept decision made true never drops a clause.
+A clause the trail leaves two literals non-false in is watched on them;
+any other clause cancels to level 0 first, as does set_decision(var,
+False) on a var the trail set above level 0.  When the kept list is a
+prefix of the next solve's assumptions, that solve opens the new ones
+on top of the kept trail and branches on from there.  At its first
+conflict it cancels to the kept assumption levels and searches as
+usual, so the shortcut learns nothing and counts no conflict: learned
+clauses, cores and traces all come from the usual search.  Any other
+list cancels to level 0.
 """
 
 from dataclasses import dataclass, field

@@ -200,6 +200,84 @@ def test_non_decision_models_random(kernel):
                 assert any(out.model[abs(l)] == (l > 0) for l in c)
 
 
+def test_kept_decision_does_not_satisfy_a_new_clause(kernel):
+    # the first solve decides 1 and 2 False and keeps its trail; -1 is
+    # true there only by a decision, not at level 0
+    s = Solver(kernel=kernel)
+    s.ensure_vars(2)
+    assert s.solve().model[1:] == [False, False]
+    s.add_clause([-1, 2])
+    out = s.solve([1])
+    assert out.status == SAT and out.model[1:] == [True, True]
+    # a clause the kept trail leaves two literals free in is watched on
+    # them, and the next solve goes on from the kept trail: 3 is decided
+    # False, so 4 follows
+    s.add_clause([-1, 3, 4])
+    out = s.solve([1, 2])
+    assert out.status == SAT and out.model[1:] == [True, True, False, True]
+
+
+def test_kept_level_0_trail_finds_the_conflict(kernel):
+    # the trail kept after the first solve is level 0 alone; the units
+    # added next propagate into a conflict there, which is the answer
+    s = Solver(kernel=kernel)
+    s.add_clause([1])
+    assert s.solve().status == SAT
+    for c in ([-2, 3], [-3, -1], [-1, 2]):
+        s.add_clause(c)
+    assert s.solve().status == UNSAT
+    assert s.proof_trace()[-1] == ()
+
+
+def test_kept_trail_interleaving_random(kernel):
+    # clauses arrive between solves whose assumption lists extend, shrink
+    # or replace the last one; some variables are negative-only and
+    # non-decision, as selectors are
+    rng = random.Random(106)
+    extended_sat = 0
+    for _ in range(150):
+        pool, nv = random_cnf(rng, max_vars=8, max_clauses=30)
+        neg = rng.sample(range(1, nv + 1), rng.randint(0, nv // 2))
+        pool = [[-abs(l) if abs(l) in neg else l for l in c] for c in pool]
+        s = Solver(kernel=kernel)
+        s.ensure_vars(nv)
+        for v in neg:
+            s.set_decision(v, False)
+        added = []
+        asum = []
+        status = None
+        while pool:
+            for _ in range(rng.randint(0, 4)):
+                if pool:
+                    added.append(pool.pop())
+                    s.add_clause(added[-1])
+            move = rng.choice(["extend", "extend", "shrink", "replace"])
+            if move == "replace":
+                asum = []
+            elif move == "shrink":
+                asum = asum[: rng.randint(0, len(asum))]
+            fresh = [v for v in range(1, nv + 1) if v not in {abs(l) for l in asum}]
+            for v in rng.sample(fresh, rng.randint(0, min(2, len(fresh)))):
+                asum.append(v if rng.random() < 0.5 else -v)
+            extended_sat += move == "extend" and status == SAT
+            out = s.solve(asum)
+            status = out.status
+            if out.status == SAT:
+                for c in added:
+                    assert any(out.model[abs(l)] == (l > 0) for l in c)
+                for l in asum:
+                    assert out.model[abs(l)] == (l > 0)
+            else:
+                assert out.status == UNSAT
+                assert not brute_sat(added + [[l] for l in asum], nv)
+                failed = out.failed_assumptions
+                assert set(failed) <= set(asum)
+                assert not brute_sat(added + [[l] for l in failed], nv)
+                if not s._k.ok:
+                    break
+    assert extended_sat > 150
+
+
 def test_set_decision_rejects_bad_ids(kernel):
     s = Solver(kernel=kernel)
     for bad in (0, -1, 1.0, "1", None):
@@ -315,16 +393,24 @@ def observe(kernel, nv, steps):
 
 
 def random_steps(rng, clauses, nv):
-    """Split clauses over up to three solves, each under random assumptions
-    and sometimes a deadline already past.  Some clauses get a repeated or
-    a complementary literal."""
+    """Split clauses over up to four solves, each under random assumptions
+    and sometimes a deadline already past.  Half the time a solve's
+    assumptions extend the last solve's, so a kept trail is continued.
+    Some clauses get a repeated or a complementary literal."""
     clauses = [c + [rng.choice([1, -1]) * rng.choice(c)] if rng.random() < 0.2 else c
                for c in clauses]
-    cuts = sorted(rng.randint(0, len(clauses)) for _ in range(rng.randint(0, 2)))
+    cuts = sorted(rng.randint(0, len(clauses)) for _ in range(rng.randint(0, 3)))
     steps = []
+    assumptions = []
     for lo, hi in zip([0] + cuts, cuts + [len(clauses)]):
-        vs = rng.sample(range(1, nv + 1), rng.randint(0, nv))
-        assumptions = [v if rng.random() < 0.5 else -v for v in vs]
+        if rng.random() < 0.5:
+            used = {abs(l) for l in assumptions}
+            vs = [v for v in range(1, nv + 1) if v not in used]
+            vs = rng.sample(vs, rng.randint(0, min(2, len(vs))))
+            assumptions = assumptions + [v if rng.random() < 0.5 else -v for v in vs]
+        else:
+            vs = rng.sample(range(1, nv + 1), rng.randint(0, nv))
+            assumptions = [v if rng.random() < 0.5 else -v for v in vs]
         deadline = rng.choice([None, None, time.monotonic() - 1.0])
         steps.append((clauses[lo:hi], assumptions, deadline, ()))
     return steps
@@ -402,8 +488,8 @@ def test_pure_and_compiled_agree_on_expansion(period):
 # one line per iteration and run, by reset period; and over repr(observe)
 # on the guarded pigeonhole copies and one last solve with no selector
 PINNED_STATS = {
-    0: "23b6f5bb6f4ee281baa5ff43bd70068041b22aa749855b35707e3ca7eed1db4a",
-    1: "0cff87cbd225b2b518332654bf6f3f39d3e5751014efdf72125456500f663bcf",
+    0: "d8f3945c8f1e38954c940efb0804f89b69a71c0e4c101a641b8d90d4feed5798",
+    1: "898e1106c40a9d12ac13f157e63c565b8b3a2e2ba1f162c096f5baa2ee71097a",
 }
 PINNED_PIGEONHOLE = "4daaa383c92981e59d833c7ba286fb920ef849d328a537088d577676b3174f2c"
 
