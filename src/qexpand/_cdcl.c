@@ -13,7 +13,11 @@
 
    A SAT answer keeps its trail, and the next solve whose assumptions
    extend the kept list goes on from it, as _cdcl_py documents; kept,
-   kept_k and has_kept hold that state.
+   kept_k and has_kept hold that state.  A conflict there is counted,
+   learned and traced as in the usual search; handle_conflict returns
+   the backjump level, and the solve stays on the kept trail unless it
+   is below kept_k.  Staying, it walks the assumptions from kept_k on
+   again, since the backjump may have undone one of them.
 
    Plain C against the CPython API, so any C compiler builds it and the
    module loads no C++ runtime.  Every function here runs with the
@@ -596,7 +600,7 @@ handle_conflict(Kernel *k, int confl)
     if (append_trace(k, learnt, nl) < 0)
         return -1;
     k->var_inc *= ACT_BUMP_DECAY;
-    return 0;
+    return bt;
 }
 
 /* -- branching -------------------------------------------------------- */
@@ -923,13 +927,6 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
         if (confl == PROPAGATE_ERROR)
             goto error;
         if (confl >= 0) {
-            if (fast) {
-                fast = 0;
-                if (k->trail_lim.size > kept_k) {
-                    cancel_until(k, kept_k); /* learn nothing, count nothing */
-                    continue;
-                }
-            }
             k->conflicts++;
             conflicts_here++;
             since_restart++;
@@ -939,8 +936,13 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
                     goto error;
                 return finish(k, UNSAT);
             }
-            if (handle_conflict(k, confl) < 0)
+            int bt = handle_conflict(k, confl);
+            if (bt < 0)
                 goto error;
+            if (bt < kept_k)
+                fast = 0; /* the usual loop: levels 1..bt hold asum[0..bt) */
+            else if (fast)
+                ai = kept_k; /* walk every assumption above the kept levels */
             if (deadline > 0.0 && (conflicts_here & 63) == 0) {
                 int late = past_deadline(deadline);
                 if (late < 0)
@@ -957,6 +959,7 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
             since_restart = 0;
             k->restarts++;
             cancel_until(k, 0);
+            fast = 0;
             continue;
         }
         int p = -1;

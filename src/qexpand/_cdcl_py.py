@@ -39,15 +39,21 @@ the clause as at level 0.  A watched pair that is non-false when added
 keeps the watch invariant on every trail below.
 
 solve takes a fast path when _kept is a prefix of its assumptions.  The
-new ones open levels on top of the kept trail (a true one opens none, a
-false one falls back), and branching goes on as usual.  At the first
-conflict above _kept_k levels it falls back: it cancels to _kept_k and
-runs the usual loop, so the fast path learns nothing and counts no
-conflict, and selectors stay assumption-only decisions.  A conflict with
-no level above _kept_k, such as one a unit added at level 0 causes on a
-trail kept at level 0 alone, goes through the usual conflict code; lost,
-it would answer SAT.  When _kept is not a prefix, solve cancels to
-level 0 and runs the usual loop.  SAT from the usual loop keeps
+new ones open levels on top of the kept trail: a true one opens none,
+an unassigned one opens one, and a false one falls back, cancelling to
+_kept_k and running the usual loop from there.  Branching goes on as
+usual.  A conflict on the fast path goes through the usual conflict
+code, which counts it, learns and traces its clause and backjumps to
+bt.  With bt >= _kept_k the solve stays fast and walks every assumption
+from _kept_k on again: one that an earlier fast solve opened on top of
+free decisions sits above the _kept_k levels, and the backjump may have
+undone it.  With bt < _kept_k it leaves the fast path: levels
+1..bt hold assumptions[:bt], so the usual loop goes on from there.  A
+restart cancels to level 0 and leaves it too.  Every backjump follows
+a learned clause and a solve leaves the fast path at most once, so the
+usual termination argument holds; selectors stay reason-less decisions
+above level 0.  When _kept is not a prefix, solve cancels to level 0
+and runs the usual loop.  SAT from the usual loop keeps
 len(assumptions) levels; SAT from the fast path keeps _kept_k.
 
 A variable marked non-decision with set_decision(v, False) stays out
@@ -414,6 +420,7 @@ class Kernel:
             self._enqueue(learnt[0], ci)
         self._trace.append(learnt[:])  # propagation reorders the stored clause
         self._var_inc *= _ACT_BUMP_DECAY
+        return bt
 
     # -- branching ----------------------------------------------------
 
@@ -465,11 +472,6 @@ class Kernel:
         while True:
             confl = self._propagate()
             if confl >= 0:
-                if fast:
-                    fast = False
-                    if len(trail_lim) > kept_k:
-                        self._cancel_until(kept_k)  # learn nothing, count nothing
-                        continue
                 self.conflicts += 1
                 conflicts_here += 1
                 since_restart += 1
@@ -478,7 +480,10 @@ class Kernel:
                     self._trace.append([])
                     self.last_status = UNSAT
                     return UNSAT
-                self._handle_conflict(confl)
+                if self._handle_conflict(confl) < kept_k:
+                    fast = False  # the usual loop: levels 1..bt hold asum[:bt]
+                elif fast:
+                    ai = kept_k  # walk every assumption above the kept levels
                 if (
                     deadline > 0.0
                     and conflicts_here & 63 == 0
@@ -493,6 +498,7 @@ class Kernel:
                 since_restart = 0
                 self.restarts += 1
                 self._cancel_until(0)
+                fast = False
                 continue
             p = -1
             dl = len(trail_lim)

@@ -22,9 +22,10 @@ with the core's selectors removed, up to its first empty step (or with
    above level 0 with no reason, so conflict analysis never resolves
    it away or drops it as a level-0 literal.  A trail kept from the
    last SAT answer does not change that: the kept and the new
-   assumptions are decisions above level 0 there too, branching never
-   picks a selector (it is non-decision), and the fast path learns
-   nothing; conflicts are analysed only by the usual search.
+   assumptions are decisions above level 0 there too, and branching
+   never picks a selector (it is non-decision).  So a conflict on the
+   kept trail, analysed like any other, meets each selector as a
+   reason-less literal above level 0, as the usual search does.
 2. So a learned clause keeps -sel for every guarded clause in its
    derivation, below the conflict level or as the unique implication
    point: a kept step follows by unit propagation from core clauses

@@ -6,6 +6,7 @@ import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 import time
 
@@ -278,6 +279,86 @@ def test_kept_trail_interleaving_random(kernel):
     assert extended_sat > 150
 
 
+def test_fast_path_conflict_is_learned(kernel):
+    # 1 and 2 are kept False by decisions; assuming the fresh selector 3
+    # on top of them propagates 4 into a conflict with 1, which is
+    # counted and learned as (-3, 1); that clause makes 3 false, so the
+    # solve falls back to the usual loop, which assumes 3 again
+    s = Solver(kernel=kernel)
+    s.ensure_vars(2)
+    assert s.solve().model[1:] == [False, False]
+    s.set_decision(3, False)
+    clauses = [[-3, 4], [-3, -4, 1]]
+    for c in clauses:
+        s.add_clause(c)
+    out = s.solve([3])
+    assert out.status == SAT and s.conflicts == 1
+    for c in clauses:
+        assert any(out.model[abs(l)] == (l > 0) for l in c)
+    assert out.model[3] is True
+    s.add_clause([-1])
+    out = s.solve([3])
+    assert out.status == UNSAT and out.failed_assumptions == [3]
+    assert s.proof_trace()[0] == (-3, 1)
+
+
+def test_fast_path_backjump_reopens_an_assumption(kernel):
+    # 2 is a non-decision selector that the second solve assumes on top
+    # of the decision 1 False, so it sits above the kept levels (none
+    # here).  The third solve decides 3 False, learns (3, 1) and
+    # backjumps to level 1, which undoes 2; the solve must assume 2 again
+    s = Solver(kernel=kernel)
+    s.set_decision(2, False)
+    assert s.solve().model[1:] == [False, False]
+    assert s.solve([2]).model[1:] == [False, True]
+    clauses = [[3, 4], [3, -4, 1]]
+    for c in clauses:
+        s.add_clause(c)
+    out = s.solve([2])
+    assert out.status == SAT and s.conflicts == 1
+    assert out.model[2] is True
+    for c in clauses:
+        assert any(out.model[abs(l)] == (l > 0) for l in c)
+
+
+def test_fast_path_learns_a_kept_assumption_false(kernel):
+    # 1 is kept as an assumption at level 1; the clauses over fresh 2-4
+    # first learn (2, -1), which keeps the fast path, then (-1), which
+    # backjumps below the kept level and fails the assumption
+    s = Solver(kernel=kernel)
+    s.ensure_vars(1)
+    assert s.solve([1]).status == SAT
+    clauses = [[-1, -2, 3], [-1, -2, -3], [-1, 2, 4], [-1, 2, -4]]
+    for c in clauses:
+        s.add_clause(c)
+    out = s.solve([1])
+    assert out.status == UNSAT and s.conflicts == 2
+    failed = out.failed_assumptions
+    assert failed == [1] and not brute_sat(clauses + [[l] for l in failed], 4)
+    out = s.solve()
+    assert out.status == SAT and out.model[1] is False
+
+
+def test_fast_solve_that_restarts_answers_as_fresh(kernel):
+    # pigeonhole(7) under a selector that extends the kept assumption
+    # list: the fast solve restarts, and answers as a fresh solver does
+    steps = pigeonhole_after_sat_steps()
+    s = Solver(kernel=kernel)
+    fresh = Solver(kernel=kernel)
+    for clauses, assumptions, _, marks in steps[:2]:
+        for h in (s, fresh):
+            for v, flag in marks:
+                h.set_decision(v, flag)
+            for c in clauses:
+                h.add_clause(c)
+        restarts, conflicts = s.restarts, s.conflicts
+        out = s.solve(assumptions)
+    assert s.restarts > restarts and s.conflicts - conflicts >= 100
+    want = fresh.solve(assumptions)
+    assert out.status == want.status == UNSAT
+    assert out.failed_assumptions == want.failed_assumptions == [100]
+
+
 def test_set_decision_rejects_bad_ids(kernel):
     s = Solver(kernel=kernel)
     for bad in (0, -1, 1.0, "1", None):
@@ -427,8 +508,133 @@ def guarded_pigeonhole_steps():
     ]
 
 
+def guarded_group_steps(rng, nv=9, assumed=3):
+    """Clause groups added between solves whose assumptions extend, as
+    the forall abstraction adds them, over a random 3-CNF on nv
+    variables.  The first solve takes half the clauses under up to
+    assumed literals; with few, free decisions sit below the selectors.
+    Each later group copies every clause with most variables renamed to
+    fresh ones, so it can conflict with the kept trail; it is guarded by
+    a fresh non-decision selector that the solve assumes, or now and
+    then added plain.  A backjump into the free decisions then undoes a
+    selector that the kept list holds above the kept levels."""
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nv + 1), 3)]
+        for _ in range(25)
+    ]
+    vs = rng.sample(range(1, nv + 1), rng.randint(0, assumed))
+    assumptions = [v if rng.random() < 0.5 else -v for v in vs]
+    steps = [(clauses[: len(clauses) // 2], assumptions, None, ())]
+    top = nv
+    for _ in range(rng.randint(1, 6)):
+        fresh = {}
+        for v in rng.sample(range(1, nv + 1), nv * 7 // 10):
+            top += 1
+            fresh[v] = top
+        group = [[fresh.get(abs(l), abs(l)) * (1 if l > 0 else -1) for l in c] for c in clauses]
+        marks = ()
+        if rng.random() < 0.8:
+            top += 1
+            group = [c + [-top] for c in group]
+            assumptions = assumptions + [top]
+            marks = [(top, False)]
+        steps.append((group, assumptions, None, marks))
+    return steps
+
+
+def pigeonhole_after_sat_steps():
+    """A SAT answer on a few clauses under an assumption, then
+    pigeonhole(7) on fresh variables under a new selector that extends
+    the kept assumption list: the fast solve restarts after 100
+    conflicts, and the usual loop assumes 4 again."""
+    php = [[l + 10 if l > 0 else l - 10 for l in c] for c in pigeonhole(7)]
+    return [
+        ([[1, 2, -3], [-1, 4], [3, -4, 5]], [4], None, ()),
+        ([c + [-100] for c in php], [4, 100], None, [(100, False)]),
+        ([], [], None, ()),
+    ]
+
+
+@pytest.fixture
+def fast_path_cases(monkeypatch):
+    """Count, on the pure kernel, the conflicts met on the fast path by
+    how far they backjump, and the restarts taken on it: keys "stay"
+    (bt >= kept_k), "leave" (bt < kept_k) and "restart"."""
+    counts = {"stay": 0, "leave": 0, "restart": 0}
+    handle = _cdcl_py.Kernel._handle_conflict
+    cancel = _cdcl_py.Kernel._cancel_until
+
+    def counted_handle(k, confl):
+        caller = sys._getframe(1).f_locals
+        bt = handle(k, confl)
+        if caller["fast"]:
+            counts["stay" if bt >= caller["kept_k"] else "leave"] += 1
+        return bt
+
+    def counted_cancel(k, lvl):
+        caller = sys._getframe(1).f_locals
+        # solve resets since_restart just before a restart cancels
+        if caller.get("fast") and lvl == 0 and caller["since_restart"] == 0:
+            counts["restart"] += 1
+        cancel(k, lvl)
+
+    monkeypatch.setattr(_cdcl_py.Kernel, "_handle_conflict", counted_handle)
+    monkeypatch.setattr(_cdcl_py.Kernel, "_cancel_until", counted_cancel)
+    return counts
+
+
+def search_sat(clauses):
+    """Decide clauses by splitting on literals with unit propagation: an
+    exhaustive search that shares no code with the kernels."""
+    clauses = [set(c) for c in clauses]
+    while True:
+        if any(not c for c in clauses):
+            return False
+        unit = next((c for c in clauses if len(c) == 1), None)
+        if unit is None:
+            break
+        (l,) = unit
+        clauses = [c - {-l} for c in clauses if l not in c]
+    if not clauses:
+        return True
+    l = next(iter(clauses[0]))
+    return search_sat(clauses + [{l}]) or search_sat(clauses + [{-l}])
+
+
+def test_guarded_groups_answer_right(kernel, fast_path_cases):
+    # every answer on the fast path, checked against the clauses added so
+    # far: a SAT model satisfies them and the assumptions, an UNSAT is
+    # confirmed by search, and so are its failed assumptions
+    rng = random.Random(107)
+    for _ in range(150):
+        s = Solver(kernel=kernel)
+        s.ensure_vars(9)
+        added = []
+        for clauses, assumptions, _, marks in guarded_group_steps(rng):
+            for v, flag in marks:
+                s.set_decision(v, flag)
+            for c in clauses:
+                s.add_clause(c)
+            added += clauses
+            out = s.solve(assumptions)
+            if out.status == SAT:
+                for c in added:
+                    assert any(out.model[abs(l)] == (l > 0) for l in c)
+                for l in assumptions:
+                    assert out.model[abs(l)] == (l > 0)
+            else:
+                assert out.status == UNSAT
+                assert not search_sat(added + [[l] for l in assumptions])
+                failed = out.failed_assumptions
+                assert set(failed) <= set(assumptions)
+                assert not search_sat(added + [[l] for l in failed])
+                break
+    if kernel == "pure":
+        assert fast_path_cases["stay"] and fast_path_cases["leave"], fast_path_cases
+
+
 @pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
-def test_pure_and_compiled_agree():
+def test_pure_and_compiled_agree(fast_path_cases):
     rng = random.Random(104)
     cases = []
     for _ in range(150):
@@ -441,6 +647,9 @@ def test_pure_and_compiled_agree():
         steps = random_steps(rng, clauses, nv)
         steps[0] = steps[0][:3] + ([(v, False) for v in neg],)
         cases.append((nv, steps))
+        # clause groups added between solves whose assumptions extend:
+        # conflicts on the kept trail that keep or leave the fast path
+        cases.append((9, guarded_group_steps(rng, assumed=rng.choice([3, 9]))))
     # a past deadline (checked every 64 conflicts), then solving on to
     # the end, and clauses added after an UNKNOWN; then nine guarded
     # copies of a pigeonhole formula, each solved under its own selector:
@@ -455,6 +664,8 @@ def test_pure_and_compiled_agree():
     marked = guarded_pigeonhole_steps()
     cases.append((42, [step[:3] + ((),) for step in marked]))
     cases.append((42, marked + [([], [], None, [(104, True)])]))
+    # a fast solve that restarts
+    cases.append((5, pigeonhole_after_sat_steps()))
     # a zero assumption is rejected, and the solver still answers after it
     cases.append((3, [([[1, 2]], [0], None, ()), ([[-1]], [], None, ())]))
     # a bad clause and a bad assumption after an UNSAT step are rejected too
@@ -468,6 +679,7 @@ def test_pure_and_compiled_agree():
         assert observe("compiled", nv, steps) == pure
         statuses.update(seen[0] for seen in pure)
     assert statuses == {SAT, UNSAT, UNKNOWN, "ValueError"}
+    assert all(fast_path_cases.values()), fast_path_cases
 
 
 @pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
@@ -488,8 +700,8 @@ def test_pure_and_compiled_agree_on_expansion(period):
 # one line per iteration and run, by reset period; and over repr(observe)
 # on the guarded pigeonhole copies and one last solve with no selector
 PINNED_STATS = {
-    0: "d8f3945c8f1e38954c940efb0804f89b69a71c0e4c101a641b8d90d4feed5798",
-    1: "898e1106c40a9d12ac13f157e63c565b8b3a2e2ba1f162c096f5baa2ee71097a",
+    0: "01ba1cd6b63fb577cd00bb84cc1f71f128cd4063c5cf7050f4310bb3037ddcc4",
+    1: "76d416673b3ce2049db3d02757f20f1285626e8fdfed654a38eeb10abb8b2530",
 }
 PINNED_PIGEONHOLE = "4daaa383c92981e59d833c7ba286fb920ef849d328a537088d577676b3174f2c"
 
