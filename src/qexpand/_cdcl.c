@@ -12,12 +12,11 @@
    heap is rebuilt after it.
 
    A SAT answer keeps its trail, and the next solve whose assumptions
-   extend the kept list goes on from it, as _cdcl_py documents; kept,
-   kept_k and has_kept hold that state.  A conflict there is counted,
-   learned and traced as in the usual search; handle_conflict returns
-   the backjump level, and the solve stays on the kept trail unless it
-   is below kept_k.  Staying, it walks the assumptions from kept_k on
-   again, since the backjump may have undone one of them.
+   extend the kept list goes on from it; kept and has_kept hold that
+   state.  solve walks the assumptions with one index, on the invariant
+   that _cdcl_py documents: every level below free_level, the level of
+   the lowest free decision, was opened by an assumption of the current
+   list, in list order.
 
    Plain C against the CPython API, so any C compiler builds it and the
    module loads no C++ runtime.  Every function here runs with the
@@ -44,6 +43,9 @@
 
 /* Returned by propagate when a watch list could not grow. */
 #define PROPAGATE_ERROR (-2)
+
+/* free_level with no free decision on the trail. */
+#define NO_FREE INT_MAX
 
 typedef struct {
     int *data;
@@ -92,8 +94,8 @@ typedef struct {
     ivec trail_lim;
     ivec asum;           /* interned assumptions of the running solve */
     ivec kept;           /* assumptions of the SAT answer whose trail is kept */
-    int kept_k;          /* bottom levels that hold kept[0..kept_k), one each */
     char has_kept;       /* 0 once the trail is cancelled to level 0 */
+    int free_level;      /* level of the lowest free decision, NO_FREE if none */
     ivec buf;            /* add_clause input */
     int qhead;
     double var_inc;
@@ -128,6 +130,12 @@ ivec_push(ivec *v, int x)
         return -1;
     v->data[v->size++] = x;
     return 0;
+}
+
+static inline int
+imin(int a, int b)
+{
+    return a < b ? a : b;
 }
 
 static inline int
@@ -400,6 +408,8 @@ enqueue(Kernel *k, int p, int reason)
 static void
 cancel_until(Kernel *k, int lvl)
 {
+    if (lvl < k->free_level)
+        k->free_level = NO_FREE;
     if (k->trail_lim.size <= lvl)
         return;
     int limit = k->trail_lim.data[lvl];
@@ -656,6 +666,7 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     k->ok = 1;
     k->last_status = UNKNOWN;
+    k->free_level = NO_FREE;
     k->var_inc = 1.0;
     k->model = PyList_New(0);
     k->failed = PyList_New(0);
@@ -909,16 +920,15 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
         return finish(k, UNSAT);
     if (ensure_vars(k, mx) < 0)
         return NULL;
-    int kept_k = k->kept_k;
     int nkept = k->kept.size;
-    const int *kept = k->kept.data;
-    const int *asum = k->asum.data;
-    int fast = k->has_kept && nkept <= k->asum.size
-               && (nkept == 0 || memcmp(kept, asum, (size_t)nkept * sizeof(int)) == 0);
-    if (!fast)
+    int ai = 0; /* the next assumption to walk */
+    if (k->has_kept && nkept <= k->asum.size
+        && (nkept == 0
+            || memcmp(k->kept.data, k->asum.data, (size_t)nkept * sizeof(int)) == 0))
+        ai = nkept;
+    else
         cancel_until(k, 0);
     k->has_kept = 0;
-    int ai = nkept; /* the fast path's next assumption */
     long long restart_limit = 100;
     long long since_restart = 0;
     long long conflicts_here = 0;
@@ -939,10 +949,7 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
             int bt = handle_conflict(k, confl);
             if (bt < 0)
                 goto error;
-            if (bt < kept_k)
-                fast = 0; /* the usual loop: levels 1..bt hold asum[0..bt) */
-            else if (fast)
-                ai = kept_k; /* walk every assumption above the kept levels */
+            ai = imin(ai, imin(bt, k->free_level - 1));
             if (deadline > 0.0 && (conflicts_here & 63) == 0) {
                 int late = past_deadline(deadline);
                 if (late < 0)
@@ -959,12 +966,11 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
             since_restart = 0;
             k->restarts++;
             cancel_until(k, 0);
-            fast = 0;
+            ai = 0;
             continue;
         }
         int p = -1;
-        int dl = k->trail_lim.size;
-        while (fast && ai < k->asum.size) {
+        while (ai < k->asum.size) {
             int q = k->asum.data[ai];
             int vq = value(k, q);
             if (vq == 0) {
@@ -973,29 +979,18 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
                 break;
             }
             if (vq == 2) {
-                fast = 0;
-                cancel_until(k, kept_k);
-                dl = kept_k;
-                break;
-            }
-            ai++; /* already true: no level */
-        }
-        if (!fast && dl < k->asum.size) {
-            int q = k->asum.data[dl];
-            int vq = value(k, q);
-            if (vq == 1) {
-                if (ivec_push(&k->trail_lim, k->trail_size) < 0)
-                    goto error;
+                if (k->free_level == NO_FREE) {
+                    int n = analyze_final(k, q);
+                    if (replace_list(&k->failed, lits_to_list(k->learnt, n)) < 0)
+                        goto error;
+                    cancel_until(k, 0);
+                    return finish(k, UNSAT);
+                }
+                ai = imin(ai, k->free_level - 1);
+                cancel_until(k, k->free_level - 1);
                 continue;
             }
-            if (vq == 2) {
-                int n = analyze_final(k, q);
-                if (replace_list(&k->failed, lits_to_list(k->learnt, n)) < 0)
-                    goto error;
-                cancel_until(k, 0);
-                return finish(k, UNSAT);
-            }
-            p = q;
+            ai++; /* already true: no level */
         }
         if (p == -1) {
             int v = pick_branch(k);
@@ -1005,12 +1000,13 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
                 ivec t = k->kept;
                 k->kept = k->asum;
                 k->asum = t;
-                k->kept_k = fast ? kept_k : k->kept.size;
                 k->has_kept = 1;
                 return finish(k, SAT);
             }
             k->decisions++;
             p = (v << 1) | 1; /* default phase: False */
+            if (k->free_level == NO_FREE)
+                k->free_level = k->trail_lim.size + 1;
         }
         if (ivec_push(&k->trail_lim, k->trail_size) < 0)
             goto error;

@@ -24,37 +24,38 @@ fresh one: it pops once the variable has left the queue, and a pick
 skips it.  The list is rebuilt with heapify at an activity rescale, which shrinks
 every key, and once it passes 2*nvars + 64 entries.
 
-In solve, assumptions already true open their empty levels in one
-inner loop: nothing can propagate or restart until a literal is set.
+A SAT answer keeps its trail.  _kept is that call's assumption list;
+UNSAT, UNKNOWN and set_decision or add_clause cancelling to level 0 set
+_kept to None.  add_clause simplifies against level-0 values only: a
+literal true by a kept decision must not drop the clause as satisfied.
+Above level 0 it moves the first two literals that the trail leaves
+non-false to the watch positions; with fewer than two (a unit, or a
+clause false under the trail) it cancels to level 0 and adds the clause
+as at level 0.  A watched pair that is non-false when added keeps the
+watch invariant on every trail below.
 
-A SAT answer keeps its trail.  _kept is that call's assumption list
-and _kept_k the number of bottom levels that hold _kept[:_kept_k], one
-level each; UNSAT, UNKNOWN and set_decision or add_clause cancelling to
-level 0 set _kept to None.  add_clause simplifies against level-0
-values only: a literal true by a kept decision must not drop the clause
-as satisfied.  Above level 0 it moves the first two literals that the
-trail leaves non-false to the watch positions; with fewer than two (a
-unit, or a clause false under the trail) it cancels to level 0 and adds
-the clause as at level 0.  A watched pair that is non-false when added
-keeps the watch invariant on every trail below.
-
-solve takes a fast path when _kept is a prefix of its assumptions.  The
-new ones open levels on top of the kept trail: a true one opens none,
-an unassigned one opens one, and a false one falls back, cancelling to
-_kept_k and running the usual loop from there.  Branching goes on as
-usual.  A conflict on the fast path goes through the usual conflict
-code, which counts it, learns and traces its clause and backjumps to
-bt.  With bt >= _kept_k the solve stays fast and walks every assumption
-from _kept_k on again: one that an earlier fast solve opened on top of
-free decisions sits above the _kept_k levels, and the backjump may have
-undone it.  With bt < _kept_k it leaves the fast path: levels
-1..bt hold assumptions[:bt], so the usual loop goes on from there.  A
-restart cancels to level 0 and leaves it too.  Every backjump follows
-a learned clause and a solve leaves the fast path at most once, so the
-usual termination argument holds; selectors stay reason-less decisions
-above level 0.  When _kept is not a prefix, solve cancels to level 0
-and runs the usual loop.  SAT from the usual loop keeps
-len(assumptions) levels; SAT from the fast path keeps _kept_k.
+solve walks its assumptions with one index, ai.  An unassigned one
+opens a level, a true one opens none, and branching starts once ai is
+past the last.  _free_level is the level of the lowest free (branching)
+decision on the trail, _NO_FREE when there is none.  The invariant:
+every level below _free_level was opened by an assumption of the
+current list, in list order.  So after a cancel to level L below
+_free_level, every assumption up to the one that opened level L is
+true, and its position is at least L - 1: the walk may go on from
+position L.  The walk starts at len(_kept) when _kept is a prefix of
+the assumptions, so the invariant holds on the kept trail, and
+otherwise at 0 after a cancel to level 0.  A conflict backjumps to bt
+and undoes every level above it, assumption levels opened on top of
+free decisions included, so ai becomes min(ai, bt, _free_level - 1),
+with _free_level read after the backjump.  A restart cancels to level
+0 and sets ai to 0.  A false assumption is final when no free decision
+is on the trail: every level then holds an assumption, and
+_analyze_final collects the ones its negation rests on.  Otherwise the
+walk cancels to _free_level - 1 and goes on from min(ai, _free_level -
+1).  That cancel leaves no free decision, and the walk adds none, so a
+second false assumption before the next branching is final; every
+other backjump follows a learned clause, so the usual termination
+argument holds.  Selectors stay reason-less decisions above level 0.
 
 A variable marked non-decision with set_decision(v, False) stays out
 of the order queue and is never picked as a decision; it is set
@@ -81,6 +82,7 @@ _RESCALE_LIMIT = 1e100
 _RESCALE = 1e-100
 _ACT_BUMP_DECAY = 1.0 / 0.95
 _BAD_LITERAL = "literals must be nonzero ints"
+_NO_FREE = 1 << 62  # _free_level with no free decision on the trail
 
 
 def _intern(l):
@@ -119,7 +121,7 @@ class Kernel:
         self._var_inc = 1.0
         self._trace = []  # learned clauses as internal literal lists
         self._kept = None  # assumptions of the SAT answer whose trail is kept
-        self._kept_k = 0  # bottom levels that hold _kept[:_kept_k], one each
+        self._free_level = _NO_FREE  # level of the lowest free decision
 
     # -- variables ----------------------------------------------------
 
@@ -250,6 +252,8 @@ class Kernel:
         self._trail.append(p)
 
     def _cancel_until(self, lvl):
+        if lvl < self._free_level:
+            self._free_level = _NO_FREE
         if len(self._trail_lim) <= lvl:
             return
         trail = self._trail
@@ -460,12 +464,12 @@ class Kernel:
         trail = self._trail
         trail_lim = self._trail_lim
         kept = self._kept
-        kept_k = self._kept_k
         self._kept = None
-        fast = kept is not None and asum[: len(kept)] == kept
-        if not fast:
+        if kept is not None and asum[: len(kept)] == kept:
+            ai = len(kept)  # the next assumption to walk
+        else:
             self._cancel_until(0)
-        ai = len(kept) if fast else 0  # the fast path's next assumption
+            ai = 0
         restart_limit = 100
         since_restart = 0
         conflicts_here = 0
@@ -480,10 +484,9 @@ class Kernel:
                     self._trace.append([])
                     self.last_status = UNSAT
                     return UNSAT
-                if self._handle_conflict(confl) < kept_k:
-                    fast = False  # the usual loop: levels 1..bt hold asum[:bt]
-                elif fast:
-                    ai = kept_k  # walk every assumption above the kept levels
+                # the backjump may undo assumptions above bt or above the
+                # lowest free decision; _free_level is read after it
+                ai = min(ai, self._handle_conflict(confl), self._free_level - 1)
                 if (
                     deadline > 0.0
                     and conflicts_here & 63 == 0
@@ -498,11 +501,10 @@ class Kernel:
                 since_restart = 0
                 self.restarts += 1
                 self._cancel_until(0)
-                fast = False
+                ai = 0
                 continue
             p = -1
-            dl = len(trail_lim)
-            while fast and ai < len(asum):
+            while ai < len(asum):
                 q = asum[ai]
                 va = assigns[q >> 1]
                 if va == 0:
@@ -510,24 +512,15 @@ class Kernel:
                     ai += 1
                     break
                 if (3 - va if q & 1 else va) == 2:
-                    fast = False
-                    self._cancel_until(kept_k)
-                    dl = kept_k
-                    break
+                    if self._free_level == _NO_FREE:
+                        self.failed = [_extern(x) for x in self._analyze_final(q)]
+                        self._cancel_until(0)
+                        self.last_status = UNSAT
+                        return UNSAT
+                    ai = min(ai, self._free_level - 1)
+                    self._cancel_until(self._free_level - 1)
+                    continue
                 ai += 1  # already true: no level
-            while not fast and dl < len(asum):
-                q = asum[dl]
-                va = assigns[q >> 1]
-                if va == 0:
-                    p = q
-                    break
-                if (3 - va if q & 1 else va) == 2:
-                    self.failed = [_extern(x) for x in self._analyze_final(q)]
-                    self._cancel_until(0)
-                    self.last_status = UNSAT
-                    return UNSAT
-                trail_lim.append(len(trail))  # already true: an empty level
-                dl += 1
             if p == -1:
                 v = self._pick_branch()
                 if v == 0:
@@ -535,15 +528,16 @@ class Kernel:
                         assigns[i] == 1 for i in range(1, self.nvars + 1)
                     ]
                     self._kept = asum
-                    self._kept_k = kept_k if fast else len(asum)
                     self.last_status = SAT
                     return SAT
                 self.decisions += 1
                 p = (v << 1) | 1  # default phase: False
+                if self._free_level == _NO_FREE:
+                    self._free_level = len(trail_lim) + 1
             trail_lim.append(len(trail))
             v = p >> 1
             assigns[v] = 2 if p & 1 else 1
-            level[v] = dl + 1
+            level[v] = len(trail_lim)
             reason[v] = -1
             trail.append(p)
 

@@ -114,7 +114,7 @@ def decide_semantic(q, max_vars=22):
     return rec(0, list(q.matrix))
 
 
-def decide_full_expansion(q, max_universals=12, kernel="auto"):
+def decide_full_expansion(q, max_universals=12):
     """QBF decision via the full expansion over all universal assignments.
 
     Conjoins the instantiation of the matrix under every full universal
@@ -127,7 +127,7 @@ def decide_full_expansion(q, max_universals=12, kernel="auto"):
     if len(U) > max_universals:
         raise TooLarge("%d universal variables" % len(U))
     table = annotate.InternTable("universal")
-    s = sat.Solver(kernel=kernel)
+    s = sat.Solver()
     added = set()
     for bits in range(1 << len(U)):
         a = Assignment.from_pairs(

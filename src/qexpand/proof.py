@@ -21,11 +21,12 @@ with the core's selectors removed, up to its first empty step (or with
 1. A selector occurs only negatively and is set only by an assumption,
    above level 0 with no reason, so conflict analysis never resolves
    it away or drops it as a level-0 literal.  A trail kept from the
-   last SAT answer does not change that: the kept and the new
-   assumptions are decisions above level 0 there too, and branching
-   never picks a selector (it is non-decision).  So a conflict on the
-   kept trail, analysed like any other, meets each selector as a
-   reason-less literal above level 0, as the usual search does.
+   last SAT answer does not change that: every level below the lowest
+   free decision was opened by an assumption of the current list, and
+   every assumption, kept or new, is a reason-less decision above
+   level 0; branching never picks a selector (it is non-decision).  So
+   every conflict meets each selector as a reason-less literal above
+   level 0.
 2. So a learned clause keeps -sel for every guarded clause in its
    derivation, below the conflict level or as the unique implication
    point: a kept step follows by unit propagation from core clauses

@@ -25,11 +25,11 @@ A clause the trail leaves two literals non-false in is watched on them;
 any other clause cancels to level 0 first, as does set_decision(var,
 False) on a var the trail set above level 0.  When the kept list is a
 prefix of the next solve's assumptions, that solve opens the new ones
-on top of the kept trail and branches on from there.  Its conflicts are
-counted, learned and traced like any other, and it stays on the kept
-trail until a backjump goes below the kept assumption levels, a
-restart cancels to level 0, or a new assumption is found false; the
-usual search then goes on.  Any other list cancels to level 0.
+on top of the kept trail and branches on from there; any other list
+cancels to level 0.  Every level below the lowest free (branching)
+decision was opened by an assumption of the current list, in list
+order, so after a backjump, or a new assumption found false, the solve
+keeps those levels and walks the assumptions on from them.
 """
 
 from dataclasses import dataclass, field

@@ -6,7 +6,6 @@ import random
 import shlex
 import shutil
 import subprocess
-import sys
 import sysconfig
 import time
 
@@ -282,8 +281,9 @@ def test_kept_trail_interleaving_random(kernel):
 def test_fast_path_conflict_is_learned(kernel):
     # 1 and 2 are kept False by decisions; assuming the fresh selector 3
     # on top of them propagates 4 into a conflict with 1, which is
-    # counted and learned as (-3, 1); that clause makes 3 false, so the
-    # solve falls back to the usual loop, which assumes 3 again
+    # counted and learned as (-3, 1); that clause makes 3 false under the
+    # free decision 1 False, so the solve cancels the free decisions and
+    # assumes 3 again
     s = Solver(kernel=kernel)
     s.ensure_vars(2)
     assert s.solve().model[1:] == [False, False]
@@ -304,9 +304,9 @@ def test_fast_path_conflict_is_learned(kernel):
 
 def test_fast_path_backjump_reopens_an_assumption(kernel):
     # 2 is a non-decision selector that the second solve assumes on top
-    # of the decision 1 False, so it sits above the kept levels (none
-    # here).  The third solve decides 3 False, learns (3, 1) and
-    # backjumps to level 1, which undoes 2; the solve must assume 2 again
+    # of the free decision 1 False, at level 2.  The third solve decides
+    # 3 False, learns (3, 1) and backjumps to level 1, which undoes 2;
+    # the walk goes on from below the free decision and assumes 2 again
     s = Solver(kernel=kernel)
     s.set_decision(2, False)
     assert s.solve().model[1:] == [False, False]
@@ -323,8 +323,9 @@ def test_fast_path_backjump_reopens_an_assumption(kernel):
 
 def test_fast_path_learns_a_kept_assumption_false(kernel):
     # 1 is kept as an assumption at level 1; the clauses over fresh 2-4
-    # first learn (2, -1), which keeps the fast path, then (-1), which
-    # backjumps below the kept level and fails the assumption
+    # first learn (2, -1), which backjumps below the free decision 2
+    # False, then (-1), which backjumps to level 0 and fails the
+    # assumption
     s = Solver(kernel=kernel)
     s.ensure_vars(1)
     assert s.solve([1]).status == SAT
@@ -341,7 +342,7 @@ def test_fast_path_learns_a_kept_assumption_false(kernel):
 
 def test_fast_solve_that_restarts_answers_as_fresh(kernel):
     # pigeonhole(7) under a selector that extends the kept assumption
-    # list: the fast solve restarts, and answers as a fresh solver does
+    # list: the solve restarts, and answers as a fresh solver does
     steps = pigeonhole_after_sat_steps()
     s = Solver(kernel=kernel)
     fresh = Solver(kernel=kernel)
@@ -357,6 +358,51 @@ def test_fast_solve_that_restarts_answers_as_fresh(kernel):
     want = fresh.solve(assumptions)
     assert out.status == want.status == UNSAT
     assert out.failed_assumptions == want.failed_assumptions == [100]
+
+
+def test_true_assumption_opens_no_level(kernel):
+    # 2 is true by 1, so it opens no level: level 1 holds 1 and level 2
+    # the non-decision selector 3, which propagates 6.  Deciding 4 False
+    # conflicts and learns (4, -1), which backjumps to level 1 and undoes
+    # 3; the walk goes on from position 1, where 2 is true and 3 is opened
+    # again.  Then -4, false by (4, -1) and 1 above the free decision 5
+    # False, cancels to level 2 and is found false there: UNSAT
+    s = Solver(kernel=kernel)
+    s.set_decision(3, False)
+    clauses = [[-1, 2], [-3, 6], [-1, 4, 5], [-1, 4, -5]]
+    for c in clauses:
+        s.add_clause(c)
+    out = s.solve([1, 2, 3])
+    assert out.status == SAT and s.conflicts == 1
+    assert_answer(out, clauses, [1, 2, 3])
+    out = s.solve([1, 2, 3, -4])
+    assert out.status == UNSAT and sorted(out.failed_assumptions) == [-4, 1]
+    assert_answer(out, clauses, [1, 2, 3, -4])
+
+
+def test_fallback_keeps_assumption_levels(kernel):
+    # the first solve assumes 1 with no free variable; the second opens 2
+    # at level 2 and decides 3 False at level 3; the third opens the
+    # non-decision selector 4 at level 4.  The fourth opens 6, which makes
+    # 5 false with 3 False: the walk cancels to level 2, keeping 1 and 2,
+    # and goes on from position 2, opening 4, 6 and 5 again
+    s = Solver(kernel=kernel)
+    s.ensure_vars(1)
+    assert s.solve([1]).status == SAT
+    for v in (4, 5, 6):
+        s.set_decision(v, False)
+    assert s.solve([1, 2]).model[1:4] == [True, True, False]
+    assert s.solve([1, 2, 4]).status == SAT
+    clauses = [[3, -5, -6]]
+    s.add_clause(clauses[0])
+    assumptions = [1, 2, 4, 6, 5]
+    out = s.solve(assumptions)
+    assert out.status == SAT and s.conflicts == 0
+    assert_answer(out, clauses, assumptions)
+    # no free decision is left, so -3 is found false for good
+    out = s.solve(assumptions + [-3])
+    assert out.status == UNSAT and sorted(out.failed_assumptions) == [-3, 5, 6]
+    assert_answer(out, clauses, assumptions + [-3])
 
 
 def test_set_decision_rejects_bad_ids(kernel):
@@ -517,7 +563,7 @@ def guarded_group_steps(rng, nv=9, assumed=3):
     fresh ones, so it can conflict with the kept trail; it is guarded by
     a fresh non-decision selector that the solve assumes, or now and
     then added plain.  A backjump into the free decisions then undoes a
-    selector that the kept list holds above the kept levels."""
+    selector that an earlier solve assumed on top of them."""
     clauses = [
         [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nv + 1), 3)]
         for _ in range(25)
@@ -545,8 +591,8 @@ def guarded_group_steps(rng, nv=9, assumed=3):
 def pigeonhole_after_sat_steps():
     """A SAT answer on a few clauses under an assumption, then
     pigeonhole(7) on fresh variables under a new selector that extends
-    the kept assumption list: the fast solve restarts after 100
-    conflicts, and the usual loop assumes 4 again."""
+    the kept assumption list: the solve restarts after 100 conflicts,
+    and the walk assumes 4 again."""
     php = [[l + 10 if l > 0 else l - 10 for l in c] for c in pigeonhole(7)]
     return [
         ([[1, 2, -3], [-1, 4], [3, -4, 5]], [4], None, ()),
@@ -556,30 +602,64 @@ def pigeonhole_after_sat_steps():
 
 
 @pytest.fixture
-def fast_path_cases(monkeypatch):
-    """Count, on the pure kernel, the conflicts met on the fast path by
-    how far they backjump, and the restarts taken on it: keys "stay"
-    (bt >= kept_k), "leave" (bt < kept_k) and "restart"."""
-    counts = {"stay": 0, "leave": 0, "restart": 0}
-    handle = _cdcl_py.Kernel._handle_conflict
-    cancel = _cdcl_py.Kernel._cancel_until
+def kept_trail_cases(monkeypatch):
+    """Count, on the pure kernel, what solves that go on from a kept trail
+    meet before they restart: conflicts that keep the free decisions
+    ("keep", bt >= _free_level), backjumps below the lowest free decision
+    ("below"), false new assumptions over free decisions ("fallback")
+    and restarts ("restart")."""
+    counts = {"keep": 0, "below": 0, "fallback": 0, "restart": 0}
+    # on_kept: the running solve went on from a kept trail; restarts: its
+    # count when the solve began; conflict: no propagation since the last
+    # conflict, so a cancel now is the backjump or the deadline's
+    state = {"on_kept": False, "restarts": 0, "conflict": False}
+    kernel = _cdcl_py.Kernel
+    solve, handle = kernel.solve, kernel._handle_conflict
+    cancel, propagate = kernel._cancel_until, kernel._propagate
+
+    def counted_solve(k, assumptions=(), deadline=-1.0):
+        assumptions = list(assumptions)
+        kept = k._kept
+        state["on_kept"] = (
+            kept is not None
+            and len(assumptions) >= len(kept)
+            and all(isinstance(l, int) and _cdcl_py._intern(l) == p
+                    for l, p in zip(assumptions, kept))
+        )
+        state["restarts"] = k.restarts
+        try:
+            return solve(k, assumptions, deadline)
+        finally:
+            if state["on_kept"] and k.restarts > state["restarts"]:
+                counts["restart"] += 1
+            state["on_kept"] = False
+
+    def on_kept(k):
+        return state["on_kept"] and k.restarts == state["restarts"]
 
     def counted_handle(k, confl):
-        caller = sys._getframe(1).f_locals
+        free = k._free_level
+        state["conflict"] = True
         bt = handle(k, confl)
-        if caller["fast"]:
-            counts["stay" if bt >= caller["kept_k"] else "leave"] += 1
+        if on_kept(k) and free != _cdcl_py._NO_FREE:
+            counts["keep" if bt >= free else "below"] += 1
         return bt
 
     def counted_cancel(k, lvl):
-        caller = sys._getframe(1).f_locals
-        # solve resets since_restart just before a restart cancels
-        if caller.get("fast") and lvl == 0 and caller["since_restart"] == 0:
-            counts["restart"] += 1
+        free = k._free_level
+        if on_kept(k) and not state["conflict"] and free != _cdcl_py._NO_FREE:
+            assert lvl == free - 1
+            counts["fallback"] += 1
         cancel(k, lvl)
 
-    monkeypatch.setattr(_cdcl_py.Kernel, "_handle_conflict", counted_handle)
-    monkeypatch.setattr(_cdcl_py.Kernel, "_cancel_until", counted_cancel)
+    def counted_propagate(k):
+        state["conflict"] = False
+        return propagate(k)
+
+    monkeypatch.setattr(kernel, "solve", counted_solve)
+    monkeypatch.setattr(kernel, "_handle_conflict", counted_handle)
+    monkeypatch.setattr(kernel, "_cancel_until", counted_cancel)
+    monkeypatch.setattr(kernel, "_propagate", counted_propagate)
     return counts
 
 
@@ -601,40 +681,47 @@ def search_sat(clauses):
     return search_sat(clauses + [{l}]) or search_sat(clauses + [{-l}])
 
 
-def test_guarded_groups_answer_right(kernel, fast_path_cases):
-    # every answer on the fast path, checked against the clauses added so
-    # far: a SAT model satisfies them and the assumptions, an UNSAT is
-    # confirmed by search, and so are its failed assumptions
+def assert_answer(out, clauses, assumptions):
+    """A SAT model satisfies clauses and assumptions; an UNSAT is
+    confirmed by search, and so are its failed assumptions."""
+    if out.status == SAT:
+        for c in clauses:
+            assert any(out.model[abs(l)] == (l > 0) for l in c)
+        for l in assumptions:
+            assert out.model[abs(l)] == (l > 0)
+    else:
+        assert out.status == UNSAT
+        assert not search_sat(clauses + [[l] for l in assumptions])
+        failed = out.failed_assumptions
+        assert set(failed) <= set(assumptions)
+        assert not search_sat(clauses + [[l] for l in failed])
+
+
+def test_guarded_groups_answer_right(kernel, kept_trail_cases):
+    # every answer of solves that go on from a kept trail, checked
+    # against the clauses added so far; the last sequence restarts
     rng = random.Random(107)
-    for _ in range(150):
+    sequences = [guarded_group_steps(rng) for _ in range(150)]
+    for steps in sequences + [pigeonhole_after_sat_steps()]:
         s = Solver(kernel=kernel)
         s.ensure_vars(9)
         added = []
-        for clauses, assumptions, _, marks in guarded_group_steps(rng):
+        for clauses, assumptions, _, marks in steps:
             for v, flag in marks:
                 s.set_decision(v, flag)
             for c in clauses:
                 s.add_clause(c)
             added += clauses
             out = s.solve(assumptions)
-            if out.status == SAT:
-                for c in added:
-                    assert any(out.model[abs(l)] == (l > 0) for l in c)
-                for l in assumptions:
-                    assert out.model[abs(l)] == (l > 0)
-            else:
-                assert out.status == UNSAT
-                assert not search_sat(added + [[l] for l in assumptions])
-                failed = out.failed_assumptions
-                assert set(failed) <= set(assumptions)
-                assert not search_sat(added + [[l] for l in failed])
+            assert_answer(out, added, assumptions)
+            if out.status == UNSAT:
                 break
     if kernel == "pure":
-        assert fast_path_cases["stay"] and fast_path_cases["leave"], fast_path_cases
+        assert all(kept_trail_cases.values()), kept_trail_cases
 
 
 @pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
-def test_pure_and_compiled_agree(fast_path_cases):
+def test_pure_and_compiled_agree(kept_trail_cases):
     rng = random.Random(104)
     cases = []
     for _ in range(150):
@@ -648,7 +735,7 @@ def test_pure_and_compiled_agree(fast_path_cases):
         steps[0] = steps[0][:3] + ([(v, False) for v in neg],)
         cases.append((nv, steps))
         # clause groups added between solves whose assumptions extend:
-        # conflicts on the kept trail that keep or leave the fast path
+        # conflicts on the kept trail that keep or undo its free decisions
         cases.append((9, guarded_group_steps(rng, assumed=rng.choice([3, 9]))))
     # a past deadline (checked every 64 conflicts), then solving on to
     # the end, and clauses added after an UNKNOWN; then nine guarded
@@ -664,7 +751,7 @@ def test_pure_and_compiled_agree(fast_path_cases):
     marked = guarded_pigeonhole_steps()
     cases.append((42, [step[:3] + ((),) for step in marked]))
     cases.append((42, marked + [([], [], None, [(104, True)])]))
-    # a fast solve that restarts
+    # a solve on a kept trail that restarts
     cases.append((5, pigeonhole_after_sat_steps()))
     # a zero assumption is rejected, and the solver still answers after it
     cases.append((3, [([[1, 2]], [0], None, ()), ([[-1]], [], None, ())]))
@@ -679,7 +766,7 @@ def test_pure_and_compiled_agree(fast_path_cases):
         assert observe("compiled", nv, steps) == pure
         statuses.update(seen[0] for seen in pure)
     assert statuses == {SAT, UNSAT, UNKNOWN, "ValueError"}
-    assert all(fast_path_cases.values()), fast_path_cases
+    assert all(kept_trail_cases.values()), kept_trail_cases
 
 
 @pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
@@ -698,15 +785,18 @@ def test_pure_and_compiled_agree_on_expansion(period):
 
 # sha256 over cli.json_stats_lines of oracle.random_pcnf seeds 0-199,
 # one line per iteration and run, by reset period; and over repr(observe)
-# on the guarded pigeonhole copies and one last solve with no selector
+# on the guarded pigeonhole copies and one last solve with no selector.
+# No run there reaches 64 iterations, so the default period 64 never
+# resets and must search as period 0 does.
 PINNED_STATS = {
-    0: "01ba1cd6b63fb577cd00bb84cc1f71f128cd4063c5cf7050f4310bb3037ddcc4",
+    0: "eee12467a9cb59cc3394ae20f4db759403a72a44a2241ad37df9f79351613635",
     1: "76d416673b3ce2049db3d02757f20f1285626e8fdfed654a38eeb10abb8b2530",
 }
+PINNED_STATS[64] = PINNED_STATS[0]
 PINNED_PIGEONHOLE = "4daaa383c92981e59d833c7ba286fb920ef849d328a537088d577676b3174f2c"
 
 
-@pytest.mark.parametrize("period", [0, 1])
+@pytest.mark.parametrize("period", [0, 1, 64])
 def test_search_is_pinned(kernel, period):
     # without a C compiler nothing else would notice a changed search
     h = hashlib.sha256()
