@@ -163,9 +163,14 @@ def cmd_fuzz(args, out):
             failures += 1
             continue
         if r.verdict == expand.FALSE and args.certify:
-            res = proof.check_certificate(
-                q, proof.extract_certificate(r.state)
-            )
+            # through the text, as solve --cert and check pass it on
+            cert = proof.extract_certificate(r.state)
+            try:
+                cert = proof.parse_certificate(proof.format_certificate(cert))
+            except proof.CertificateError as e:
+                res = proof.CheckResult(False, str(e))
+            else:
+                res = proof.check_certificate(q, cert)
             if not res.ok:
                 print("c seed %d: bad certificate: %s" % (seed, res.reason), file=out)
                 failures += 1

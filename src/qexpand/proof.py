@@ -41,11 +41,15 @@ level 0 satisfies are dropped, and every other clause is watched on two
 literals that level 0 leaves free.  A trace step assigns its negation
 above the level-0 trail, propagates through the watch lists of the
 literals that became false, undoes back to level 0 and is then added as
-a clause.  Ids come from a parsed file, so values and watches are keyed
-by literal and nothing is sized by the largest id.
+a clause.  Ids come from a parsed file, so the database codes each
+literal densely the first time it sees it, and values and watch lists
+are lists indexed by code: storage grows with the distinct literals and
+never with the largest id.
 """
 
 from dataclasses import dataclass
+from itertools import filterfalse
+from operator import neg
 
 from . import annotate
 
@@ -82,12 +86,22 @@ def extract_certificate(state):
         raise CertificateUnavailable("run recorded no failed clause core")
     fa = state.forall_abs
     core = {fa.selector[lits] for lits, _, _ in state.core}
-    axioms = [(idx, alpha.literals(), lits) for lits, idx, alpha in state.core]
+    # selectors occur negated in the trace
+    outside = frozenset(map(neg, fa.origin.keys() - core))
+    inside = frozenset(map(neg, core)).__contains__
+    spelled = {}  # alpha bytes -> literals; a core shares few alphas
+    axioms = []
+    for lits, idx, alpha in state.core:
+        alpha_lits = spelled.get(alpha.values)
+        if alpha_lits is None:
+            alpha_lits = spelled[alpha.values] = alpha.literals()
+        axioms.append((idx, alpha_lits, lits))
     trace = []
     for step in fa.solver.proof_trace():
-        if not any(-l in fa.origin and -l not in core for l in step):
-            trace.append(tuple(l for l in step if -l not in core))
-            if not trace[-1]:
+        if outside.isdisjoint(step):
+            step = tuple(filterfalse(inside, step))
+            trace.append(step)
+            if not step:
                 break
     else:
         trace.append(())
@@ -97,6 +111,11 @@ def extract_certificate(state):
 class ClauseDatabase:
     """The clauses of one replay, over a level-0 trail that is never undone.
 
+    Each literal is coded the first time the database sees it, through
+    one dict: the i-th variable seen gets 2i for its positive and 2i+1
+    for its negative literal, so c ^ 1 negates code c.  value and
+    watches are indexed by code, and the trail and clauses hold codes.
+
     add() drops a clause that level 0 already satisfies (a tautology
     included) and the literals level 0 makes false; what is left is a
     unit, which extends the level-0 trail and is propagated, or two or
@@ -105,34 +124,51 @@ class ClauseDatabase:
     """
 
     def __init__(self, clauses):
-        self.value = {}  # literal -> True or False, both signs of each assigned var
-        self.watches = {}  # literal -> clauses watching it; c[0], c[1] are c's watches
-        self.trail = []  # true literals in assignment order
+        self.code = {}  # literal -> code, both signs of every variable seen
+        self.value = []  # code -> True, False or None (unassigned)
+        self.watches = []  # code -> clauses watching it; c[0], c[1] are c's watches
+        self.trail = []  # codes of true literals in assignment order
         self.conflict = False
         for c in clauses:
             self.add(c)
+
+    def codes(self, lits):
+        """The codes of the sequence lits, coding the literals not yet seen."""
+        code = self.code
+        try:
+            return list(map(code.__getitem__, lits))
+        except KeyError:
+            pass
+        for l in lits:
+            if l not in code:
+                c = len(self.value)
+                code[l], code[-l] = (c, c + 1) if l > 0 else (c + 1, c)
+                self.value += (None, None)
+                self.watches += ([], [])
+        return list(map(code.__getitem__, lits))
 
     def add(self, clause):
         if self.conflict:
             return
         value = self.value
-        free = []
-        for l in clause:
-            v = value.get(l)
+        free = {}  # the free codes in first-seen order, each once
+        for c in self.codes(clause):
+            v = value[c]
             if v:
                 return
-            if v is None and l not in free:
-                if -l in free:
+            if v is None:
+                if c ^ 1 in free:
                     return  # a tautology
-                free.append(l)
+                free[c] = None
+        free = list(free)
         if len(free) > 1:
             watches = self.watches
-            watches.setdefault(free[0], []).append(free)
-            watches.setdefault(free[1], []).append(free)
+            watches[free[0]].append(free)
+            watches[free[1]].append(free)
         elif free:
             unit = free[0]
             value[unit] = True
-            value[-unit] = False
+            value[unit ^ 1] = False
             self.trail.append(unit)
             self.conflict = self.propagate(len(self.trail) - 1)
         else:
@@ -142,12 +178,11 @@ class ClauseDatabase:
         """Propagate the trail from position head; True on a conflict."""
         trail = self.trail
         value = self.value
-        get = value.get
         watches = self.watches
         while head < len(trail):
-            false = -trail[head]
+            false = trail[head] ^ 1
             head += 1
-            ws = watches.get(false)
+            ws = watches[false]
             if not ws:
                 continue
             kept = []
@@ -157,24 +192,24 @@ class ClauseDatabase:
                 if other == false:
                     other = c[0] = c[1]
                     c[1] = false
-                if get(other):
+                if value[other]:
                     keep(c)
                     continue
                 for k in range(2, len(c)):
                     l = c[k]
-                    if get(l) is not False:
+                    if value[l] is not False:
                         c[1] = l
                         c[k] = false
-                        watches.setdefault(l, []).append(c)
+                        watches[l].append(c)
                         break
                 else:
                     keep(c)
-                    if other in value:  # every literal is false
+                    if value[other] is False:  # every literal is false
                         kept += ws[i + 1 :]
                         watches[false] = kept
                         return True
                     value[other] = True
-                    value[-other] = False
+                    value[other ^ 1] = False
                     trail.append(other)
             watches[false] = kept
         return False
@@ -185,7 +220,7 @@ def rup_check(db, derived):
 
     db is a ClauseDatabase.  The negation and what it propagates are
     assigned above db's level-0 trail and undone before returning, so db
-    is left as it was.
+    is left as it was, but for codes given to literals it had not seen.
     """
     if db.conflict:
         return True
@@ -193,19 +228,18 @@ def rup_check(db, derived):
     trail = db.trail
     base = len(trail)
     try:
-        for l in derived:
-            v = value.get(l)
+        for c in db.codes(derived):
+            v = value[c]
             if v:
                 return True
             if v is None:
-                value[-l] = True
-                value[l] = False
-                trail.append(-l)
+                value[c] = False
+                value[c ^ 1] = True
+                trail.append(c ^ 1)
         return db.propagate(base)
     finally:
-        for l in trail[base:]:
-            del value[l]
-            del value[-l]
+        for c in trail[base:]:
+            value[c] = value[c ^ 1] = None
         del trail[base:]
 
 
@@ -271,17 +305,13 @@ def check_certificate(q, cert):
 def format_certificate(cert):
     """Render a certificate in its line-oriented text form."""
     out = []
+    add = out.append
+    last = None  # axioms of one alpha share its tuple: spell it once
     for idx, alpha_lits, lits in cert.axioms:
-        out.append(
-            "a %d %s0 %s0"
-            % (
-                idx,
-                "".join("%d " % l for l in alpha_lits),
-                "".join("%d " % l for l in lits),
-            )
-        )
-    for lits in cert.trace:
-        out.append("r %s0" % "".join("%d " % l for l in lits))
+        if alpha_lits is not last:
+            last, alpha = alpha_lits, " ".join(map(str, (*alpha_lits, 0)))
+        add("a %d %s %s" % (idx, alpha, " ".join(map(str, (*lits, 0)))))
+    out += ["r " + " ".join(map(str, (*lits, 0))) for lits in cert.trace]
     return "\n".join(out) + "\n"
 
 
@@ -290,14 +320,13 @@ def parse_certificate(text):
     axioms = []
     trace = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("c"):
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "a":
             try:
-                nums = [int(t) for t in tokens[1:]]
+                nums = list(map(int, tokens[1:]))
             except ValueError:
                 raise CertificateError("malformed axiom line", lineno)
             if len(nums) < 3:
@@ -313,12 +342,12 @@ def parse_certificate(text):
             axioms.append((idx, tuple(rest[:cut]), tuple(rest[cut + 1 : -1])))
         elif kind == "r":
             try:
-                nums = [int(t) for t in tokens[1:]]
+                nums = list(map(int, tokens[1:]))
             except ValueError:
                 raise CertificateError("malformed trace line", lineno)
-            if not nums or nums[-1] != 0 or 0 in nums[:-1]:
+            if nums.count(0) != 1 or nums.pop() != 0:
                 raise CertificateError("trace line must end in 0", lineno)
-            trace.append(tuple(nums[:-1]))
+            trace.append(tuple(nums))
         else:
             raise CertificateError("unknown line kind %r" % kind, lineno)
     if not axioms and not trace:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from qexpand import qdimacs, sat
+from qexpand import proof, qdimacs, sat
 from qexpand.cli import build_parser, main
 from qexpand.formula import EXISTS, FORALL, Qbf
 
@@ -187,6 +187,24 @@ def test_fuzz(capsys):
     out = capsys.readouterr().out
     assert "fuzz ok: 25 instances" in out
     assert "certificates checked" in out
+
+
+@pytest.mark.parametrize(
+    "garble, reason",
+    [
+        (lambda text: text + "r 1 0\n", "trace does not end in the empty clause"),
+        (lambda text: text.replace("r ", "x ", 1), "unknown line kind 'x'"),
+    ],
+)
+def test_fuzz_checks_the_text(monkeypatch, capsys, garble, reason):
+    # solve --cert and check pass a certificate on as text, so fuzz
+    # checks what comes back from it
+    fmt = proof.format_certificate
+    monkeypatch.setattr(proof, "format_certificate", lambda cert: garble(fmt(cert)))
+    assert main(["fuzz", "--count", "10", "--certify"]) == 1
+    out = capsys.readouterr().out
+    assert "fuzz failed: 10 instances" in out
+    assert "bad certificate: " + reason in out
 
 
 def test_fuzz_negative_count_exit(capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -240,16 +242,21 @@ def test_replay_duplicate_literal():
     assert not rup_check(db, (4, 4))
 
 
+def watched(db):
+    """The clauses watched on each code, leaving out codes watched by none."""
+    return {c: list(ws) for c, ws in enumerate(db.watches) if ws}
+
+
 def test_replay_tautologies():
     db = ClauseDatabase([(1, -1), (2, -2, 3)])
     assert not rup_check(db, ())
     assert not rup_check(db, (1,))
     assert not rup_check(db, (3,))
-    watches = {l: list(ws) for l, ws in db.watches.items()}
+    watches = watched(db)
     # a tautological step follows from anything and adds nothing
     assert rup_check(db, (4, -4))
     db.add((4, -4))
-    assert db.watches == watches and db.trail == [] and not db.conflict
+    assert watched(db) == watches and db.trail == [] and not db.conflict
     assert not rup_check(db, ())
 
 
@@ -273,14 +280,14 @@ def test_replay_conflicting_units():
 
 def test_replay_step_satisfied_at_level_0():
     db = ClauseDatabase([(1,), (-1, 2), (3, 4)])
-    assert db.trail == [1, 2]
-    watches = {l: list(ws) for l, ws in db.watches.items()}
+    assert db.trail == db.codes((1, 2))
+    watches = watched(db)
     assert rup_check(db, (2, 5))
     db.add((2, 5))
-    assert db.trail == [1, 2] and db.watches == watches
+    assert db.trail == db.codes((1, 2)) and watched(db) == watches
     # level-0 false literals are dropped, so what is left is a unit
     db.add((-1, -2, 3))
-    assert db.trail == [1, 2, 3]
+    assert db.trail == db.codes((1, 2, 3))
     assert rup_check(db, (3,)) and not rup_check(db, (4,))
 
 
@@ -290,7 +297,9 @@ def test_replay_sparse_ids():
     assert rup_check(db, (big + 1,))
     assert rup_check(db, (2**62,))
     assert not rup_check(db, (-big,))
-    assert len(db.value) == 0
+    # three variables, so six codes, however large their ids
+    assert len(db.code) == len(db.value) == len(db.watches) == 6
+    assert db.value == [None] * 6 and db.trail == []
     # a real certificate with its ids spread far apart still checks
     q, cert = false_cert()
 
@@ -313,9 +322,23 @@ def test_replay_undoes_each_step():
     assert reference_first_rejected(axioms, trace) == 2
     db = ClauseDatabase(axioms)
     db.add((4,))
-    before = (dict(db.value), list(db.trail))
+    before = (list(db.value), list(db.trail))
     assert rup_check(db, (1, 2))
     assert (db.value, db.trail) == before
+
+
+def test_replay_long_step_is_linear():
+    # a parsed step may be as long as the file: adding it must not
+    # compare every literal with every other one
+    n = 50_000
+    step = tuple(range(1, n + 1))
+    start = time.perf_counter()
+    db = ClauseDatabase([step[::-1]])
+    assert rup_check(db, step)
+    db.add(step)
+    assert db.watches[db.code[1]] == [db.codes(step)]
+    assert not rup_check(db, step[1:])
+    assert time.perf_counter() - start < 2
 
 
 def test_extract_and_check():
@@ -380,6 +403,28 @@ def test_certificate_text_is_pinned():
     back = parse_certificate(EQUALITY_2_CERTIFICATE)
     assert back == cert
     assert check_certificate(q, back).ok
+
+
+# sha256 over format_certificate of every FALSE run of random_pcnf
+# seeds 0-199, in seed order; 138 runs are FALSE at either period.
+CERTIFICATE_DIGESTS = {
+    0: "1515e77d24ea04b6b047c266f14418202ffe648067b68c0266329571adc481c1",
+    1: "42dbdc43b07588c9524732c699a25b7f4d750c1d2fed446d9fc47b482e310e83",
+}
+
+
+@pytest.mark.parametrize("period", [0, 1])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_certificate_bytes_are_pinned(kernel, period):
+    digest = hashlib.sha256()
+    done = 0
+    for seed in range(200):
+        r = solve(oracle.random_pcnf(seed), SolveConfig(reset_period=period, kernel=kernel))
+        if r.verdict == FALSE:
+            digest.update(format_certificate(extract_certificate(r.state)).encode())
+            done += 1
+    assert done == 138
+    assert digest.hexdigest() == CERTIFICATE_DIGESTS[period]
 
 
 def test_file_roundtrip(tmp_path):
