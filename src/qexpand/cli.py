@@ -249,7 +249,7 @@ def main(argv=None):
     try:
         return args.func(args, sys.stdout)
     except (
-        FileNotFoundError,
+        OSError,
         qdimacs.ParseError,
         proof.CertificateError,
         proof.CertificateUnavailable,

@@ -20,29 +20,23 @@ always constrains its clause, and each sigma adds the clause of the
 selectors of its distinct instantiated clauses.
 
 The all side attaches an activation selector to every distinct
-instantiated clause and solves under assumptions, so resetting alphas
-deactivates clauses by dropping them from the live set instead of
-rebuilding the solver.  A reset replaces the alphas with the strips of
-the latest counter model, which lifts the bound on the iteration count.
-The selectors are non-decision variables of the all side's solver
-(sat.Solver.set_decision): a live selector is set by its assumption,
-and a dropped one is never branched on, so a forall solve does not
-decide every dropped selector again.  That is sound because each
-selector occurs only negatively, in its own clause: resolution keeps
-it negative in every learned clause, so leaving it unassigned (read as
-False) satisfies every clause it is in.
+instantiated clause and solves under all of them as assumptions, so the
+failed assumptions of an UNSAT answer name a core.  A reset replaces
+the alphas with the strips of the latest counter model, which lifts the
+bound on the iteration count, and starts the all side over with a new
+solver, intern table and selector maps: the dropped clauses, their
+annotated variables and everything learned from them leave the search
+and free their memory.  So the forall_conflicts, forall_decisions and
+forall_propagations of an iteration's stats count the current solver
+and restart after a reset.  Every selector is assumed, so none is a
+decision variable (sat.Solver.set_decision): that keeps them out of the
+solver's branching order.
 
-The assumptions of a forall solve are the live selectors in ascending
-order.  Selector ids grow in the order clauses are first added, so the
-list is in first-added order: a clause that a reset drops and a later
-alpha brings back takes its old place, not a place at the end, and the
-list depends on which clauses are live, not on the order in which the
-current alphas produced them.  In a run without a reset the live set
-only grows and every newly live selector is fresh, so the last forall
-call's assumptions are a prefix of the next call's, and the solver goes
-on from the trail of the last model (sat.Solver keeps it after SAT).
-After a reset the list shrinks, and a dropped clause that comes back
-takes its old place; then the solver starts again from level 0.
+The assumptions of a forall solve are the selectors in the order they
+were drawn, which is ascending: one table draws them.  Between resets
+the all side only grows, so the last forall call's assumptions are a
+prefix of the next call's, and the solver goes on from the trail of the
+last model (sat.Solver keeps it after SAT).
 
 A strip reads its source only below annotate.strip_cut, the head of
 the last block of the side it assigns, so each refinement step strips
@@ -130,40 +124,38 @@ class AssignmentSet:
 
 
 class ForallAbstraction:
-    """Conjunction of instantiations, clause-shared and selector-guarded."""
+    """Conjunction of instantiations, clause-shared and selector-guarded,
+    in a solver of its own since the last reset."""
 
-    def __init__(self, q, solver):
+    def __init__(self, q, kernel):
         self.q = q
-        self.solver = solver
-        self.table = annotate.InternTable("universal")
-        self.selector = {}  # clause lits -> selector
-        self.origin = {}  # selector -> (clause lits, matrix index, alpha)
-        self.live = set()  # selectors of the clauses the current alphas produce
-        self.live_literals = 0
+        self.kernel = kernel
+        self.drop_all_groups()
 
     @property
     def live_clauses(self):
-        return len(self.live)
+        return len(self.origin)
 
     def add_group(self, alpha):
-        """Instantiate under alpha and activate the produced clauses."""
+        """Instantiate under alpha and add the clauses not yet added."""
         for idx, key in annotate.instantiate(self.q, alpha, self.table):
-            sel = self.selector.get(key)
-            if sel is None:
+            if key not in self.selector:
                 sel = self.selector[key] = self.table.fresh()
                 self.origin[sel] = (key, idx, alpha)
                 self.solver.add_clause((-sel,) + key)
                 self.solver.set_decision(sel, False)
-            if sel not in self.live:
-                self.live.add(sel)
                 self.live_literals += len(key)
 
     def drop_all_groups(self):
-        self.live = set()
+        """Start over with a new solver, intern table and selector maps."""
+        self.solver = sat.Solver(kernel=self.kernel)
+        self.table = annotate.InternTable("universal")
+        self.selector = {}  # clause lits -> selector
+        self.origin = {}  # selector -> (clause lits, matrix index, alpha)
         self.live_literals = 0
 
     def assumptions(self):
-        return sorted(self.live)
+        return list(self.origin)
 
     def solve(self, deadline=None):
         return self.solver.solve(assumptions=self.assumptions(), deadline=deadline)
@@ -206,7 +198,7 @@ class ExpansionState:
         self.config = config
         self.alphas = AssignmentSet()
         self.sigmas = AssignmentSet()
-        self.forall_abs = ForallAbstraction(q, sat.Solver(kernel=config.kernel))
+        self.forall_abs = ForallAbstraction(q, config.kernel)
         self.exists_abs = ExistsAbstraction(q, sat.Solver(kernel=config.kernel))
         self.iteration = 0
         self.verdict = None

@@ -10,13 +10,15 @@ the axioms name every id.  Checking recomputes each axiom from the
 formula alone and replays the trace on a standalone propagator, so a
 certificate is evidence independent of the solver that produced it.
 
-Extraction reads it off the run's forall solver, UNSAT under the live
-selectors: its clauses are (-sel or C), sel the clause's activation
-selector, and the failed assumptions name the core.  The axioms are the
-core's clauses C with the solver's own ids; the trace is the solver's
-proof trace without the steps that name a selector outside the core,
-with the core's selectors removed, up to its first empty step (or with
-() appended).  That refutes the core:
+Extraction reads it off the run's forall solver, the one started at the
+last reset (or at the run's start), UNSAT under all of its selectors:
+its clauses are (-sel or C), sel the clause's activation selector, and
+the failed assumptions name the core.  The axioms are the core's
+clauses C with the solver's own ids; the trace is that solver's proof
+trace, which holds no step from before the last reset, without the
+steps that name a selector outside the core, with the core's selectors
+removed, up to its first empty step (or with () appended).  That
+refutes the core:
 
 1. A selector occurs only negatively and is set only by an assumption,
    above level 0 with no reason, so conflict analysis never resolves

@@ -174,6 +174,19 @@ def test_missing_file(capsys):
     assert "c error:" in capsys.readouterr().err
 
 
+def test_directory_as_input(tmp_path, capsys):
+    f = write(tmp_path, "f.qdimacs", FALSE_FILE)
+    for argv in (["solve", str(tmp_path)], ["check", f, str(tmp_path)]):
+        assert main(argv) == 1
+        assert "c error:" in capsys.readouterr().err
+
+
+def test_directory_as_stats_file(tmp_path, capsys):
+    f = write(tmp_path, "t.qdimacs", TRUE_FILE)
+    assert main(["solve", f, "--stats-file", str(tmp_path)]) == 1
+    assert "c error:" in capsys.readouterr().err
+
+
 def test_free_variable_warning(tmp_path, capsys):
     f = write(tmp_path, "free.qdimacs", "p cnf 2 1\na 1 0\n1 2 0\n")
     assert main(["solve", f]) == 10

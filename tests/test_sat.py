@@ -1,5 +1,5 @@
 import hashlib
-import importlib.util
+import importlib
 import itertools
 import os
 import random
@@ -12,6 +12,7 @@ import time
 import pytest
 
 from qexpand import _cdcl_py, cli, expand, oracle, sat
+from qexpand.formula import EXISTS, FORALL, Qbf
 from qexpand.sat import (
     SAT,
     UNKNOWN,
@@ -769,42 +770,40 @@ def test_pure_and_compiled_agree(kept_trail_cases):
     assert all(kept_trail_cases.values()), kept_trail_cases
 
 
-@pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
-@pytest.mark.parametrize("period", [0, 1])
-def test_pure_and_compiled_agree_on_expansion(period):
-    for seed in range(200):
-        q = oracle.random_pcnf(seed)
-        lines = [
-            cli.json_stats_lines(
-                expand.solve(q, expand.SolveConfig(reset_period=period, kernel=k))
-            )
-            for k in ("pure", "compiled")
-        ]
-        assert lines[0] == lines[1], "seed %d" % seed
+def equality(n):
+    """Exists x, forall u, exists t with x = u: false for every n."""
+    xs = list(range(1, n + 1))
+    us = list(range(n + 1, 2 * n + 1))
+    ts = list(range(2 * n + 1, 3 * n + 1))
+    clauses = [[-t for t in ts]]
+    for x, u, t in zip(xs, us, ts):
+        clauses += [[x, u, t], [-x, -u, t]]
+    return Qbf([(EXISTS, xs), (FORALL, us), (EXISTS, ts)], clauses)
 
 
-# sha256 over cli.json_stats_lines of oracle.random_pcnf seeds 0-199,
-# one line per iteration and run, by reset period; and over repr(observe)
-# on the guarded pigeonhole copies and one last solve with no selector.
-# No run there reaches 64 iterations, so the default period 64 never
-# resets and must search as period 0 does.
+# sha256 over cli.json_stats_lines, one line per iteration and run, by
+# reset period: of oracle.random_pcnf seeds 0-199 at periods 0 and 1,
+# and of Equality n=7 at the default period 64, where it resets 5 times
+# (no random_pcnf run reaches 64 iterations); and over repr(observe) on
+# the guarded pigeonhole copies and one last solve with no selector.
 PINNED_STATS = {
     0: "eee12467a9cb59cc3394ae20f4db759403a72a44a2241ad37df9f79351613635",
-    1: "76d416673b3ce2049db3d02757f20f1285626e8fdfed654a38eeb10abb8b2530",
+    1: "7fcffb3a9886f2b670690769d694e3d14a260f94d44974ed2df67ee6610dffec",
+    64: "b264ef8b0edba027db63138281df4014da083466f6fa40699f65f5854a433f7f",
 }
-PINNED_STATS[64] = PINNED_STATS[0]
 PINNED_PIGEONHOLE = "4daaa383c92981e59d833c7ba286fb920ef849d328a537088d577676b3174f2c"
 
 
 @pytest.mark.parametrize("period", [0, 1, 64])
 def test_search_is_pinned(kernel, period):
     # without a C compiler nothing else would notice a changed search
+    if period == 64:
+        formulas = [equality(7)]
+    else:
+        formulas = map(oracle.random_pcnf, range(200))
     h = hashlib.sha256()
-    for seed in range(200):
-        result = expand.solve(
-            oracle.random_pcnf(seed),
-            expand.SolveConfig(reset_period=period, kernel=kernel),
-        )
+    for q in formulas:
+        result = expand.solve(q, expand.SolveConfig(reset_period=period, kernel=kernel))
         for line in cli.json_stats_lines(result):
             h.update(line.encode() + b"\n")
     assert h.hexdigest() == PINNED_STATS[period]
@@ -924,14 +923,3 @@ def test_stats_accumulate(kernel):
     assert s.num_vars == 2
     assert s.num_clauses == 1
     assert s.propagations > 0
-
-
-def test_bench_sat_smoke(capsys):
-    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_sat.py")
-    spec = importlib.util.spec_from_file_location("bench_sat", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    bench.main(["--cnf-vars", "12", "--cnf-count", "2", "--expand-count", "3"])
-    rows = capsys.readouterr().out.splitlines()
-    assert any(r.startswith("3-CNF n=12 ") for r in rows)
-    assert any(r.startswith("expansion x3 ") for r in rows)
