@@ -1,8 +1,8 @@
 /* Incremental CDCL SAT kernel, compiled edition.
 
    Same algorithm as qexpand._cdcl_py: identical decisions, models,
-   counters and proof traces, which every kernel records.  Keep the two
-   in lock step; any behaviour change must land in both files.
+   counters, proof traces and cores, which every kernel records.  Keep
+   the two in lock step; any behaviour change must land in both files.
    _cdcl_py.py is the reference and documents the algorithm.
 
    The order contract: each pick is the maximum of (activity, -index)
@@ -16,7 +16,10 @@
    state.  solve walks the assumptions with one index, on the invariant
    that _cdcl_py documents: every level below free_level, the level of
    the lowest free decision, was opened by an assumption of the current
-   list, in list order.
+   list, in list order.  A clause added with one literal free on the
+   kept trail is lazy, listed in lazy and re-checked at every backtrack
+   (recheck_lazy), and every clause records what it rests on, so that
+   get_core can name the exact core; _cdcl_py documents both.
 
    Plain C against the CPython API, so any C compiler builds it and the
    module loads no C++ runtime.  Every function here runs with the
@@ -53,8 +56,14 @@ typedef struct {
     int cap;
 } ivec;
 
+/* tag: the add_clause ordinal, or ~trace position for a learned clause.
+   deps.data[dep..dep + ndep): the clauses it rests on and, as -v, the
+   level-0 variables; see _cdcl_py. */
 typedef struct {
     int size;
+    int tag;
+    int dep;
+    int ndep;
     int lits[];
 } Clause;
 
@@ -75,7 +84,7 @@ typedef struct {
     int cap;             /* per-variable slots allocated, index 0 unused */
     signed char *assigns; /* 0 undef, 1 true, 2 false */
     int *level;
-    int *reason;         /* clause index, -1 for decisions and units */
+    int *reason;         /* clause index, -1 for decisions */
     double *act;
     char *seen;
     int *hpos;           /* heap position, -1 when not in the heap */
@@ -96,6 +105,10 @@ typedef struct {
     ivec kept;           /* assumptions of the SAT answer whose trail is kept */
     char has_kept;       /* 0 once the trail is cancelled to level 0 */
     int free_level;      /* level of the lowest free decision, NO_FREE if none */
+    ivec deps;           /* every clause's dependencies, back to back */
+    ivec lazy;           /* indices of lazy clauses */
+    int added;           /* add_clause calls so far, the next ordinal */
+    int final_confl;     /* the clause of the conflict at level 0 */
     ivec buf;            /* add_clause input */
     int qhead;
     double var_inc;
@@ -340,10 +353,12 @@ ensure_vars(Kernel *k, int n)
 
 /* -- clauses ---------------------------------------------------------- */
 
-/* Store lits[0..n), n >= 2, as a new clause watched by its first two
-   literals.  Either everything is stored or nothing is. */
+/* Store lits[0..n) as a new clause with the given tag and the
+   dependencies from deps.data[dep] to the top; with n >= 2 it is watched
+   by its first two literals.  Either everything is stored or nothing
+   is.  Returns the clause index, or -1 with an exception set. */
 static int
-store_clause(Kernel *k, const int *lits, int n)
+store_clause(Kernel *k, const int *lits, int n, int tag, int dep)
 {
     if (k->nclauses == k->clauses_cap) {
         Py_ssize_t cap = k->clauses_cap ? 2 * (Py_ssize_t)k->clauses_cap : 64;
@@ -354,8 +369,9 @@ store_clause(Kernel *k, const int *lits, int n)
         GROW(k->clauses, cap);
         k->clauses_cap = (int)cap;
     }
-    if (ivec_reserve(&k->watches[lits[0]], 1) < 0
-        || ivec_reserve(&k->watches[lits[1]], 1) < 0)
+    if (n >= 2
+        && (ivec_reserve(&k->watches[lits[0]], 1) < 0
+            || ivec_reserve(&k->watches[lits[1]], 1) < 0))
         return -1;
     Clause *c = PyMem_Malloc(sizeof(Clause) + (size_t)n * sizeof(int));
     if (c == NULL) {
@@ -363,13 +379,18 @@ store_clause(Kernel *k, const int *lits, int n)
         return -1;
     }
     c->size = n;
+    c->tag = tag;
+    c->dep = dep;
+    c->ndep = k->deps.size - dep;
     memcpy(c->lits, lits, (size_t)n * sizeof(int));
     int ci = k->nclauses++;
     k->clauses[ci] = c;
-    ivec *w0 = &k->watches[lits[0]];
-    ivec *w1 = &k->watches[lits[1]];
-    w0->data[w0->size++] = ci;
-    w1->data[w1->size++] = ci;
+    if (n >= 2) {
+        ivec *w0 = &k->watches[lits[0]];
+        ivec *w1 = &k->watches[lits[1]];
+        w0->data[w0->size++] = ci;
+        w1->data[w1->size++] = ci;
+    }
     return ci;
 }
 
@@ -405,6 +426,28 @@ enqueue(Kernel *k, int p, int reason)
     k->trail[k->trail_size++] = p;
 }
 
+/* Right after a backtrack, before anything else is assigned: a lazy
+   clause whose false watch was undone is an ordinary one again, any
+   other implies its literal again at the new level.  All are sorted
+   first: a literal implied again could set an undone watch false. */
+static void
+recheck_lazy(Kernel *k)
+{
+    int j = 0;
+    for (int i = 0; i < k->lazy.size; i++) {
+        int ci = k->lazy.data[i];
+        if (k->assigns[k->clauses[ci]->lits[1] >> 1])
+            k->lazy.data[j++] = ci;
+    }
+    k->lazy.size = j;
+    for (int i = 0; i < j; i++) {
+        int ci = k->lazy.data[i];
+        int p = k->clauses[ci]->lits[0];
+        if (!k->assigns[p >> 1])
+            enqueue(k, p, ci);
+    }
+}
+
 static void
 cancel_until(Kernel *k, int lvl)
 {
@@ -422,6 +465,8 @@ cancel_until(Kernel *k, int lvl)
     k->trail_size = limit;
     k->trail_lim.size = lvl;
     k->qhead = limit;
+    if (k->lazy.size)
+        recheck_lazy(k);
 }
 
 static void
@@ -498,7 +543,8 @@ propagate(Kernel *k)
 
 /* -- learning --------------------------------------------------------- */
 
-/* First-UIP clause into learnt[0..nlearnt); returns the backtrack level. */
+/* First-UIP clause into learnt[0..nlearnt), its dependencies pushed on
+   deps; returns the backtrack level, or -1 with an exception set. */
 static int
 analyze(Kernel *k, int confl)
 {
@@ -513,12 +559,22 @@ analyze(Kernel *k, int confl)
     int idx = k->trail_size - 1;
     for (;;) {
         Clause *c = k->clauses[confl];
+        if (ivec_reserve(&k->deps, 1 + c->size) < 0) {
+            for (int i = 0; i < nclear; i++)
+                seen[k->to_clear[i]] = 0;
+            return -1;
+        }
+        k->deps.data[k->deps.size++] = confl;
         for (int m = (p == -1) ? 0 : 1; m < c->size; m++) {
             int q = c->lits[m];
             int v = q >> 1;
-            if (!seen[v] && level[v] > 0) {
+            if (!seen[v]) {
                 seen[v] = 1;
                 k->to_clear[nclear++] = v;
+                if (level[v] == 0) {
+                    k->deps.data[k->deps.size++] = -v;
+                    continue;
+                }
                 bump(k, v);
                 if (level[v] >= cur)
                     pathc++;
@@ -591,25 +647,32 @@ analyze_final(Kernel *k, int p)
     return n;
 }
 
+/* Learn from confl and backjump; returns bt, or -1 with an exception
+   set.  *next is the learned clause when a lazy clause implied its
+   asserting literal false again, else -1. */
 static int
-handle_conflict(Kernel *k, int confl)
+handle_conflict(Kernel *k, int confl, int *next)
 {
+    int dep = k->deps.size;
     int bt = analyze(k, confl);
+    if (bt < 0)
+        return -1;
     cancel_until(k, bt);
     int *learnt = k->learnt;
     int nl = k->nlearnt;
-    if (nl == 1) {
-        enqueue(k, learnt[0], -1);
-    }
-    else {
-        int ci = store_clause(k, learnt, nl);
-        if (ci < 0)
-            return -1;
-        enqueue(k, learnt[0], ci);
-    }
+    int tag = ~(int)PyList_GET_SIZE(k->trace);
     if (append_trace(k, learnt, nl) < 0)
         return -1;
+    int ci = store_clause(k, learnt, nl, tag, dep);
+    if (ci < 0)
+        return -1;
     k->var_inc *= ACT_BUMP_DECAY;
+    if (value(k, learnt[0]) == 2) {
+        *next = ci;
+        return bt;
+    }
+    *next = -1;
+    enqueue(k, learnt[0], ci);
     return bt;
 }
 
@@ -667,6 +730,7 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     k->ok = 1;
     k->last_status = UNKNOWN;
     k->free_level = NO_FREE;
+    k->final_confl = -1;
     k->var_inc = 1.0;
     k->model = PyList_New(0);
     k->failed = PyList_New(0);
@@ -710,6 +774,8 @@ Kernel_dealloc(Kernel *k)
     PyMem_Free(k->trail_lim.data);
     PyMem_Free(k->asum.data);
     PyMem_Free(k->kept.data);
+    PyMem_Free(k->deps.data);
+    PyMem_Free(k->lazy.data);
     PyMem_Free(k->buf.data);
     Py_XDECREF(k->model);
     Py_XDECREF(k->failed);
@@ -797,13 +863,18 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
     int mx = read_literals(arg, "clause must be iterable", &k->buf);
     if (mx < 0)
         return NULL;
+    int ordinal = k->added++;
     if (!k->ok)
         Py_RETURN_NONE;
     if (ensure_vars(k, mx) < 0)
         return NULL;
     int *lits = k->buf.data;
     int n = k->buf.size;
-    /* Filter in place.  seen[v] marks v (bit 1) and -v (bit 2) as kept. */
+    int dep = k->deps.size;
+    if (ivec_reserve(&k->deps, n) < 0)
+        return NULL;
+    /* Filter in place, pushing each level-0 variable that drops a false
+       literal on deps.  seen[v] marks v (bit 1) and -v (bit 2) as kept. */
     int m = 0, keep = 1;
     for (int i = 0; i < n; i++) {
         int p = lits[i];
@@ -812,8 +883,10 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
             keep = 0; /* satisfied at top level */
             break;
         }
-        if (v == 2)
+        if (v == 2) {
+            k->deps.data[k->deps.size++] = -(p >> 1);
             continue;
+        }
         int bit = (p & 1) ? 2 : 1;
         char s = k->seen[p >> 1];
         if (s & (3 ^ bit)) {
@@ -827,8 +900,11 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
     }
     for (int i = 0; i < m; i++)
         k->seen[lits[i] >> 1] = 0;
-    if (!keep)
+    if (!keep) {
+        k->deps.size = dep;
         Py_RETURN_NONE;
+    }
+    int lazy = 0;
     if (k->trail_lim.size > 0) {
         /* watch two literals the kept trail leaves non-false, if any */
         int j = 0;
@@ -839,23 +915,48 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
                 lits[i] = tmp;
             }
         }
-        if (j < 2)
+        if (j == 1 && m > 1) {
+            /* lazy: watch lits[0] with the false literal of the highest
+               level, and imply it here */
+            lazy = 1;
+            int hi = 1;
+            for (int i = 2; i < m; i++)
+                if (k->level[lits[i] >> 1] > k->level[lits[hi] >> 1])
+                    hi = i;
+            int tmp = lits[1];
+            lits[1] = lits[hi];
+            lits[hi] = tmp;
+        }
+        else if (j < 2)
             forget_trail(k);
     }
-    if (m >= 2) {
-        if (store_clause(k, lits, m) < 0)
-            return NULL;
-        k->num_clauses++;
-        Py_RETURN_NONE;
+    if (lazy && ivec_reserve(&k->lazy, 1) < 0) {
+        k->deps.size = dep;
+        return NULL;
+    }
+    int ci = store_clause(k, lits, m, ordinal, dep);
+    if (ci < 0) {
+        k->deps.size = dep;
+        return NULL;
     }
     k->num_clauses++;
-    if (m == 0) {
+    if (lazy) {
+        int v = lits[0] >> 1;
+        if (!k->assigns[v]) {
+            k->lazy.data[k->lazy.size++] = ci;
+            enqueue(k, lits[0], ci);
+        }
+        else if (k->level[v] > k->level[lits[1] >> 1])
+            k->lazy.data[k->lazy.size++] = ci; /* true, but above the false watch */
+    }
+    else if (m == 0) {
         k->ok = 0;
+        k->final_confl = ci;
         if (append_trace(k, NULL, 0) < 0)
             return NULL;
-        Py_RETURN_NONE;
     }
-    enqueue(k, lits[0], -1);
+    else if (m == 1)
+        enqueue(k, lits[0], ci);
     Py_RETURN_NONE;
 }
 
@@ -932,8 +1033,10 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
     long long restart_limit = 100;
     long long since_restart = 0;
     long long conflicts_here = 0;
+    int confl = -1;
     for (;;) {
-        int confl = propagate(k);
+        if (confl < 0)
+            confl = propagate(k);
         if (confl == PROPAGATE_ERROR)
             goto error;
         if (confl >= 0) {
@@ -942,11 +1045,12 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
             since_restart++;
             if (k->trail_lim.size == 0) {
                 k->ok = 0;
+                k->final_confl = confl;
                 if (append_trace(k, NULL, 0) < 0)
                     goto error;
                 return finish(k, UNSAT);
             }
-            int bt = handle_conflict(k, confl);
+            int bt = handle_conflict(k, confl, &confl);
             if (bt < 0)
                 goto error;
             ai = imin(ai, imin(bt, k->free_level - 1));
@@ -1018,6 +1122,92 @@ error:
     return NULL;
 }
 
+/* Push x on v, or go to done with an exception set. */
+#define PUSH(v, x)                          \
+    do {                                    \
+        if (ivec_push((v), (x)) < 0)        \
+            goto done;                      \
+    } while (0)
+
+static PyObject *
+Kernel_get_core(Kernel *k, PyObject *Py_UNUSED(ignored))
+{
+    if (k->ok || k->final_confl < 0) {
+        PyErr_SetString(PyExc_RuntimeError, "no conflict at level 0");
+        return NULL;
+    }
+    PyObject *out = NULL, *ordinals = NULL, *positions = NULL;
+    ivec stack = {NULL, 0, 0};
+    char *mark = PyMem_Calloc((size_t)k->nclauses, 1);
+    if (mark == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    /* x >= 0 is a clause index, x < 0 the level-0 variable -x; seen[]
+       marks variables, every one on the level-0 trail */
+    Clause *f = k->clauses[k->final_confl];
+    PUSH(&stack, k->final_confl);
+    for (int m = 0; m < f->size; m++)
+        PUSH(&stack, -(f->lits[m] >> 1));
+    while (stack.size > 0) {
+        int x = stack.data[--stack.size];
+        if (x >= 0) {
+            if (mark[x])
+                continue;
+            mark[x] = 1;
+            Clause *c = k->clauses[x];
+            if (ivec_reserve(&stack, c->ndep) < 0)
+                goto done;
+            memcpy(stack.data + stack.size, k->deps.data + c->dep,
+                   (size_t)c->ndep * sizeof(int));
+            stack.size += c->ndep;
+        }
+        else {
+            if (k->seen[-x])
+                continue;
+            k->seen[-x] = 1;
+            int r = k->reason[-x];
+            if (r < 0) {
+                PyErr_SetString(PyExc_RuntimeError, "level-0 literal without a reason");
+                goto done;
+            }
+            Clause *c = k->clauses[r];
+            PUSH(&stack, r);
+            for (int m = 0; m < c->size; m++)
+                PUSH(&stack, -(c->lits[m] >> 1));
+        }
+    }
+    ordinals = PyList_New(0);
+    positions = PyList_New(0);
+    if (ordinals != NULL && positions != NULL) {
+        int i;
+        for (i = 0; i < k->nclauses; i++) {
+            if (!mark[i])
+                continue;
+            int t = k->clauses[i]->tag;
+            PyObject *x = PyLong_FromLong(t >= 0 ? t : ~t);
+            if (x == NULL
+                || PyList_Append(t >= 0 ? ordinals : positions, x) < 0) {
+                Py_XDECREF(x);
+                break;
+            }
+            Py_DECREF(x);
+        }
+        if (i == k->nclauses)
+            out = PyTuple_Pack(2, ordinals, positions);
+    }
+done:
+    Py_XDECREF(ordinals);
+    Py_XDECREF(positions);
+    for (int i = 0; i < k->trail_size; i++)
+        k->seen[k->trail[i] >> 1] = 0;
+    PyMem_Free(stack.data);
+    PyMem_Free(mark);
+    return out;
+}
+
+#undef PUSH
+
 static PyObject *
 Kernel_get_trace(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
@@ -1039,6 +1229,9 @@ static PyMethodDef Kernel_methods[] = {
      "literal raises ValueError before any state changes."},
     {"get_trace", (PyCFunction)Kernel_get_trace, METH_NOARGS,
      "get_trace() -> list of learned-clause tuples in derivation order."},
+    {"get_core", (PyCFunction)Kernel_get_core, METH_NOARGS,
+     "get_core() -> (ordinals, positions) after a conflict at level 0;\n"
+     "see _cdcl_py."},
     {NULL}
 };
 

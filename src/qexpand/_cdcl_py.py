@@ -4,17 +4,37 @@ Two-watched-literal propagation, first-UIP learning, VSIDS branching,
 geometric restarts, fixed default phase False, and literal assumptions
 with failed-assumption extraction.  qexpand._cdcl, built from _cdcl.c,
 is the compiled twin; the two must produce identical models, counters,
-and proof traces.  Both keep one order contract: each pick is the
+proof traces and cores.  Both keep one order contract: each pick is the
 maximum of (activity, -index) over the unassigned decision variables.
 That is a strict total order, so any exact priority queue picks alike.
 
 Variables are 1-based ints.  Internally a literal is encoded as
 2*v (positive) or 2*v+1 (negative); clause references are indices
 into the clause list.  Every kernel records its proof trace: each
-learned clause in order, and () once UNSAT without assumptions.
-Learned clauses are never deleted: instances here live for one
-expansion run, and keeping every one keeps the trace checkable by plain
-unit propagation.  get_trace shares one int per distinct literal.
+learned clause in order, and () once UNSAT at level 0.  Learned clauses
+are never deleted: instances here live for one expansion run, and
+keeping every one keeps the trace checkable by plain unit propagation.
+get_trace shares one int per distinct literal.
+
+Every clause has a record, units and the empty clause included (stored,
+never watched), so every level-0 literal has a reason clause.  _tag[ci]
+is the clause's add_clause ordinal, the number of add_clause calls
+before it that raised no error, or ~p for the learned clause at trace
+position p.  _deps[ci] holds what it rests on, clause indices as they
+are and level-0 variables v as -v: for an added clause the variables
+whose level-0 value dropped one of its literals, for a learned clause
+the clauses its analysis resolved and the level-0 variables it dropped.
+_final is the clause of the conflict at level 0, or the added clause
+that level 0 left empty.  get_core walks back from it once, marking
+each clause and variable the first time it is reached: a clause brings
+its deps, a level-0 variable its reason clause and that clause's other
+variables.  The ordinals and trace positions reached are the core.  The
+added clauses reached are unsatisfiable alone, and each learned clause
+reached follows by unit propagation from them and the learned clauses
+reached before it: its analysis resolved only clauses reached, and the
+level-0 literals it dropped follow from their reasons, also reached.
+That is the argument of LRAT hints (Cruz-Filipe, Heule, Hunt, Kaufmann
+and Schneider-Kamp, CADE 2017), read back from the final conflict.
 
 The order queue is a heapq list of (-activity, v) entries; _queued[v]
 is set while v is in the queue.  A bump pushes a fresh entry for a
@@ -29,10 +49,28 @@ UNSAT, UNKNOWN and set_decision or add_clause cancelling to level 0 set
 _kept to None.  add_clause simplifies against level-0 values only: a
 literal true by a kept decision must not drop the clause as satisfied.
 Above level 0 it moves the first two literals that the trail leaves
-non-false to the watch positions; with fewer than two (a unit, or a
-clause false under the trail) it cancels to level 0 and adds the clause
-as at level 0.  A watched pair that is non-false when added keeps the
-watch invariant on every trail below.
+non-false to the watch positions.  A watched pair that is non-false
+when added keeps the watch invariant on every trail below.  A clause
+with one such literal c[0] and two or more literals is lazy, in the
+spirit of chronological backtracking (Nadel and Ryvchin, SAT 2018): it
+is watched on c[0] and on c[1], its false literal of the highest level
+f, and c[0] is implied at the current level with the clause as reason.
+A c[0] already true at a level of at most f makes an ordinary watched
+clause; one true above f is lazy too.  Any other clause (a unit, or
+one false under the trail) cancels to level 0 and is added as at level
+0.  The lazy invariant: while a clause is in _lazy, c[0] is true and
+every other literal keeps the value it had when the clause was added.
+Every backtrack re-checks _lazy before anything else is assigned, all
+clauses first and then the implications: a clause whose c[1] was
+undone is ordinary again, both watches non-false; every other one
+implies c[0] again at the new level.  Those literals wait on the trail
+for propagation like any other.  Implied above the level its reason
+needs, a literal still comes after its reason's other literals on the
+trail, which is all conflict analysis needs.  But the learned clause of
+such a literal can assert its negation at a backjump level where the
+lazy clause implies it again: that clause is then false, a conflict
+at the backjump level, analysed at once.  add_clause drops the literals
+false at level 0, so f >= 1 and a cancel to level 0 empties _lazy.
 
 solve walks its assumptions with one index, ai.  An unassigned one
 opens a level, a true one opens none, and branching starts once ai is
@@ -55,15 +93,15 @@ walk cancels to _free_level - 1 and goes on from min(ai, _free_level -
 1).  That cancel leaves no free decision, and the walk adds none, so a
 second false assumption before the next branching is final; every
 other backjump follows a learned clause, so the usual termination
-argument holds.  Selectors stay reason-less decisions above level 0.
+argument holds.
 
 A variable marked non-decision with set_decision(v, False) stays out
 of the order queue and is never picked as a decision; it is set
 only by propagation or as an assumption, and one left unassigned reads
 False in the model.  That model is sound only for variables that occur
-negatively in every clause, as activation selectors do: resolution
-never removes such a variable's literal, so learned clauses hold it
-negatively too, and False satisfies every clause it is in.
+negatively in every clause: resolution never removes such a variable's
+literal, so learned clauses hold it negatively too, and False satisfies
+every clause it is in.
 
 add_clause and solve raise ValueError on a zero or non-int literal
 before they change any state, also once the solver is UNSAT.  A solve
@@ -120,6 +158,11 @@ class Kernel:
         self._qhead = 0
         self._var_inc = 1.0
         self._trace = []  # learned clauses as internal literal lists
+        self._tag = []  # per clause: add_clause ordinal, or ~trace position
+        self._deps = []  # per clause: clause indices and -var of level-0 vars
+        self._lazy = []  # indices of lazy clauses; see the module doc
+        self._added = 0  # add_clause calls so far, the next ordinal
+        self._final = -1  # the clause of the conflict at level 0
         self._kept = None  # assumptions of the SAT answer whose trail is kept
         self._free_level = _NO_FREE  # level of the lowest free decision
 
@@ -195,12 +238,15 @@ class Kernel:
             a = l if l > 0 else -l
             if a > mx:
                 mx = a
+        ordinal = self._added
+        self._added += 1
         if not self.ok:
             return
         if mx > self.nvars:
             self.ensure_vars(mx)
         out = []
         have = set()
+        zeros = []  # level-0 variables that drop a false literal
         level = self._level
         for l in lits:
             p = _intern(l)
@@ -208,6 +254,7 @@ class Kernel:
             if v and level[p >> 1] == 0:
                 if v == 1:
                     return  # satisfied at top level
+                zeros.append(-(p >> 1))
                 continue
             if p ^ 1 in have:
                 return  # tautology
@@ -215,6 +262,10 @@ class Kernel:
                 have.add(p)
                 out.append(p)
         self.num_clauses += 1
+        ci = len(self._clauses)
+        self._clauses.append(out)
+        self._tag.append(ordinal)
+        self._deps.append(tuple(zeros))  # most are the shared ()
         if self._trail_lim:
             # watch two literals the kept trail leaves non-false, if any
             j = 0
@@ -224,19 +275,39 @@ class Kernel:
                     j += 1
                     if j == 2:
                         break
+            if j == 1 and len(out) > 1:
+                self._add_lazy(ci)
+                return
             if j < 2:
                 self._forget_trail()
         if not out:
             self.ok = False
+            self._final = ci
             self._trace.append([])
-            return
-        if len(out) == 1:
-            self._enqueue(out[0], -1)
-            return
-        ci = len(self._clauses)
-        self._clauses.append(out)
-        self._watches[out[0]].append(ci)
-        self._watches[out[1]].append(ci)
+        elif len(out) == 1:
+            self._enqueue(out[0], ci)
+        else:
+            self._watches[out[0]].append(ci)
+            self._watches[out[1]].append(ci)
+
+    def _add_lazy(self, ci):
+        # c[0] is the one literal the trail leaves non-false; watch it with
+        # the false literal of the highest level and imply it here
+        c = self._clauses[ci]
+        level = self._level
+        hi = 1
+        for i in range(2, len(c)):
+            if level[c[i] >> 1] > level[c[hi] >> 1]:
+                hi = i
+        c[1], c[hi] = c[hi], c[1]
+        self._watches[c[0]].append(ci)
+        self._watches[c[1]].append(ci)
+        v = c[0] >> 1
+        if not self._assigns[v]:
+            self._lazy.append(ci)
+            self._enqueue(c[0], ci)
+        elif level[v] > level[c[1] >> 1]:
+            self._lazy.append(ci)  # true, but above the false watch
 
     # -- trail --------------------------------------------------------
 
@@ -272,7 +343,22 @@ class Kernel:
         del trail[limit:]
         del self._trail_lim[lvl:]
         self._qhead = limit
+        if self._lazy:
+            self._recheck_lazy()
         self._bound_queue()
+
+    def _recheck_lazy(self):
+        # right after a backtrack, before anything else is assigned: a lazy
+        # clause whose false watch was undone is an ordinary one again, any
+        # other implies its literal again at the new level.  All are sorted
+        # first: a literal implied again could set an undone watch false.
+        assigns = self._assigns
+        clauses = self._clauses
+        self._lazy = keep = [ci for ci in self._lazy if assigns[clauses[ci][1] >> 1]]
+        for ci in keep:
+            p = clauses[ci][0]
+            if not assigns[p >> 1]:
+                self._enqueue(p, ci)
 
     def _propagate(self):
         trail = self._trail
@@ -338,6 +424,7 @@ class Kernel:
 
     def _analyze(self, confl):
         learnt = [0]
+        deps = []  # the clauses resolved, then -v for each level-0 v dropped
         trail = self._trail
         level = self._level
         seen = self._seen
@@ -347,13 +434,17 @@ class Kernel:
         p = -1
         idx = len(trail) - 1
         while True:
+            deps.append(confl)
             c = self._clauses[confl]
             for k in range(0 if p == -1 else 1, len(c)):
                 q = c[k]
                 v = q >> 1
-                if not seen[v] and level[v] > 0:
+                if not seen[v]:
                     seen[v] = 1
                     to_clear.append(v)
+                    if level[v] == 0:
+                        deps.append(-v)
+                        continue
                     self._bump(v)
                     if level[v] >= cur:
                         pathc += 1
@@ -381,7 +472,7 @@ class Kernel:
             bt = level[learnt[1] >> 1]
         for v in to_clear:
             seen[v] = 0
-        return learnt, bt
+        return learnt, bt, deps
 
     def _analyze_final(self, p):
         # p: assumption literal found false; walk the trail and collect
@@ -412,19 +503,23 @@ class Kernel:
         return out
 
     def _handle_conflict(self, confl):
-        learnt, bt = self._analyze(confl)
+        """Learn from confl and backjump: (bt, the learned clause when a
+        lazy clause implied its asserting literal false again, else -1)."""
+        learnt, bt, deps = self._analyze(confl)
         self._cancel_until(bt)
-        if len(learnt) == 1:
-            self._enqueue(learnt[0], -1)
-        else:
-            ci = len(self._clauses)
-            self._clauses.append(learnt)
-            self._watches[learnt[0]].append(ci)
-            self._watches[learnt[1]].append(ci)
-            self._enqueue(learnt[0], ci)
+        ci = len(self._clauses)
+        self._clauses.append(learnt)
+        self._tag.append(~len(self._trace))
+        self._deps.append(deps)
         self._trace.append(learnt[:])  # propagation reorders the stored clause
         self._var_inc *= _ACT_BUMP_DECAY
-        return bt
+        if len(learnt) > 1:
+            self._watches[learnt[0]].append(ci)
+            self._watches[learnt[1]].append(ci)
+        if self._value(learnt[0]) == 2:
+            return bt, ci
+        self._enqueue(learnt[0], ci)
+        return bt, -1
 
     # -- branching ----------------------------------------------------
 
@@ -473,20 +568,24 @@ class Kernel:
         restart_limit = 100
         since_restart = 0
         conflicts_here = 0
+        confl = -1
         while True:
-            confl = self._propagate()
+            if confl < 0:
+                confl = self._propagate()
             if confl >= 0:
                 self.conflicts += 1
                 conflicts_here += 1
                 since_restart += 1
                 if not trail_lim:
                     self.ok = False
+                    self._final = confl
                     self._trace.append([])
                     self.last_status = UNSAT
                     return UNSAT
                 # the backjump may undo assumptions above bt or above the
                 # lowest free decision; _free_level is read after it
-                ai = min(ai, self._handle_conflict(confl), self._free_level - 1)
+                bt, confl = self._handle_conflict(confl)
+                ai = min(ai, bt, self._free_level - 1)
                 if (
                     deadline > 0.0
                     and conflicts_here & 63 == 0
@@ -540,6 +639,40 @@ class Kernel:
             level[v] = len(trail_lim)
             reason[v] = -1
             trail.append(p)
+
+    def get_core(self):
+        """(ordinals, positions) once the solver is UNSAT at level 0: the
+        add_clause ordinals and trace positions the final conflict rests
+        on, each ascending; see the module doc."""
+        clauses = self._clauses
+        deps = self._deps
+        reason = self._reason
+        tag = self._tag
+        marked = set()  # clause indices, and -v for level-0 variables
+        stack = [self._final] + [-(p >> 1) for p in clauses[self._final]]
+        ordinals = []
+        positions = []
+        while stack:
+            x = stack.pop()
+            if x in marked:
+                continue
+            marked.add(x)
+            if x >= 0:
+                t = tag[x]
+                if t >= 0:
+                    ordinals.append(t)
+                else:
+                    positions.append(~t)
+                stack += deps[x]
+            else:
+                r = reason[-x]
+                if r < 0:
+                    raise RuntimeError("level-0 literal without a reason")
+                stack.append(r)
+                stack += [-(q >> 1) for q in clauses[r]]
+        ordinals.sort()
+        positions.sort()
+        return ordinals, positions
 
     def get_trace(self):
         ext = {q: _extern(q) for q in set().union(*self._trace)}.__getitem__

@@ -21,7 +21,7 @@ variable would hold a separate copy in every interned key.
 
 This layer only instantiates, names and strips: an InternTable names
 annotated variables and nothing else.  How an abstraction encodes its
-clauses (activation or negation selectors) is the abstraction's own
+clauses (the counter side's negation selectors) is the abstraction's own
 business, kept in expand.
 """
 

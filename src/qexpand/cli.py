@@ -146,7 +146,7 @@ def cmd_fuzz(args, out):
         seed = args.seed + i
         q = oracle.random_pcnf(seed)
         cfg = expand.SolveConfig(
-            reset_period=args.reset_period, verify_invariants=True
+            reset_period=args.reset_period, verify_invariants=True, kernel=args.kernel
         )
         try:
             r = expand.solve(q, cfg)
@@ -176,9 +176,11 @@ def cmd_fuzz(args, out):
                 failures += 1
                 continue
             certified += 1
-    line = "c fuzz %s: %d instances" % (
+    kernel = sat.kernel_name() if args.kernel == "auto" else args.kernel
+    line = "c fuzz %s: %d instances on the %s kernel" % (
         "failed" if failures else "ok",
         args.count,
+        kernel,
     )
     if args.certify:
         line += ", %d certificates checked" % certified
@@ -233,6 +235,7 @@ def build_parser():
     pf.add_argument("--seed", type=int, default=0, help="first seed")
     pf.add_argument("--reset-period", type=int, default=64)
     pf.add_argument("--certify", action="store_true", help="check certificates too")
+    pf.add_argument("--kernel", choices=("auto", "pure", "compiled"), default="auto")
     pf.set_defaults(func=cmd_fuzz)
 
     po = sub.add_parser("oracle", help="decide a small file by enumeration")

@@ -10,33 +10,34 @@ of one side are stripped of annotations to grow the other side, both
 sets only ever grow between resets, and each is bounded by its full
 assignment space, which bounds the number of iterations.
 
-Each abstraction owns its clause selectors, drawn from its intern
-table's id space (annotate.InternTable.fresh) and kept in its own
-selector map (clause -> selector); the table itself only names
-annotated variables.  The counter side's selector d for a clause C
-means "C is false": add_negation records d only in the step that adds
-its implications d -> not-l for every l in C, so a recorded selector
-always constrains its clause, and each sigma adds the clause of the
-selectors of its distinct instantiated clauses.
+The counter side owns clause selectors, drawn from its intern table's
+id space (annotate.InternTable.fresh) and kept in its selector map
+(clause -> selector); the table itself only names annotated variables.
+Its selector d for a clause C means "C is false": add_negation records
+d only in the step that adds its implications d -> not-l for every l in
+C, so a recorded selector always constrains its clause, and each sigma
+adds the clause of the selectors of its distinct instantiated clauses.
 
-The all side attaches an activation selector to every distinct
-instantiated clause and solves under all of them as assumptions, so the
-failed assumptions of an UNSAT answer name a core.  A reset replaces
-the alphas with the strips of the latest counter model, which lifts the
-bound on the iteration count, and starts the all side over with a new
-solver, intern table and selector maps: the dropped clauses, their
-annotated variables and everything learned from them leave the search
-and free their memory.  So the forall_conflicts, forall_decisions and
-forall_propagations of an iteration's stats count the current solver
-and restart after a reset.  Every selector is assumed, so none is a
-decision variable (sat.Solver.set_decision): that keeps them out of the
-solver's branching order.
+The all side adds each distinct instantiated clause once, as it is, and
+solves with no assumptions.  ForallAbstraction.origin maps each clause,
+in add_clause order, to its matrix index and the alpha that first
+produced it.  On UNSAT the solver names the exact core
+(sat.Solver.proof_core): the add_clause calls, by ordinal, and the
+proof trace steps that its final conflict rests on.  Through origin the
+ordinals are the core's clauses, which the certificate takes as axioms.
+A reset replaces the alphas with the strips of the latest counter
+model, which lifts the bound on the iteration count, and starts the all
+side over with a new solver and intern table: the dropped clauses,
+their annotated variables and everything learned from them leave the
+search and free their memory.  So the forall_conflicts,
+forall_decisions and forall_propagations of an iteration's stats count
+the current solver and restart after a reset.
 
-The assumptions of a forall solve are the selectors in the order they
-were drawn, which is ascending: one table draws them.  Between resets
-the all side only grows, so the last forall call's assumptions are a
-prefix of the next call's, and the solver goes on from the trail of the
-last model (sat.Solver keeps it after SAT).
+Between resets the all side only grows, and each forall solve goes on
+from the trail of the last model (sat.Solver keeps it after SAT).  A
+new alpha's clauses mostly hold fresh copies of existentials; one that
+the trail leaves a single literal free in is implied on top of the
+kept trail rather than sending the solver back to level 0.
 
 A strip reads its source only below annotate.strip_cut, the head of
 the last block of the side it assigns, so each refinement step strips
@@ -124,8 +125,8 @@ class AssignmentSet:
 
 
 class ForallAbstraction:
-    """Conjunction of instantiations, clause-shared and selector-guarded,
-    in a solver of its own since the last reset."""
+    """Conjunction of instantiations, clause-shared, in a solver of its
+    own since the last reset."""
 
     def __init__(self, q, kernel):
         self.q = q
@@ -139,27 +140,26 @@ class ForallAbstraction:
     def add_group(self, alpha):
         """Instantiate under alpha and add the clauses not yet added."""
         for idx, key in annotate.instantiate(self.q, alpha, self.table):
-            if key not in self.selector:
-                sel = self.selector[key] = self.table.fresh()
-                self.origin[sel] = (key, idx, alpha)
-                self.solver.add_clause((-sel,) + key)
-                self.solver.set_decision(sel, False)
+            if key not in self.origin:
+                self.origin[key] = (idx, alpha)
+                self.solver.add_clause(key)
                 self.live_literals += len(key)
 
     def drop_all_groups(self):
-        """Start over with a new solver, intern table and selector maps."""
+        """Start over with a new solver and intern table."""
         self.solver = sat.Solver(kernel=self.kernel)
         self.table = annotate.InternTable("universal")
-        self.selector = {}  # clause lits -> selector
-        self.origin = {}  # selector -> (clause lits, matrix index, alpha)
+        # clause lits -> (matrix index, alpha), in add_clause order
+        self.origin = {}
         self.live_literals = 0
 
     def assumptions(self):
-        return list(self.origin)
+        # a forall solve assumes nothing; kept because expbench/tracing.py
+        # wraps this method by name
+        return ()
 
     def solve(self, deadline=None):
-        return self.solver.solve(assumptions=self.assumptions(), deadline=deadline)
-
+        return self.solver.solve(deadline=deadline)
 
 class ExistsAbstraction:
     """Conjunction of negated instantiations via clause selectors."""
@@ -204,6 +204,7 @@ class ExpansionState:
         self.verdict = None
         self.stats = []
         self.core = None  # (clause lits, matrix index, alpha) triples on FALSE
+        self.core_steps = None  # the forall proof trace positions they need
         self.resets = 0
         self.deadline = None
 
@@ -386,7 +387,9 @@ def _iterate(state, rec):
     if out_f.status == sat.UNKNOWN:
         return UNKNOWN
     if out_f.status == sat.UNSAT:
-        state.core = [fa.origin[s] for s in out_f.failed_assumptions]
+        ordinals, state.core_steps = fa.solver.proof_core()
+        added = list(fa.origin.items())
+        state.core = [(key, idx, alpha) for key, (idx, alpha) in map(added.__getitem__, ordinals)]
         return FALSE
 
     t0 = time.perf_counter()

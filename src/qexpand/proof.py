@@ -11,31 +11,19 @@ formula alone and replays the trace on a standalone propagator, so a
 certificate is evidence independent of the solver that produced it.
 
 Extraction reads it off the run's forall solver, the one started at the
-last reset (or at the run's start), UNSAT under all of its selectors:
-its clauses are (-sel or C), sel the clause's activation selector, and
-the failed assumptions name the core.  The axioms are the core's
-clauses C with the solver's own ids; the trace is that solver's proof
-trace, which holds no step from before the last reset, without the
-steps that name a selector outside the core, with the core's selectors
-removed, up to its first empty step (or with () appended).  That
-refutes the core:
-
-1. A selector occurs only negatively and is set only by an assumption,
-   above level 0 with no reason, so conflict analysis never resolves
-   it away or drops it as a level-0 literal.  A trail kept from the
-   last SAT answer does not change that: every level below the lowest
-   free decision was opened by an assumption of the current list, and
-   every assumption, kept or new, is a reason-less decision above
-   level 0; branching never picks a selector (it is non-decision).  So
-   every conflict meets each selector as a reason-less literal above
-   level 0.
-2. So a learned clause keeps -sel for every guarded clause in its
-   derivation, below the conflict level or as the unique implication
-   point: a kept step follows by unit propagation from core clauses
-   and earlier kept steps, all with the core's selectors removed.
-3. analyze_final collects the selector of every reason on its path,
-   so the core clauses and kept steps propagate to a conflict.  The
-   checker does not rely on this argument: it replays every step.
+last reset (or at the run's start), UNSAT with no assumptions.  That
+solver holds each distinct instantiated clause as it was added, and
+names the exact core of its final conflict (sat.Solver.proof_core):
+the add_clause calls and the proof trace steps that conflict rests on.
+The axioms are the core's clauses, in the order they were added, with
+the solver's own ids; the trace is the core's steps in trace order,
+then ().  Each step follows by unit propagation from the axioms and the
+steps before it, and the last, (), from all of them: every learned
+clause records the clauses its conflict analysis resolved and the
+level-0 variables it dropped, every level-0 literal has a reason
+clause, and the core is what one walk back from the final conflict
+reaches through them (the _cdcl_py docstring has the argument).  The
+checker does not rely on that argument: it replays every step.
 
 The replay loads the axioms once into a ClauseDatabase: units and their
 consequences sit on a level-0 trail that is never undone, clauses that
@@ -50,8 +38,6 @@ never with the largest id.
 """
 
 from dataclasses import dataclass
-from itertools import filterfalse
-from operator import neg
 
 from . import annotate
 
@@ -85,12 +71,7 @@ def extract_certificate(state):
     if state.verdict != "FALSE":
         raise CertificateUnavailable("only false verdicts have certificates")
     if not state.core:
-        raise CertificateUnavailable("run recorded no failed clause core")
-    fa = state.forall_abs
-    core = {fa.selector[lits] for lits, _, _ in state.core}
-    # selectors occur negated in the trace
-    outside = frozenset(map(neg, fa.origin.keys() - core))
-    inside = frozenset(map(neg, core)).__contains__
+        raise CertificateUnavailable("run recorded no clause core")
     spelled = {}  # alpha bytes -> literals; a core shares few alphas
     axioms = []
     for lits, idx, alpha in state.core:
@@ -98,15 +79,9 @@ def extract_certificate(state):
         if alpha_lits is None:
             alpha_lits = spelled[alpha.values] = alpha.literals()
         axioms.append((idx, alpha_lits, lits))
-    trace = []
-    for step in fa.solver.proof_trace():
-        if outside.isdisjoint(step):
-            step = tuple(filterfalse(inside, step))
-            trace.append(step)
-            if not step:
-                break
-    else:
-        trace.append(())
+    steps = state.forall_abs.solver.proof_trace()
+    trace = [steps[t] for t in state.core_steps]
+    trace.append(())
     return Certificate(axioms, trace)
 
 

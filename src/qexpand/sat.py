@@ -5,7 +5,8 @@ from _cdcl.c when a C compiler is present at install time) and as pure
 Python (qexpand._cdcl_py).  The compiled one is picked when importable;
 pass kernel="pure" (CLI: --kernel pure) to use the fallback anyway.
 Both implement the same search step for step, so switching kernels
-never changes models, verdicts, or the proof traces both always record.
+never changes models, verdicts, or the proof traces and cores both
+always record.
 
 The kernels check literals themselves: add_clause and solve raise
 ValueError("literals must be nonzero ints") on a zero or non-int
@@ -14,22 +15,30 @@ literal before they change any state, also on a solver already UNSAT.
 Solver.set_decision(var, False) keeps var out of branching: only
 propagation or an assumption sets it, and left unassigned it reads
 False in the model.  Mark only variables that occur negatively in
-every clause, as activation selectors do; learned clauses then hold
-them negatively too, so that False satisfies every clause.
+every clause; learned clauses then hold them negatively too, so that
+False satisfies every clause.
 
 A SAT answer keeps its trail: the model's assignments stay on it, with
 the call's assumption list.  UNSAT, UNKNOWN and a raised error cancel
 to level 0 and forget it.  add_clause simplifies against level-0 values
 only, so a literal that a kept decision made true never drops a clause.
-A clause the trail leaves two literals non-false in is watched on them;
-any other clause cancels to level 0 first, as does set_decision(var,
-False) on a var the trail set above level 0.  When the kept list is a
-prefix of the next solve's assumptions, that solve opens the new ones
-on top of the kept trail and branches on from there; any other list
-cancels to level 0.  Every level below the lowest free (branching)
-decision was opened by an assumption of the current list, in list
-order, so after a backjump, or a new assumption found false, the solve
-keeps those levels and walks the assumptions on from them.
+A clause the trail leaves two literals non-false in is watched on them.
+A clause it leaves one literal free in, every other one false, is
+implied on top of the kept trail: that literal is set at the current
+level, and every backtrack sets it again while the clause's false
+literals stay.  Any other clause cancels to level 0 first, as does
+set_decision(var, False) on a var the trail set above level 0.  When
+the kept list is a prefix of the next solve's assumptions (an empty
+list always is), that solve opens the new ones on top of the kept trail
+and branches on from there; any other list cancels to level 0.  Every
+level below the lowest free (branching) decision was opened by an
+assumption of the current list, in list order, so after a backjump, or
+a new assumption found false, the solve keeps those levels and walks
+the assumptions on from them.
+
+After an UNSAT answer at level 0, proof_core() names the exact core:
+the add_clause calls and proof trace steps the final conflict rests on,
+read back from what each clause records (see the _cdcl_py docstring).
 """
 
 from dataclasses import dataclass, field
@@ -145,3 +154,13 @@ class Solver:
         if self._k.last_status != -1:
             raise TraceUnavailable("last solve was not unsat")
         return self._k.get_trace()
+
+    def proof_core(self):
+        """(ordinals, positions), both ascending: the add_clause calls,
+        counted from 0, and the proof_trace() steps that the final
+        conflict rests on.  Those clauses alone are unsatisfiable, and
+        each of those steps follows from them and the steps before it by
+        unit propagation.  Only after an UNSAT answer at level 0."""
+        if self._k.last_status != -1 or self._k.ok:
+            raise TraceUnavailable("no conflict at level 0")
+        return self._k.get_core()

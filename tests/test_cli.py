@@ -220,6 +220,23 @@ def test_fuzz_checks_the_text(monkeypatch, capsys, garble, reason):
     assert "bad certificate: " + reason in out
 
 
+def test_fuzz_kernel(capsys):
+    assert main(["fuzz", "--count", "5", "--certify", "--kernel", "pure"]) == 0
+    assert "fuzz ok: 5 instances on the pure kernel" in capsys.readouterr().out
+    # a compiled run never falls back to the pure kernel
+    code = main(["fuzz", "--count", "5", "--kernel", "compiled"])
+    captured = capsys.readouterr()
+    if sat.COMPILED:
+        assert code == 0 and "on the compiled kernel" in captured.out
+    else:
+        assert code == 1 and "compiled kernel not available" in captured.err
+        assert "fuzz ok" not in captured.out
+    with pytest.raises(SystemExit) as e:
+        main(["fuzz", "--kernel", "fast"])
+    assert e.value.code == 2
+    capsys.readouterr()
+
+
 def test_fuzz_negative_count_exit(capsys):
     assert main(["fuzz", "--count", "-3"]) == 1
     captured = capsys.readouterr()

@@ -278,56 +278,45 @@ def test_strip_once_per_distinct_prefix(monkeypatch):
     assert sum(1 for c in calls if c[1] == "existential") < sum(sources)
 
 
-def _outcome(q, period, kernel):
-    """What a run shows, with timings left out."""
-    r = solve(q, SolveConfig(reset_period=period, kernel=kernel))
-    cert = None
-    if r.verdict == FALSE:
-        cert = proof.format_certificate(proof.extract_certificate(r.state))
-    wit = [w.literals() for w in r.witness]
-    return r.verdict, r.iterations, wit, cert, cli.json_stats_lines(r)
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("period", [0, 1])
-def test_non_decision_selectors_change_no_stats_line(monkeypatch, period, kernel):
-    # every selector is an assumption of every forall call, resets or
-    # not, so keeping selectors out of branching changes no count
-    qs = [oracle.random_pcnf(seed) for seed in range(200)]
-    normal = [_outcome(q, period, kernel) for q in qs]
-    monkeypatch.setattr(sat.Solver, "set_decision", lambda self, var, flag: None)
-    for seed, q in enumerate(qs):
-        assert _outcome(q, period, kernel) == normal[seed], "seed %d" % seed
-
-
 @pytest.mark.parametrize("period", [1, 64])
-def test_assumptions_are_the_live_selectors(period):
+def test_origin_holds_the_added_clauses(period):
     def hook(state):
         fa = state.forall_abs
         live = {}
         for alpha in state.alphas:
             for _, lits in annotate.instantiate(state.q, alpha, fa.table):
-                live[fa.selector[lits]] = len(lits)
-        asum = fa.assumptions()
-        assert all(a < b for a, b in zip(asum, asum[1:]))
-        assert set(asum) == set(live)
-        # the solver holds no clause of an alpha a reset dropped
-        assert set(fa.origin) == set(live)
+                live[lits] = len(lits)
+        assert fa.assumptions() == ()
+        # one add_clause per distinct clause, and none of an alpha a
+        # reset dropped
+        assert list(fa.origin) == list(live)
+        assert fa.solver._k.num_clauses <= len(fa.origin) == fa.live_clauses
         assert fa.live_literals == sum(live.values())
 
     for seed in range(200):
         q = oracle.random_pcnf(seed)
         r = solve(q, SolveConfig(reset_period=period), on_iteration=hook)
         if r.verdict == FALSE:
-            # a core clause is live; its alpha is the one that first
-            # produced it since the last reset
+            # a core clause was added since the last reset, by the alpha
+            # that first produced it
             hook(r.state)
             fa = r.state.forall_abs
             for lits, idx, alpha in r.state.core:
-                assert fa.selector[lits] in fa.origin, "seed %d" % seed
-                assert fa.origin[fa.selector[lits]] == (lits, idx, alpha)
+                assert fa.origin[lits] == (idx, alpha), "seed %d" % seed
                 assert alpha in r.state.alphas
                 assert (idx, lits) in annotate.instantiate(q, alpha, fa.table)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_seed_25492_certifies(kernel):
+    # at period 0 a lazy clause of the forall solver must be re-checked
+    # at the backtrack itself, before an add_clause unit is assigned:
+    # re-checked at the next propagate instead, it leaves a reason clause
+    # with an unassigned literal, and the walk that names the core fails
+    q = oracle.random_pcnf(25492)
+    r = solve(q, SolveConfig(reset_period=0, kernel=kernel))
+    assert r.verdict == FALSE
+    assert proof.check_certificate(q, proof.extract_certificate(r.state)).ok
 
 
 def test_counter_selector_is_recorded_with_its_implications():

@@ -370,24 +370,25 @@ def equality_2_qbf():
     )
 
 
-# Ids are the run's: 3 and 4 are x1 and x2; z5 and z6 under (y3, y4) =
-# FF are 1 and 2, FT 8 and 9, TF 13 and 14, TT 18 and 19.  The gaps are
-# selectors, which no axiom names.
+# Ids are the run's, drawn as instantiation first meets each variable:
+# z5 and z6 under (y3, y4) = FF are 1 and 2, x1 and x2 are 3 and 4, z5
+# and z6 under FT are 5 and 6, TF 7 and 8, TT 9 and 10.  The axioms come
+# in the order the forall solver added them.
 EQUALITY_2_CERTIFICATE = """\
-a 4 3 4 0 -4 19 0
-a 2 3 4 0 -3 18 0
-a 0 3 4 0 -18 -19 0
-a 3 3 -4 0 4 14 0
-a 2 3 -4 0 -3 13 0
-a 0 3 -4 0 -13 -14 0
-a 4 -3 4 0 -4 9 0
-a 1 -3 4 0 3 8 0
-a 0 -3 4 0 -8 -9 0
-a 3 -3 -4 0 4 2 0
-a 1 -3 -4 0 3 1 0
 a 0 -3 -4 0 -1 -2 0
+a 1 -3 -4 0 3 1 0
+a 3 -3 -4 0 4 2 0
+a 0 -3 4 0 -5 -6 0
+a 1 -3 4 0 3 5 0
+a 4 -3 4 0 -4 6 0
+a 0 3 -4 0 -7 -8 0
+a 2 3 -4 0 -3 7 0
+a 3 3 -4 0 4 8 0
+a 0 3 4 0 -9 -10 0
+a 2 3 4 0 -3 9 0
+a 4 3 4 0 -4 10 0
+r -4 -3 0
 r -3 0
-r 3 0
 r 0
 """
 
@@ -408,8 +409,8 @@ def test_certificate_text_is_pinned():
 # sha256 over format_certificate of every FALSE run of random_pcnf
 # seeds 0-199, in seed order; 138 runs are FALSE at either period.
 CERTIFICATE_DIGESTS = {
-    0: "1515e77d24ea04b6b047c266f14418202ffe648067b68c0266329571adc481c1",
-    1: "c2d360c3db4636ccc714d5e8db13de81944ed2769aeb05fba79e6e8931472f92",
+    0: "7ebafc5c273db6d55e4ce0bfd5d67ad67b4636be92da8caa61ec10fd735808b3",
+    1: "b873d5b250ef62c3097e06d3b0f6286fbed151bd18ac9635f8cc1c131a7eca35",
 }
 
 
@@ -523,18 +524,36 @@ def test_id_named_twice_rejected():
 
 
 def test_permuted_axiom_literals_rejected():
-    # the position of a literal in its matrix clause names its id
+    # the position of a literal in its matrix clause names its id.  A
+    # reversal that only swaps same-signed ids the axiom is the first to
+    # name renames them consistently there, so the first later axiom
+    # that names one of them is the one rejected.
     q, cert = false_cert(equality_2_qbf())
-    permuted = 0
+    first = {}  # id -> the first axiom that names it
+    for pos, (_, _, lits) in enumerate(cert.axioms):
+        for l in lits:
+            first.setdefault(abs(l), pos)
+    permuted = later = 0
     for pos, (idx, alpha, lits) in enumerate(cert.axioms):
         if len(set(lits)) < 2:
             continue
+        reversed_lits = lits[::-1]
+        moved = {abs(l) for l, m in zip(lits, reversed_lits) if l != m}
+        want = pos
+        if all((l > 0) == (m > 0) for l, m in zip(lits, reversed_lits)) and all(
+            first[v] == pos for v in moved
+        ):
+            want = next(
+                p for p in range(pos + 1, len(cert.axioms))
+                if moved & {abs(l) for l in cert.axioms[p][2]}
+            )
+            later += 1
         axioms = list(cert.axioms)
-        axioms[pos] = (idx, alpha, lits[::-1])
+        axioms[pos] = (idx, alpha, reversed_lits)
         res = check_certificate(q, Certificate(axioms, cert.trace))
-        assert not res.ok and res.reason == "axiom %d: instantiation mismatch" % pos
+        assert not res.ok and res.reason == "axiom %d: instantiation mismatch" % want
         permuted += 1
-    assert permuted >= 6
+    assert permuted >= 6 and 0 < later < permuted
 
 
 def test_literal_0_rejected():
@@ -600,44 +619,51 @@ def test_random_false_instances_certify():
     assert done >= 40
 
 
-def filtered_trace(fa, core):
-    """fa's proof trace without the steps that name a selector outside
-    core, with core's selectors removed, up to the first empty step."""
-    out = []
-    for step in fa.solver.proof_trace():
-        sels = {-l for l in step if -l in fa.origin}
-        if sels <= core:
-            out.append(tuple(l for l in step if -l not in sels))
-            if not out[-1]:
-                return out
-    return out + [()]
-
-
 @pytest.mark.parametrize("period", [0, 1, 2])
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_trace_is_the_forall_solvers_own(kernel, period):
-    # a trace step that names a selector outside the core is rare: of
-    # seeds 0-999, 199, 246, 621, 680, 787 and 882 have one at period 0
-    # and 621 and 787 at period 2; at period 1, where every forall solve
-    # is the first of its solver, none of seeds 0-2999 has one
-    done = dropped = 0
+    # the certificate's trace is the forall solver's proof trace with the
+    # steps the core does not rest on left out, in order, ending in ().
+    # A step left out is rare: of seeds 0-2999, 25 have one at period 0
+    # (199, 246, 621, 787 and 882 among them), 10 at period 2 (621 and
+    # 787 among them) and none at period 1, where every forall solve is
+    # the first of its solver
+    done = shorter = 0
     for seed in [*range(60), 199, 246, 621, 787, 882]:
         r = solve(oracle.random_pcnf(seed), SolveConfig(reset_period=period, kernel=kernel))
         if r.verdict != FALSE:
             continue
         fa = r.state.forall_abs
-        core = {fa.selector[lits] for lits, _, _ in r.state.core}
         cert = extract_certificate(r.state)
-        assert cert.trace == filtered_trace(fa, core)
+        full = fa.solver.proof_trace()
+        assert cert.trace[-1] == () == full[-1]
+        steps = iter(full[:-1])
+        assert all(step in steps for step in cert.trace[:-1])
+        shorter += len(cert.trace) < len(full)
         ids = {abs(l) for _, _, lits in cert.axioms for l in lits}
         assert ids <= set(fa.table.forward.values())
-        assert not ids & set(fa.origin)
-        named = {-l for step in fa.solver.proof_trace() for l in step if -l in fa.origin}
-        dropped += not named <= core
         done += 1
     assert done >= 15
     if period != 1:
-        assert dropped  # some run has a step that names a selector outside its core
+        assert shorter
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_core_leaves_out_clauses_no_refutation_needs(kernel):
+    # Equality n=2 with clauses over the fresh existentials 7-9 added:
+    # they conflict under the default phase False, so the forall solver
+    # learns from them, but they share no variable with the refutation
+    base = equality_2_qbf()
+    extra = [[7, 8], [7, -8], [-7, 9, 3], [-9, -3, 8]]
+    q = Qbf(
+        [(EXISTS, [1, 2]), (FORALL, [3, 4]), (EXISTS, [5, 6, 7, 8, 9])],
+        [list(c) for c in base.matrix] + extra,
+    )
+    r = solve(q, SolveConfig(kernel=kernel))
+    assert r.verdict == FALSE and r.state.forall_abs.solver.conflicts
+    cert = extract_certificate(r.state)
+    assert {idx for idx, _, _ in cert.axioms} <= set(range(len(base.matrix)))
+    assert check_certificate(q, cert).ok
 
 
 @pytest.mark.parametrize("period", [0, 1, 2])

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from qexpand import _cdcl_py, cli, expand, oracle, sat
+from qexpand import _cdcl_py, cli, expand, oracle, proof, sat
 from qexpand.formula import EXISTS, FORALL, Qbf
 from qexpand.sat import (
     SAT,
@@ -641,10 +641,10 @@ def kept_trail_cases(monkeypatch):
     def counted_handle(k, confl):
         free = k._free_level
         state["conflict"] = True
-        bt = handle(k, confl)
+        bt, falsified = handle(k, confl)
         if on_kept(k) and free != _cdcl_py._NO_FREE:
             counts["keep" if bt >= free else "below"] += 1
-        return bt
+        return bt, falsified
 
     def counted_cancel(k, lvl):
         free = k._free_level
@@ -770,6 +770,179 @@ def test_pure_and_compiled_agree(kept_trail_cases):
     assert all(kept_trail_cases.values()), kept_trail_cases
 
 
+def growing_batches(rng):
+    """Batches of 3-clauses over a growing variable pool, as the forall
+    abstraction adds instantiations with fresh copies: each clause has
+    a variable new in its batch, so a batch added on a kept trail holds
+    clauses that the trail leaves one literal free in.  The pool grows
+    slower than the clauses, so most sequences end UNSAT."""
+    nv = rng.randint(5, 10)
+    out = []
+    for _ in range(40):
+        fresh = list(range(nv + 1, nv + 1 + rng.randint(1, 3)))
+        nv += len(fresh)
+        batch = []
+        for _ in range(rng.randint(3, 14)):
+            vs = set(rng.sample(range(1, nv + 1), 2)) | {rng.choice(fresh)}
+            while len(vs) < 3:
+                vs.add(rng.randint(1, nv))
+            batch.append([v if rng.random() < 0.5 else -v for v in vs])
+        out.append(batch)
+    return out
+
+
+def split_batches(rng, clauses):
+    """clauses shuffled and cut into up to 13 batches."""
+    clauses = list(clauses)
+    rng.shuffle(clauses)
+    cuts = sorted(rng.sample(range(1, len(clauses)), min(len(clauses) - 1, rng.randint(1, 12))))
+    return [clauses[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(clauses)])]
+
+
+def core_cases():
+    """Clause batches to add between solves: growing pools, random
+    3-CNF past the threshold, and pigeonhole(5-7)."""
+    rng = random.Random(108)
+    cases = [growing_batches(rng) for _ in range(120)]
+    for _ in range(60):
+        nv = rng.randint(8, 20)
+        cnf = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nv + 1), 3)]
+               for _ in range(int(nv * rng.uniform(4.5, 7)))]
+        cases.append(split_batches(rng, cnf))
+    cases += [split_batches(rng, pigeonhole(n)) for n in (5, 6, 7)]
+    return cases
+
+
+def solve_batches(kernel, batches):
+    """Add each batch and solve after it, up to the first UNSAT; return
+    the clauses added, the proof trace, and proof_core() (None when the
+    last answer is SAT)."""
+    s = Solver(kernel=kernel)
+    added = []
+    for batch in batches:
+        for c in batch:
+            s.add_clause(c)
+        added += batch
+        out = s.solve()
+        if out.status == UNSAT:
+            return added, s.proof_trace(), s.proof_core()
+        assert_answer(out, added, [])
+    return added, s._k.get_trace(), None
+
+
+def assert_reasons_hold(k):
+    """On a pure kernel: every literal on the trail with a reason comes
+    after every other literal of that clause, all false; every lazy
+    clause has c[0] true and c[1] false."""
+    where = {p >> 1: i for i, p in enumerate(k._trail)}
+    for i, p in enumerate(k._trail):
+        r = k._reason[p >> 1]
+        if r >= 0:
+            others = [q for q in k._clauses[r] if q != p]
+            assert len(others) == len(k._clauses[r]) - 1
+            assert all(k._value(q) == 2 and where[q >> 1] < i for q in others)
+    for ci in k._lazy:
+        c = k._clauses[ci]
+        assert k._value(c[0]) == 1 and k._value(c[1]) == 2
+
+
+@pytest.fixture
+def lazy_cases(monkeypatch):
+    """Count, on the pure kernel, the lazy clauses add_clause makes that
+    imply their literal ("imply"), the literals implied again after a
+    backtrack ("reimply"), the lazy clauses dropped once their false
+    watch was undone ("drop"), and learned clauses found false after
+    the backjump because a lazy clause implied their literal again
+    ("falsified").  After each of the first two the reasons must hold."""
+    counts = {"imply": 0, "reimply": 0, "drop": 0, "falsified": 0}
+    kernel = _cdcl_py.Kernel
+    add_lazy, recheck, handle = kernel._add_lazy, kernel._recheck_lazy, kernel._handle_conflict
+
+    def counted_add_lazy(k, ci):
+        implied = len(k._trail)
+        add_lazy(k, ci)
+        counts["imply"] += len(k._trail) - implied
+        assert_reasons_hold(k)
+
+    def counted_recheck(k):
+        lazy, implied = len(k._lazy), len(k._trail)
+        recheck(k)
+        counts["drop"] += lazy - len(k._lazy)
+        counts["reimply"] += len(k._trail) - implied
+        assert_reasons_hold(k)
+
+    def counted_handle(k, confl):
+        bt, falsified = handle(k, confl)
+        counts["falsified"] += falsified >= 0
+        return bt, falsified
+
+    monkeypatch.setattr(kernel, "_add_lazy", counted_add_lazy)
+    monkeypatch.setattr(kernel, "_recheck_lazy", counted_recheck)
+    monkeypatch.setattr(kernel, "_handle_conflict", counted_handle)
+    return counts
+
+
+def test_core_is_exact(kernel, lazy_cases):
+    # the clauses the core names are unsatisfiable alone, and its steps
+    # replay on them alone; every learned clause, core or not, follows
+    # from the clauses added before it and the steps before it
+    unsat = 0
+    for batches in core_cases():
+        added, trace, core = solve_batches(kernel, batches)
+        db = proof.ClauseDatabase(added)
+        for step in trace:
+            assert proof.rup_check(db, step)
+            db.add(step)
+        if core is None:
+            continue
+        unsat += 1
+        ordinals, positions = core
+        assert ordinals == sorted(set(ordinals)) and positions == sorted(set(positions))
+        axioms = [added[i] for i in ordinals]
+        fresh = Solver()
+        for c in axioms:
+            fresh.add_clause(c)
+        assert fresh.solve().status == UNSAT
+        db = proof.ClauseDatabase(axioms)
+        for t in positions:
+            assert proof.rup_check(db, trace[t])
+            db.add(trace[t])
+        assert trace[-1] == () and proof.rup_check(db, ())
+    assert unsat > 120
+    if kernel == "pure":
+        assert all(lazy_cases.values()), lazy_cases
+
+
+@pytest.mark.skipif(not sat.COMPILED, reason="compiled kernel not built")
+def test_pure_and_compiled_cores_agree():
+    for batches in core_cases():
+        assert solve_batches("compiled", batches) == solve_batches("pure", batches)
+
+
+def test_core_names_add_clause_calls(kernel):
+    # ordinals count every add_clause call, the dropped ones too: (1, -1)
+    # is a tautology, (3) is satisfied at level 0 by the unit before it
+    s = Solver(kernel=kernel)
+    for c in ([1, -1], [3], [3, 2], [-2, 4], [-4, -3], [2, 5], [-5, 6]):
+        s.add_clause(c)
+    assert s.solve().status == SAT
+    s.add_clause([-6])  # 2 is False at level 0, so 5 and 6 are True there
+    assert s.solve().status == UNSAT
+    assert s.proof_core() == ([1, 3, 4, 5, 6, 7], [])
+
+
+def test_core_unavailable(kernel):
+    s = Solver(kernel=kernel)
+    s.add_clause([1, 2])
+    s.solve()
+    with pytest.raises(TraceUnavailable):
+        s.proof_core()
+    # failed assumptions are no conflict at level 0
+    assert s.solve([-1, -2]).status == UNSAT
+    with pytest.raises(TraceUnavailable):
+        s.proof_core()
+
+
 def equality(n):
     """Exists x, forall u, exists t with x = u: false for every n."""
     xs = list(range(1, n + 1))
@@ -787,9 +960,9 @@ def equality(n):
 # (no random_pcnf run reaches 64 iterations); and over repr(observe) on
 # the guarded pigeonhole copies and one last solve with no selector.
 PINNED_STATS = {
-    0: "eee12467a9cb59cc3394ae20f4db759403a72a44a2241ad37df9f79351613635",
-    1: "7fcffb3a9886f2b670690769d694e3d14a260f94d44974ed2df67ee6610dffec",
-    64: "b264ef8b0edba027db63138281df4014da083466f6fa40699f65f5854a433f7f",
+    0: "d288817f53d1190f553f3cf11dd25ee9ac5052253cf9747b614b873577258aaa",
+    1: "bca4358d410960f777a486f09bf9fc30facf39dee8a9654ee45cee30349b2ea9",
+    64: "5f9cdda53a6cc630919016d6f895b2b045093bb050a37d60ec9b020d23a77ccd",
 }
 PINNED_PIGEONHOLE = "4daaa383c92981e59d833c7ba286fb920ef849d328a537088d577676b3174f2c"
 
