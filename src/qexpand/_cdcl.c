@@ -6,17 +6,14 @@
    _cdcl_py.py is the reference and documents the algorithm.
 
    The order contract: each pick is the maximum of (activity, -index)
-   over the unassigned decision variables.  Here a binary heap keeps it
+   over the unassigned variables.  Here a binary heap keeps it
    (_cdcl_py keeps a heapq list).  A rescale can round two activities
    to equal ones and leave the larger index above the smaller, so the
    heap is rebuilt after it.
 
-   A SAT answer keeps its trail, and the next solve whose assumptions
-   extend the kept list goes on from it; kept and has_kept hold that
-   state.  solve walks the assumptions with one index, on the invariant
-   that _cdcl_py documents: every level below free_level, the level of
-   the lowest free decision, was opened by an assumption of the current
-   list, in list order.  A clause added with one literal free on the
+   A solve takes no assumptions.  A SAT answer keeps its trail and the
+   next solve goes on from it; every other exit, an error included,
+   cancels to level 0.  A clause added with one literal free on the
    kept trail is lazy, listed in lazy and re-checked at every backtrack
    (recheck_lazy), and every clause records what it rests on, so that
    get_core can name the exact core; _cdcl_py documents both.
@@ -47,9 +44,6 @@
 /* Returned by propagate when a watch list could not grow. */
 #define PROPAGATE_ERROR (-2)
 
-/* free_level with no free decision on the trail. */
-#define NO_FREE INT_MAX
-
 typedef struct {
     int *data;
     int size;
@@ -77,7 +71,6 @@ typedef struct {
     long long restarts;
     long long num_clauses;
     PyObject *model;   /* list: None, then one bool per variable */
-    PyObject *failed;  /* list of failed assumption literals */
     int last_status;
     PyObject *trace;   /* list of learned-clause tuples */
 
@@ -88,12 +81,11 @@ typedef struct {
     double *act;
     char *seen;
     int *hpos;           /* heap position, -1 when not in the heap */
-    char *decision;      /* 0 for variables the heap never holds */
     int *heap;
     int heap_size;
     int *trail;
     int trail_size;
-    int *learnt;         /* analyze and analyze_final output, cap + 1 slots */
+    int *learnt;         /* analyze output, cap + 1 slots */
     int nlearnt;
     int *to_clear;
     ivec *watches;       /* per literal: indices of clauses watching it */
@@ -101,10 +93,6 @@ typedef struct {
     int nclauses;
     int clauses_cap;
     ivec trail_lim;
-    ivec asum;           /* interned assumptions of the running solve */
-    ivec kept;           /* assumptions of the SAT answer whose trail is kept */
-    char has_kept;       /* 0 once the trail is cancelled to level 0 */
-    int free_level;      /* level of the lowest free decision, NO_FREE if none */
     ivec deps;           /* every clause's dependencies, back to back */
     ivec lazy;           /* indices of lazy clauses */
     int added;           /* add_clause calls so far, the next ordinal */
@@ -143,12 +131,6 @@ ivec_push(ivec *v, int x)
         return -1;
     v->data[v->size++] = x;
     return 0;
-}
-
-static inline int
-imin(int a, int b)
-{
-    return a < b ? a : b;
 }
 
 static inline int
@@ -214,7 +196,6 @@ reserve_vars(Kernel *k, int n)
     GROW(k->act, cap);
     GROW(k->seen, cap);
     GROW(k->hpos, cap);
-    GROW(k->decision, cap);
     GROW(k->heap, cap);
     GROW(k->trail, cap);
     GROW(k->learnt, cap + 1);
@@ -290,7 +271,7 @@ hdown(Kernel *k, int i)
 static void
 hinsert(Kernel *k, int v)
 {
-    if (k->hpos[v] != -1 || !k->decision[v])
+    if (k->hpos[v] != -1)
         return;
     k->heap[k->heap_size] = v;
     k->hpos[v] = k->heap_size;
@@ -345,7 +326,6 @@ ensure_vars(Kernel *k, int n)
         k->act[v] = 0.0;
         k->seen[v] = 0;
         k->hpos[v] = -1;
-        k->decision[v] = 1;
         hinsert(k, v);
     }
     return 0;
@@ -382,7 +362,8 @@ store_clause(Kernel *k, const int *lits, int n, int tag, int dep)
     c->tag = tag;
     c->dep = dep;
     c->ndep = k->deps.size - dep;
-    memcpy(c->lits, lits, (size_t)n * sizeof(int));
+    if (n)
+        memcpy(c->lits, lits, (size_t)n * sizeof(int));
     int ci = k->nclauses++;
     k->clauses[ci] = c;
     if (n >= 2) {
@@ -451,8 +432,6 @@ recheck_lazy(Kernel *k)
 static void
 cancel_until(Kernel *k, int lvl)
 {
-    if (lvl < k->free_level)
-        k->free_level = NO_FREE;
     if (k->trail_lim.size <= lvl)
         return;
     int limit = k->trail_lim.data[lvl];
@@ -467,13 +446,6 @@ cancel_until(Kernel *k, int lvl)
     k->qhead = limit;
     if (k->lazy.size)
         recheck_lazy(k);
-}
-
-static void
-forget_trail(Kernel *k)
-{
-    cancel_until(k, 0);
-    k->has_kept = 0;
 }
 
 /* Returns the index of a conflicting clause, -1 when none, or
@@ -611,43 +583,7 @@ analyze(Kernel *k, int confl)
     return bt;
 }
 
-/* p: assumption literal found false; walk the trail and collect into
-   learnt[0..n) the assumptions its negation depends on.  Returns n. */
-static int
-analyze_final(Kernel *k, int p)
-{
-    int *out = k->learnt;
-    int n = 0;
-    out[n++] = p;
-    if (k->trail_lim.size == 0)
-        return n;
-    char *seen = k->seen;
-    seen[p >> 1] = 1;
-    for (int i = k->trail_size - 1; i >= k->trail_lim.data[0]; i--) {
-        int lq = k->trail[i];
-        int v = lq >> 1;
-        if (!seen[v])
-            continue;
-        int r = k->reason[v];
-        if (r == -1) {
-            if (k->level[v] > 0)
-                out[n++] = lq;
-        }
-        else {
-            Clause *c = k->clauses[r];
-            for (int m = 1; m < c->size; m++) {
-                int w = c->lits[m] >> 1;
-                if (k->level[w] > 0)
-                    seen[w] = 1;
-            }
-        }
-        seen[v] = 0;
-    }
-    seen[p >> 1] = 0;
-    return n;
-}
-
-/* Learn from confl and backjump; returns bt, or -1 with an exception
+/* Learn from confl and backjump; returns 0, or -1 with an exception
    set.  *next is the learned clause when a lazy clause implied its
    asserting literal false again, else -1. */
 static int
@@ -669,11 +605,11 @@ handle_conflict(Kernel *k, int confl, int *next)
     k->var_inc *= ACT_BUMP_DECAY;
     if (value(k, learnt[0]) == 2) {
         *next = ci;
-        return bt;
+        return 0;
     }
     *next = -1;
     enqueue(k, learnt[0], ci);
-    return bt;
+    return 0;
 }
 
 /* -- branching -------------------------------------------------------- */
@@ -683,7 +619,7 @@ pick_branch(Kernel *k)
 {
     while (k->heap_size > 0) {
         int v = hpop(k);
-        if (k->assigns[v] == 0 && k->decision[v])
+        if (k->assigns[v] == 0)
             return v;
     }
     return 0;
@@ -729,14 +665,11 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     k->ok = 1;
     k->last_status = UNKNOWN;
-    k->free_level = NO_FREE;
     k->final_confl = -1;
     k->var_inc = 1.0;
     k->model = PyList_New(0);
-    k->failed = PyList_New(0);
     k->trace = PyList_New(0);
-    if (k->model == NULL || k->failed == NULL || k->trace == NULL
-        || reserve_vars(k, 0) < 0) {
+    if (k->model == NULL || k->trace == NULL || reserve_vars(k, 0) < 0) {
         Py_DECREF(k);
         return NULL;
     }
@@ -746,7 +679,6 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     k->act[0] = 0.0;
     k->seen[0] = 0;
     k->hpos[0] = -1;
-    k->decision[0] = 0;
     return (PyObject *)k;
 }
 
@@ -766,19 +698,15 @@ Kernel_dealloc(Kernel *k)
     PyMem_Free(k->act);
     PyMem_Free(k->seen);
     PyMem_Free(k->hpos);
-    PyMem_Free(k->decision);
     PyMem_Free(k->heap);
     PyMem_Free(k->trail);
     PyMem_Free(k->learnt);
     PyMem_Free(k->to_clear);
     PyMem_Free(k->trail_lim.data);
-    PyMem_Free(k->asum.data);
-    PyMem_Free(k->kept.data);
     PyMem_Free(k->deps.data);
     PyMem_Free(k->lazy.data);
     PyMem_Free(k->buf.data);
     Py_XDECREF(k->model);
-    Py_XDECREF(k->failed);
     Py_XDECREF(k->trace);
     Py_TYPE(k)->tp_free((PyObject *)k);
 }
@@ -798,41 +726,13 @@ Kernel_ensure_vars(Kernel *k, PyObject *arg)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-Kernel_set_decision(Kernel *k, PyObject *args)
-{
-    PyObject *var;
-    int flag;
-    if (!PyArg_ParseTuple(args, "Op:set_decision", &var, &flag))
-        return NULL;
-    long v = PyLong_Check(var) ? PyLong_AsLong(var) : 0;
-    if (v == -1 && PyErr_Occurred())
-        return NULL;
-    if (v <= 0) {
-        PyErr_SetString(PyExc_ValueError, "variable must be a positive int");
-        return NULL;
-    }
-    if (v > MAX_VAR) {
-        PyErr_SetString(PyExc_OverflowError, "variable index too large");
-        return NULL;
-    }
-    if (ensure_vars(k, (int)v) < 0)
-        return NULL;
-    if (!flag && k->assigns[v] && k->level[v] > 0)
-        forget_trail(k);
-    k->decision[v] = (char)flag;
-    if (flag)
-        hinsert(k, (int)v);
-    Py_RETURN_NONE;
-}
-
-/* Read an iterable's literals into v, interned; return the largest
+/* Read a clause's literals into v, interned; return the largest
    variable, or -1 with an exception set.  Touches nothing but v, so
-   callers check every literal before they change any state. */
+   add_clause checks every literal before it changes any state. */
 static int
-read_literals(PyObject *obj, const char *what, ivec *v)
+read_literals(PyObject *obj, ivec *v)
 {
-    PyObject *seq = PySequence_Fast(obj, what);
+    PyObject *seq = PySequence_Fast(obj, "clause must be iterable");
     if (seq == NULL)
         return -1;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
@@ -860,7 +760,7 @@ read_literals(PyObject *obj, const char *what, ivec *v)
 static PyObject *
 Kernel_add_clause(Kernel *k, PyObject *arg)
 {
-    int mx = read_literals(arg, "clause must be iterable", &k->buf);
+    int mx = read_literals(arg, &k->buf);
     if (mx < 0)
         return NULL;
     int ordinal = k->added++;
@@ -928,7 +828,7 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
             lits[hi] = tmp;
         }
         else if (j < 2)
-            forget_trail(k);
+            cancel_until(k, 0);
     }
     if (lazy && ivec_reserve(&k->lazy, 1) < 0) {
         k->deps.size = dep;
@@ -961,23 +861,6 @@ Kernel_add_clause(Kernel *k, PyObject *arg)
 }
 
 static PyObject *
-lits_to_list(const int *lits, int n)
-{
-    PyObject *out = PyList_New(n);
-    if (out == NULL)
-        return NULL;
-    for (int i = 0; i < n; i++) {
-        PyObject *x = PyLong_FromLong(extern_lit(lits[i]));
-        if (x == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, x);
-    }
-    return out;
-}
-
-static PyObject *
 model_list(const Kernel *k)
 {
     PyObject *out = PyList_New((Py_ssize_t)k->nvars + 1);
@@ -1003,33 +886,14 @@ finish(Kernel *k, int status)
 static PyObject *
 Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"assumptions", "deadline", NULL};
-    PyObject *assumptions = NULL;
+    static char *kwlist[] = {"deadline", NULL};
     double deadline = -1.0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|Od:solve", kwlist,
-                                     &assumptions, &deadline))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|d:solve", kwlist, &deadline))
         return NULL;
-    k->asum.size = 0;
-    int mx = assumptions == NULL ? 0
-             : read_literals(assumptions, "assumptions must be iterable", &k->asum);
-    if (mx < 0)
-        return NULL;
-    if (replace_list(&k->model, PyList_New(0)) < 0
-        || replace_list(&k->failed, PyList_New(0)) < 0)
+    if (replace_list(&k->model, PyList_New(0)) < 0)
         return NULL;
     if (!k->ok)
         return finish(k, UNSAT);
-    if (ensure_vars(k, mx) < 0)
-        return NULL;
-    int nkept = k->kept.size;
-    int ai = 0; /* the next assumption to walk */
-    if (k->has_kept && nkept <= k->asum.size
-        && (nkept == 0
-            || memcmp(k->kept.data, k->asum.data, (size_t)nkept * sizeof(int)) == 0))
-        ai = nkept;
-    else
-        cancel_until(k, 0);
-    k->has_kept = 0;
     long long restart_limit = 100;
     long long since_restart = 0;
     long long conflicts_here = 0;
@@ -1050,10 +914,8 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
                     goto error;
                 return finish(k, UNSAT);
             }
-            int bt = handle_conflict(k, confl, &confl);
-            if (bt < 0)
+            if (handle_conflict(k, confl, &confl) < 0)
                 goto error;
-            ai = imin(ai, imin(bt, k->free_level - 1));
             if (deadline > 0.0 && (conflicts_here & 63) == 0) {
                 int late = past_deadline(deadline);
                 if (late < 0)
@@ -1070,51 +932,18 @@ Kernel_solve(Kernel *k, PyObject *args, PyObject *kwds)
             since_restart = 0;
             k->restarts++;
             cancel_until(k, 0);
-            ai = 0;
             continue;
         }
-        int p = -1;
-        while (ai < k->asum.size) {
-            int q = k->asum.data[ai];
-            int vq = value(k, q);
-            if (vq == 0) {
-                p = q;
-                ai++;
-                break;
-            }
-            if (vq == 2) {
-                if (k->free_level == NO_FREE) {
-                    int n = analyze_final(k, q);
-                    if (replace_list(&k->failed, lits_to_list(k->learnt, n)) < 0)
-                        goto error;
-                    cancel_until(k, 0);
-                    return finish(k, UNSAT);
-                }
-                ai = imin(ai, k->free_level - 1);
-                cancel_until(k, k->free_level - 1);
-                continue;
-            }
-            ai++; /* already true: no level */
+        int v = pick_branch(k);
+        if (v == 0) {
+            if (replace_list(&k->model, model_list(k)) < 0)
+                goto error;
+            return finish(k, SAT);
         }
-        if (p == -1) {
-            int v = pick_branch(k);
-            if (v == 0) {
-                if (replace_list(&k->model, model_list(k)) < 0)
-                    goto error;
-                ivec t = k->kept;
-                k->kept = k->asum;
-                k->asum = t;
-                k->has_kept = 1;
-                return finish(k, SAT);
-            }
-            k->decisions++;
-            p = (v << 1) | 1; /* default phase: False */
-            if (k->free_level == NO_FREE)
-                k->free_level = k->trail_lim.size + 1;
-        }
+        k->decisions++;
         if (ivec_push(&k->trail_lim, k->trail_size) < 0)
             goto error;
-        enqueue(k, p, -1);
+        enqueue(k, (v << 1) | 1, -1); /* default phase: False */
     }
 error:
     cancel_until(k, 0);
@@ -1158,8 +987,9 @@ Kernel_get_core(Kernel *k, PyObject *Py_UNUSED(ignored))
             Clause *c = k->clauses[x];
             if (ivec_reserve(&stack, c->ndep) < 0)
                 goto done;
-            memcpy(stack.data + stack.size, k->deps.data + c->dep,
-                   (size_t)c->ndep * sizeof(int));
+            if (c->ndep)
+                memcpy(stack.data + stack.size, k->deps.data + c->dep,
+                       (size_t)c->ndep * sizeof(int));
             stack.size += c->ndep;
         }
         else {
@@ -1217,16 +1047,13 @@ Kernel_get_trace(Kernel *k, PyObject *Py_UNUSED(ignored))
 static PyMethodDef Kernel_methods[] = {
     {"ensure_vars", (PyCFunction)Kernel_ensure_vars, METH_O,
      "ensure_vars(n): make variables 1..n exist."},
-    {"set_decision", (PyCFunction)Kernel_set_decision, METH_VARARGS,
-     "set_decision(v, flag): let v be branched on, or not; see _cdcl_py."},
     {"add_clause", (PyCFunction)Kernel_add_clause, METH_O,
      "add_clause(lits): add a clause of nonzero int literals."},
     {"solve", (PyCFunction)(void (*)(void))Kernel_solve,
      METH_VARARGS | METH_KEYWORDS,
-     "solve(assumptions=(), deadline=-1.0) -> 1, -1 or 0\n\n"
+     "solve(deadline=-1.0) -> 1, -1 or 0\n\n"
      "SAT, UNSAT or UNKNOWN.  deadline: absolute time.monotonic(), checked\n"
-     "every 64 conflicts, negative for none; no conflict budget.  A bad\n"
-     "literal raises ValueError before any state changes."},
+     "every 64 conflicts, negative for none; no conflict budget."},
     {"get_trace", (PyCFunction)Kernel_get_trace, METH_NOARGS,
      "get_trace() -> list of learned-clause tuples in derivation order."},
     {"get_core", (PyCFunction)Kernel_get_core, METH_NOARGS,
@@ -1244,7 +1071,6 @@ static PyMemberDef Kernel_members[] = {
     {"restarts", T_LONGLONG, offsetof(Kernel, restarts), READONLY, NULL},
     {"num_clauses", T_LONGLONG, offsetof(Kernel, num_clauses), READONLY, NULL},
     {"model", T_OBJECT_EX, offsetof(Kernel, model), READONLY, NULL},
-    {"failed", T_OBJECT_EX, offsetof(Kernel, failed), READONLY, NULL},
     {"last_status", T_INT, offsetof(Kernel, last_status), READONLY, NULL},
     {NULL}
 };

@@ -1,12 +1,13 @@
 """Incremental CDCL SAT kernel, pure Python edition.
 
 Two-watched-literal propagation, first-UIP learning, VSIDS branching,
-geometric restarts, fixed default phase False, and literal assumptions
-with failed-assumption extraction.  qexpand._cdcl, built from _cdcl.c,
-is the compiled twin; the two must produce identical models, counters,
+geometric restarts and fixed default phase False.  A solve takes no
+assumptions: it propagates, learns, restarts and branches on from the
+trail the last SAT answer kept.  qexpand._cdcl, built from _cdcl.c, is
+the compiled twin; the two must produce identical models, counters,
 proof traces and cores.  Both keep one order contract: each pick is the
-maximum of (activity, -index) over the unassigned decision variables.
-That is a strict total order, so any exact priority queue picks alike.
+maximum of (activity, -index) over the unassigned variables.  That is
+a strict total order, so any exact priority queue picks alike.
 
 Variables are 1-based ints.  Internally a literal is encoded as
 2*v (positive) or 2*v+1 (negative); clause references are indices
@@ -44,10 +45,10 @@ fresh one: it pops once the variable has left the queue, and a pick
 skips it.  The list is rebuilt with heapify at an activity rescale, which shrinks
 every key, and once it passes 2*nvars + 64 entries.
 
-A SAT answer keeps its trail.  _kept is that call's assumption list;
-UNSAT, UNKNOWN and set_decision or add_clause cancelling to level 0 set
-_kept to None.  add_clause simplifies against level-0 values only: a
-literal true by a kept decision must not drop the clause as satisfied.
+A SAT answer keeps its trail, and the next solve goes on from it.
+Every other exit of solve, a raised exception included, leaves level
+0.  add_clause simplifies against level-0 values only: a literal true
+by a kept decision must not drop the clause as satisfied.
 Above level 0 it moves the first two literals that the trail leaves
 non-false to the watch positions.  A watched pair that is non-false
 when added keeps the watch invariant on every trail below.  A clause
@@ -72,41 +73,10 @@ lazy clause implies it again: that clause is then false, a conflict
 at the backjump level, analysed at once.  add_clause drops the literals
 false at level 0, so f >= 1 and a cancel to level 0 empties _lazy.
 
-solve walks its assumptions with one index, ai.  An unassigned one
-opens a level, a true one opens none, and branching starts once ai is
-past the last.  _free_level is the level of the lowest free (branching)
-decision on the trail, _NO_FREE when there is none.  The invariant:
-every level below _free_level was opened by an assumption of the
-current list, in list order.  So after a cancel to level L below
-_free_level, every assumption up to the one that opened level L is
-true, and its position is at least L - 1: the walk may go on from
-position L.  The walk starts at len(_kept) when _kept is a prefix of
-the assumptions, so the invariant holds on the kept trail, and
-otherwise at 0 after a cancel to level 0.  A conflict backjumps to bt
-and undoes every level above it, assumption levels opened on top of
-free decisions included, so ai becomes min(ai, bt, _free_level - 1),
-with _free_level read after the backjump.  A restart cancels to level
-0 and sets ai to 0.  A false assumption is final when no free decision
-is on the trail: every level then holds an assumption, and
-_analyze_final collects the ones its negation rests on.  Otherwise the
-walk cancels to _free_level - 1 and goes on from min(ai, _free_level -
-1).  That cancel leaves no free decision, and the walk adds none, so a
-second false assumption before the next branching is final; every
-other backjump follows a learned clause, so the usual termination
-argument holds.
-
-A variable marked non-decision with set_decision(v, False) stays out
-of the order queue and is never picked as a decision; it is set
-only by propagation or as an assumption, and one left unassigned reads
-False in the model.  That model is sound only for variables that occur
-negatively in every clause: resolution never removes such a variable's
-literal, so learned clauses hold it negatively too, and False satisfies
-every clause it is in.
-
-add_clause and solve raise ValueError on a zero or non-int literal
-before they change any state, also once the solver is UNSAT.  A solve
-has no conflict budget; it ends UNKNOWN only when found past its
-deadline, a time.monotonic() value checked every 64 conflicts.
+add_clause raises ValueError on a zero or non-int literal before it
+changes any state, also once the solver is UNSAT.  A solve has no
+conflict budget; it ends UNKNOWN only when found past its deadline, a
+time.monotonic() value checked every 64 conflicts.
 """
 
 import time
@@ -120,7 +90,6 @@ _RESCALE_LIMIT = 1e100
 _RESCALE = 1e-100
 _ACT_BUMP_DECAY = 1.0 / 0.95
 _BAD_LITERAL = "literals must be nonzero ints"
-_NO_FREE = 1 << 62  # _free_level with no free decision on the trail
 
 
 def _intern(l):
@@ -141,7 +110,6 @@ class Kernel:
         self.restarts = 0
         self.num_clauses = 0
         self.model = []
-        self.failed = []
         self.last_status = UNKNOWN
         self._assigns = [0]  # 0 undef, 1 true, 2 false; index 0 unused
         self._level = [0]
@@ -149,7 +117,6 @@ class Kernel:
         self._act = [0.0]
         self._seen = bytearray(1)
         self._queued = bytearray(1)
-        self._decision = bytearray(1)
         self._queue = []  # heapq of (-activity, v), stale entries included
         self._watches = [[], []]
         self._clauses = []
@@ -163,8 +130,6 @@ class Kernel:
         self._lazy = []  # indices of lazy clauses; see the module doc
         self._added = 0  # add_clause calls so far, the next ordinal
         self._final = -1  # the clause of the conflict at level 0
-        self._kept = None  # assumptions of the SAT answer whose trail is kept
-        self._free_level = _NO_FREE  # level of the lowest free decision
 
     # -- variables ----------------------------------------------------
 
@@ -178,23 +143,9 @@ class Kernel:
             self._act.append(0.0)
             self._seen.append(0)
             self._queued.append(1)
-            self._decision.append(1)
             self._watches.append([])
             self._watches.append([])
             self._queue.append((-0.0, self.nvars))
-
-    def set_decision(self, v, flag):
-        """Let v be branched on (flag true) or not; see the module doc."""
-        if not isinstance(v, int) or v <= 0:
-            raise ValueError("variable must be a positive int")
-        self.ensure_vars(v)
-        if not flag and self._assigns[v] and self._level[v] > 0:
-            self._forget_trail()
-        self._decision[v] = 1 if flag else 0
-        if flag and not self._queued[v]:
-            self._queued[v] = 1
-            heappush(self._queue, (-self._act[v], v))
-            self._bound_queue()
 
     def _value(self, p):
         va = self._assigns[p >> 1]
@@ -279,7 +230,7 @@ class Kernel:
                 self._add_lazy(ci)
                 return
             if j < 2:
-                self._forget_trail()
+                self._cancel_until(0)
         if not out:
             self.ok = False
             self._final = ci
@@ -311,10 +262,6 @@ class Kernel:
 
     # -- trail --------------------------------------------------------
 
-    def _forget_trail(self):
-        self._cancel_until(0)
-        self._kept = None
-
     def _enqueue(self, p, reason):
         v = p >> 1
         self._assigns[v] = 2 if p & 1 else 1
@@ -323,21 +270,18 @@ class Kernel:
         self._trail.append(p)
 
     def _cancel_until(self, lvl):
-        if lvl < self._free_level:
-            self._free_level = _NO_FREE
         if len(self._trail_lim) <= lvl:
             return
         trail = self._trail
         limit = self._trail_lim[lvl]
         assigns = self._assigns
         queued = self._queued
-        decision = self._decision
         act = self._act
         queue = self._queue
         for p in trail[limit:]:
             v = p >> 1
             assigns[v] = 0
-            if not queued[v] and decision[v]:
+            if not queued[v]:
                 queued[v] = 1
                 heappush(queue, (-act[v], v))
         del trail[limit:]
@@ -474,37 +418,9 @@ class Kernel:
             seen[v] = 0
         return learnt, bt, deps
 
-    def _analyze_final(self, p):
-        # p: assumption literal found false; walk the trail and collect
-        # the assumptions its negation depends on.
-        out = [p]
-        if not self._trail_lim:
-            return out
-        seen = self._seen
-        trail = self._trail
-        seen[p >> 1] = 1
-        for i in range(len(trail) - 1, self._trail_lim[0] - 1, -1):
-            lq = trail[i]
-            v = lq >> 1
-            if not seen[v]:
-                continue
-            r = self._reason[v]
-            if r == -1:
-                if self._level[v] > 0:
-                    out.append(lq)
-            else:
-                c = self._clauses[r]
-                for k in range(1, len(c)):
-                    w = c[k] >> 1
-                    if self._level[w] > 0:
-                        seen[w] = 1
-            seen[v] = 0
-        seen[p >> 1] = 0
-        return out
-
     def _handle_conflict(self, confl):
-        """Learn from confl and backjump: (bt, the learned clause when a
-        lazy clause implied its asserting literal false again, else -1)."""
+        """Learn from confl and backjump; return the learned clause when a
+        lazy clause implied its asserting literal false again, else -1."""
         learnt, bt, deps = self._analyze(confl)
         self._cancel_until(bt)
         ci = len(self._clauses)
@@ -517,9 +433,9 @@ class Kernel:
             self._watches[learnt[0]].append(ci)
             self._watches[learnt[1]].append(ci)
         if self._value(learnt[0]) == 2:
-            return bt, ci
+            return ci
         self._enqueue(learnt[0], ci)
-        return bt, -1
+        return -1
 
     # -- branching ----------------------------------------------------
 
@@ -531,40 +447,30 @@ class Kernel:
             if not queued[v]:
                 continue  # stale: v left the queue after a bump
             queued[v] = 0
-            if self._assigns[v] == 0 and self._decision[v]:
+            if self._assigns[v] == 0:
                 return v
         return 0
 
     # -- main ---------------------------------------------------------
 
-    def solve(self, assumptions=(), deadline=-1.0):
-        asum = []
-        mx = 0
-        for l in assumptions:
-            if not isinstance(l, int) or l == 0:
-                raise ValueError(_BAD_LITERAL)
-            a = l if l > 0 else -l
-            if a > mx:
-                mx = a
-            asum.append(_intern(l))
+    def solve(self, deadline=-1.0):
         self.model = []
-        self.failed = []
         if not self.ok:
             self.last_status = UNSAT
             return UNSAT
-        self.ensure_vars(mx)
+        try:
+            return self._search(deadline)
+        except BaseException:
+            self._cancel_until(0)  # the next solve starts at level 0
+            self.last_status = UNKNOWN
+            raise
+
+    def _search(self, deadline):
         assigns = self._assigns
         level = self._level
         reason = self._reason
         trail = self._trail
         trail_lim = self._trail_lim
-        kept = self._kept
-        self._kept = None
-        if kept is not None and asum[: len(kept)] == kept:
-            ai = len(kept)  # the next assumption to walk
-        else:
-            self._cancel_until(0)
-            ai = 0
         restart_limit = 100
         since_restart = 0
         conflicts_here = 0
@@ -582,10 +488,7 @@ class Kernel:
                     self._trace.append([])
                     self.last_status = UNSAT
                     return UNSAT
-                # the backjump may undo assumptions above bt or above the
-                # lowest free decision; _free_level is read after it
-                bt, confl = self._handle_conflict(confl)
-                ai = min(ai, bt, self._free_level - 1)
+                confl = self._handle_conflict(confl)
                 if (
                     deadline > 0.0
                     and conflicts_here & 63 == 0
@@ -600,45 +503,20 @@ class Kernel:
                 since_restart = 0
                 self.restarts += 1
                 self._cancel_until(0)
-                ai = 0
                 continue
-            p = -1
-            while ai < len(asum):
-                q = asum[ai]
-                va = assigns[q >> 1]
-                if va == 0:
-                    p = q
-                    ai += 1
-                    break
-                if (3 - va if q & 1 else va) == 2:
-                    if self._free_level == _NO_FREE:
-                        self.failed = [_extern(x) for x in self._analyze_final(q)]
-                        self._cancel_until(0)
-                        self.last_status = UNSAT
-                        return UNSAT
-                    ai = min(ai, self._free_level - 1)
-                    self._cancel_until(self._free_level - 1)
-                    continue
-                ai += 1  # already true: no level
-            if p == -1:
-                v = self._pick_branch()
-                if v == 0:
-                    self.model = [None] + [
-                        assigns[i] == 1 for i in range(1, self.nvars + 1)
-                    ]
-                    self._kept = asum
-                    self.last_status = SAT
-                    return SAT
-                self.decisions += 1
-                p = (v << 1) | 1  # default phase: False
-                if self._free_level == _NO_FREE:
-                    self._free_level = len(trail_lim) + 1
+            v = self._pick_branch()
+            if v == 0:
+                self.model = [None] + [
+                    assigns[i] == 1 for i in range(1, self.nvars + 1)
+                ]
+                self.last_status = SAT
+                return SAT
+            self.decisions += 1
             trail_lim.append(len(trail))
-            v = p >> 1
-            assigns[v] = 2 if p & 1 else 1
+            assigns[v] = 2  # default phase: False
             level[v] = len(trail_lim)
             reason[v] = -1
-            trail.append(p)
+            trail.append((v << 1) | 1)
 
     def get_core(self):
         """(ordinals, positions) once the solver is UNSAT at level 0: the

@@ -8,40 +8,28 @@ Both implement the same search step for step, so switching kernels
 never changes models, verdicts, or the proof traces and cores both
 always record.
 
-The kernels check literals themselves: add_clause and solve raise
+The kernels check literals themselves: add_clause raises
 ValueError("literals must be nonzero ints") on a zero or non-int
-literal before they change any state, also on a solver already UNSAT.
+literal before it changes any state, also on a solver already UNSAT.
 
-Solver.set_decision(var, False) keeps var out of branching: only
-propagation or an assumption sets it, and left unassigned it reads
-False in the model.  Mark only variables that occur negatively in
-every clause; learned clauses then hold them negatively too, so that
-False satisfies every clause.
+A solve takes no assumptions; a literal to hold is added as a unit
+clause.  A SAT answer keeps its trail: the model's assignments stay on
+it, and the next solve propagates, learns, restarts and branches on
+from there.  UNSAT, UNKNOWN and a raised error cancel to level 0.
+add_clause simplifies against level-0 values only, so a literal that a
+kept decision made true never drops a clause.  A clause the trail
+leaves two literals non-false in is watched on them.  A clause it
+leaves one literal free in, every other one false, is implied on top
+of the kept trail: that literal is set at the current level, and every
+backtrack sets it again while the clause's false literals stay.  Any
+other clause, a unit included, cancels to level 0 first.
 
-A SAT answer keeps its trail: the model's assignments stay on it, with
-the call's assumption list.  UNSAT, UNKNOWN and a raised error cancel
-to level 0 and forget it.  add_clause simplifies against level-0 values
-only, so a literal that a kept decision made true never drops a clause.
-A clause the trail leaves two literals non-false in is watched on them.
-A clause it leaves one literal free in, every other one false, is
-implied on top of the kept trail: that literal is set at the current
-level, and every backtrack sets it again while the clause's false
-literals stay.  Any other clause cancels to level 0 first, as does
-set_decision(var, False) on a var the trail set above level 0.  When
-the kept list is a prefix of the next solve's assumptions (an empty
-list always is), that solve opens the new ones on top of the kept trail
-and branches on from there; any other list cancels to level 0.  Every
-level below the lowest free (branching) decision was opened by an
-assumption of the current list, in list order, so after a backjump, or
-a new assumption found false, the solve keeps those levels and walks
-the assumptions on from them.
-
-After an UNSAT answer at level 0, proof_core() names the exact core:
+After an UNSAT answer, proof_core() names the exact core:
 the add_clause calls and proof trace steps the final conflict rests on,
 read back from what each clause records (see the _cdcl_py docstring).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _cdcl_py as _pure
 
@@ -76,7 +64,6 @@ def kernel_name():
 class SolveOutcome:
     status: str
     model: list = None  # index by variable id; None when not SAT
-    failed_assumptions: list = field(default_factory=list)
 
 
 class Solver:
@@ -127,30 +114,24 @@ class Solver:
     def ensure_vars(self, n):
         self._k.ensure_vars(n)
 
-    def set_decision(self, var, flag):
-        """Let var be a decision variable (flag true) or not; see the
-        module doc for the clauses a non-decision variable may occur in.
-        ValueError unless var is a positive int."""
-        self._k.set_decision(var, flag)
-
     def add_clause(self, lits):
         self._k.add_clause(lits)
 
     def solve(self, assumptions=(), deadline=None):
-        """Solve under assumptions.  deadline is an absolute
-        time.monotonic() value, checked every 64 conflicts; a solve found
-        past it returns UNKNOWN.  There is no conflict budget."""
-        r = self._k.solve(assumptions, -1.0 if deadline is None else deadline)
-        status = _STATUS[r]
-        return SolveOutcome(
-            status=status,
-            model=self._k.model if status == SAT else None,
-            failed_assumptions=list(self._k.failed) if status == UNSAT else [],
-        )
+        """Solve the clauses added so far.  assumptions must be empty: it
+        keeps the positional slot of callers that pass [], and anything
+        in it raises ValueError before any state changes.  deadline is
+        an absolute time.monotonic() value, checked every 64 conflicts; a
+        solve found past it returns UNKNOWN.  There is no conflict
+        budget."""
+        if tuple(assumptions):
+            raise ValueError("solve takes no assumptions; add unit clauses")
+        status = _STATUS[self._k.solve(-1.0 if deadline is None else deadline)]
+        return SolveOutcome(status=status, model=self._k.model if status == SAT else None)
 
     def proof_trace(self):
-        """Learned clauses in derivation order; ends with () after a
-        top-level (assumption-free) UNSAT result."""
+        """Learned clauses in derivation order; ends with () after an
+        UNSAT result."""
         if self._k.last_status != -1:
             raise TraceUnavailable("last solve was not unsat")
         return self._k.get_trace()
@@ -160,7 +141,7 @@ class Solver:
         counted from 0, and the proof_trace() steps that the final
         conflict rests on.  Those clauses alone are unsatisfiable, and
         each of those steps follows from them and the steps before it by
-        unit propagation.  Only after an UNSAT answer at level 0."""
-        if self._k.last_status != -1 or self._k.ok:
+        unit propagation.  Only after an UNSAT answer."""
+        if self._k.last_status != -1:
             raise TraceUnavailable("no conflict at level 0")
         return self._k.get_core()

@@ -319,7 +319,31 @@ def test_seed_25492_certifies(kernel):
     assert proof.check_certificate(q, proof.extract_certificate(r.state)).ok
 
 
-def test_counter_selector_is_recorded_with_its_implications():
+@pytest.fixture
+def recorded_clauses(monkeypatch):
+    """Record every solver's add_clause calls on the solver, as
+    solver.recorded: a list of literal lists."""
+    add_clause = sat.Solver.add_clause
+
+    def recording_add_clause(self, lits):
+        lits = list(lits)
+        self.__dict__.setdefault("recorded", []).append(lits)
+        add_clause(self, lits)
+
+    monkeypatch.setattr(sat.Solver, "add_clause", recording_add_clause)
+
+
+def unsat_with_units(clauses, units, kernel="auto"):
+    """clauses plus the unit clauses units are UNSAT on a fresh solver."""
+    s = sat.Solver(kernel=kernel)
+    for c in clauses:
+        s.add_clause(c)
+    for l in units:
+        s.add_clause([l])
+    return s.solve().status == sat.UNSAT
+
+
+def test_counter_selector_is_recorded_with_its_implications(recorded_clauses):
     # 2=3=False falsifies (3), so the first negation adds nothing; the
     # second must not reuse a selector for the instantiated clause (1)
     # that has no implications
@@ -329,12 +353,12 @@ def test_counter_selector_is_recorded_with_its_implications():
     assert ea.selector == {} and len(ea.table) == 0
     ea.add_negation(Assignment.from_pairs(q, {2: False, 3: True}))
     x = ea.table.forward[(1, b"")]
-    assert ea.solver.solve(assumptions=[x]).status == sat.UNSAT
+    assert unsat_with_units(ea.solver.recorded, [x])
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("period", [1, 64])
-def test_counter_selectors_imply_their_clause_false(period, kernel):
+def test_counter_selectors_imply_their_clause_false(period, kernel, recorded_clauses):
     rng = random.Random(period)
 
     def hook(state):
@@ -343,8 +367,7 @@ def test_counter_selectors_imply_their_clause_false(period, kernel):
         assert len({d for _, d in sels}) == len(sels)
         for key, d in rng.sample(sels, min(3, len(sels))):
             for l in key:
-                out = ea.solver.solve(assumptions=[d, l])
-                assert out.status == sat.UNSAT, (key, d, l)
+                assert unsat_with_units(ea.solver.recorded, [d, l], kernel), (key, d, l)
 
     for seed in range(200):
         q = oracle.random_pcnf(seed)
