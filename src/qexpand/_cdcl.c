@@ -18,6 +18,15 @@
    (recheck_lazy), and every clause records what it rests on, so that
    get_core can name the exact core; _cdcl_py documents both.
 
+   get_hints names, per core step and then for the final conflict, the
+   certificate ids that derive it: the reasons of the level-0 variables
+   it needs in trail order, then the clauses its analysis resolved in
+   trail order (its deps reversed), then the conflict clause.  Under the
+   step's negation each is unit, or false for the last: a level-0
+   reason's other variables came earlier on the trail, and so did the
+   other literals of a resolved clause, a lazily implied literal
+   included; _cdcl_py gives the argument in full.
+
    Plain C against the CPython API, so any C compiler builds it and the
    module loads no C++ runtime.  Every function here runs with the
    interpreter lock held.  Literals use the encoding of _cdcl_py: 2*v
@@ -958,20 +967,13 @@ error:
             goto done;                      \
     } while (0)
 
-static PyObject *
-Kernel_get_core(Kernel *k, PyObject *Py_UNUSED(ignored))
+/* Mark in mark[0..nclauses) the clauses the final conflict rests on;
+   returns 0, or -1 with an exception set. */
+static int
+walk_core(Kernel *k, char *mark)
 {
-    if (k->ok || k->final_confl < 0) {
-        PyErr_SetString(PyExc_RuntimeError, "no conflict at level 0");
-        return NULL;
-    }
-    PyObject *out = NULL, *ordinals = NULL, *positions = NULL;
+    int ret = -1;
     ivec stack = {NULL, 0, 0};
-    char *mark = PyMem_Calloc((size_t)k->nclauses, 1);
-    if (mark == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
     /* x >= 0 is a clause index, x < 0 the level-0 variable -x; seen[]
        marks variables, every one on the level-0 trail */
     Clause *f = k->clauses[k->final_confl];
@@ -1007,6 +1009,36 @@ Kernel_get_core(Kernel *k, PyObject *Py_UNUSED(ignored))
                 PUSH(&stack, -(c->lits[m] >> 1));
         }
     }
+    ret = 0;
+done:
+    for (int i = 0; i < k->trail_size; i++)
+        k->seen[k->trail[i] >> 1] = 0;
+    PyMem_Free(stack.data);
+    return ret;
+}
+
+/* Both after a conflict at level 0, that is with k->ok false. */
+static int
+check_unsat(const Kernel *k)
+{
+    if (k->ok || k->final_confl < 0) {
+        PyErr_SetString(PyExc_RuntimeError, "no conflict at level 0");
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+Kernel_get_core(Kernel *k, PyObject *Py_UNUSED(ignored))
+{
+    if (check_unsat(k) < 0)
+        return NULL;
+    PyObject *out = NULL, *ordinals = NULL, *positions = NULL;
+    char *mark = PyMem_Calloc((size_t)k->nclauses, 1);
+    if (mark == NULL)
+        return PyErr_NoMemory();
+    if (walk_core(k, mark) < 0)
+        goto done;
     ordinals = PyList_New(0);
     positions = PyList_New(0);
     if (ordinals != NULL && positions != NULL) {
@@ -1029,10 +1061,164 @@ Kernel_get_core(Kernel *k, PyObject *Py_UNUSED(ignored))
 done:
     Py_XDECREF(ordinals);
     Py_XDECREF(positions);
-    for (int i = 0; i < k->trail_size; i++)
-        k->seen[k->trail[i] >> 1] = 0;
-    PyMem_Free(stack.data);
     PyMem_Free(mark);
+    return out;
+}
+
+static int
+cmp_int(const void *a, const void *b)
+{
+    int x = *(const int *)a, y = *(const int *)b;
+    return (x > y) - (x < y);
+}
+
+/* Push on stack the variables the added clause c dropped at level 0. */
+static int
+push_dropped(Kernel *k, ivec *stack, const Clause *c)
+{
+    if (c->tag < 0)
+        return 0;
+    if (ivec_reserve(stack, c->ndep) < 0)
+        return -1;
+    for (int m = 0; m < c->ndep; m++)
+        stack->data[stack->size++] = -k->deps.data[c->dep + m];
+    return 0;
+}
+
+/* Push on out the ids of the reasons of the level-0 variables on
+   stack, closed over each reason's variables and, for an added
+   reason, the variables it dropped; in trail order, at[v] being v's
+   trail position.  Empties stack; returns 0, or -1 with an exception
+   set.  seen[] marks the variables reached and is cleared again. */
+static int
+level0_hints(Kernel *k, ivec *stack, ivec *out, const int *at, const int *id)
+{
+    int ret = -1;
+    int from = out->size;
+    while (stack->size > 0) {
+        int v = stack->data[--stack->size];
+        if (k->seen[v])
+            continue;
+        PUSH(out, at[v]);
+        k->seen[v] = 1;
+        Clause *c = k->clauses[k->reason[v]];
+        if (ivec_reserve(stack, c->size) < 0)
+            goto done;
+        for (int m = 0; m < c->size; m++)
+            stack->data[stack->size++] = c->lits[m] >> 1;
+        if (push_dropped(k, stack, c) < 0)
+            goto done;
+    }
+    ret = 0;
+done:
+    stack->size = 0;
+    int n = out->size - from;
+    if (n == 0)
+        return ret;
+    int *pos = out->data + from;
+    for (int i = 0; i < n; i++)
+        k->seen[k->trail[pos[i]] >> 1] = 0;
+    if (ret < 0)
+        return ret;
+    qsort(pos, (size_t)n, sizeof(int), cmp_int);
+    for (int i = 0; i < n; i++)
+        pos[i] = id[k->reason[k->trail[pos[i]] >> 1]];
+    return 0;
+}
+
+/* Append to hints the tuple of ids of one step whose analysis left the
+   deps d[0..nd): the level-0 reasons it needs, then the clauses it
+   resolved, in the reverse of their order in d.  0, or -1 with an
+   exception set. */
+static int
+hint_row(Kernel *k, PyObject *hints, const int *d, int nd, ivec *stack,
+         ivec *row, const int *at, const int *id)
+{
+    row->size = 0;
+    for (int m = 0; m < nd; m++) {
+        if (d[m] < 0) {
+            if (ivec_push(stack, -d[m]) < 0)
+                return -1;
+        }
+        else if (push_dropped(k, stack, k->clauses[d[m]]) < 0)
+            return -1;
+    }
+    if (level0_hints(k, stack, row, at, id) < 0
+        || ivec_reserve(row, nd) < 0)
+        return -1;
+    for (int m = nd - 1; m >= 0; m--)
+        if (d[m] >= 0)
+            row->data[row->size++] = id[d[m]];
+    PyObject *t = PyTuple_New(row->size);
+    if (t == NULL)
+        return -1;
+    for (int i = 0; i < row->size; i++) {
+        PyObject *x = PyLong_FromLong(row->data[i]);
+        if (x == NULL) {
+            Py_DECREF(t);
+            return -1;
+        }
+        PyTuple_SET_ITEM(t, i, x);
+    }
+    int r = PyList_Append(hints, t);
+    Py_DECREF(t);
+    return r;
+}
+
+static PyObject *
+Kernel_get_hints(Kernel *k, PyObject *Py_UNUSED(ignored))
+{
+    if (check_unsat(k) < 0)
+        return NULL;
+    PyObject *out = NULL, *hints = NULL;
+    ivec stack = {NULL, 0, 0}, row = {NULL, 0, 0}, final = {NULL, 0, 0};
+    char *mark = PyMem_Calloc((size_t)k->nclauses, 1);
+    int *id = PyMem_Malloc((size_t)k->nclauses * sizeof(int));
+    int *at = PyMem_Malloc(((size_t)k->nvars + 1) * sizeof(int));
+    if (mark == NULL || id == NULL || at == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (walk_core(k, mark) < 0)
+        goto done;
+    /* ids: the core's added clauses 1..A, then its learned ones */
+    int n = 0;
+    for (int ci = 0; ci < k->nclauses; ci++)
+        if (mark[ci] && k->clauses[ci]->tag >= 0)
+            id[ci] = ++n;
+    for (int ci = 0; ci < k->nclauses; ci++)
+        if (mark[ci] && k->clauses[ci]->tag < 0)
+            id[ci] = ++n;
+    for (int i = 0; i < k->trail_size; i++) /* all level 0 */
+        at[k->trail[i] >> 1] = i;
+    hints = PyList_New(0);
+    if (hints == NULL)
+        goto done;
+    for (int ci = 0; ci < k->nclauses; ci++) {
+        Clause *c = k->clauses[ci];
+        if (mark[ci] && c->tag < 0
+            && hint_row(k, hints, k->deps.data + c->dep, c->ndep, &stack,
+                        &row, at, id) < 0)
+            goto done;
+    }
+    /* the final conflict is read as a step that resolved its clause
+       alone and dropped every variable of it */
+    Clause *f = k->clauses[k->final_confl];
+    PUSH(&final, k->final_confl);
+    for (int m = 0; m < f->size; m++)
+        PUSH(&final, -(f->lits[m] >> 1));
+    if (hint_row(k, hints, final.data, final.size, &stack, &row, at, id) < 0)
+        goto done;
+    out = hints;
+    hints = NULL;
+done:
+    Py_XDECREF(hints);
+    PyMem_Free(stack.data);
+    PyMem_Free(row.data);
+    PyMem_Free(final.data);
+    PyMem_Free(mark);
+    PyMem_Free(id);
+    PyMem_Free(at);
     return out;
 }
 
@@ -1059,6 +1245,9 @@ static PyMethodDef Kernel_methods[] = {
     {"get_core", (PyCFunction)Kernel_get_core, METH_NOARGS,
      "get_core() -> (ordinals, positions) after a conflict at level 0;\n"
      "see _cdcl_py."},
+    {"get_hints", (PyCFunction)Kernel_get_hints, METH_NOARGS,
+     "get_hints() -> one tuple of certificate ids per core trace step,\n"
+     "then one for the final conflict; see _cdcl_py."},
     {NULL}
 };
 

@@ -37,6 +37,28 @@ level-0 literals it dropped follow from their reasons, also reached.
 That is the argument of LRAT hints (Cruz-Filipe, Heule, Hunt, Kaufmann
 and Schneider-Kamp, CADE 2017), read back from the final conflict.
 
+get_hints spells that argument out per core step, as certificate ids:
+the core's added clauses are 1..A in ordinal order, its learned
+clauses A+1.. in trace order.  A learned clause's hints are, in order:
+the reasons of the level-0 variables it needs, in trail order; the
+clauses its analysis resolved, in trail order (its deps reversed); and
+the conflict clause.  The level-0 variables it needs are those it
+dropped, and those an added clause among its hints dropped at
+add_clause time, closed over the variables of each one's reason and
+over what that reason dropped, if it was added.  Under the step's
+negation each hint is then unit or false, in order: a level-0 reason
+has every other literal false at level 0, and those variables came
+earlier on the trail, so their reasons came first; a resolved clause
+is the reason of a literal on the current level, and its other
+literals are false: in the step, dropped at level 0, or set earlier on
+the trail by a resolved clause before it.  A literal implied lazily,
+above the level its reason needs, still comes after its reason's other
+literals on the trail, so trail order holds for it too.  The conflict
+clause then has every literal false.  The final conflict gets the same
+two parts: the level-0 reasons its variables need, then itself.  Every
+variable the closure reaches was set at level 0 before the step was
+learned, so every reason named is a core clause earlier than the step.
+
 The order queue is a heapq list of (-activity, v) entries; _queued[v]
 is set while v is in the queue.  A bump pushes a fresh entry for a
 queued variable and leaves the old one stale.  Activities only grow
@@ -130,6 +152,7 @@ class Kernel:
         self._lazy = []  # indices of lazy clauses; see the module doc
         self._added = 0  # add_clause calls so far, the next ordinal
         self._final = -1  # the clause of the conflict at level 0
+        self._core = None  # the core's clause indices, ascending, once walked
 
     # -- variables ----------------------------------------------------
 
@@ -518,29 +541,22 @@ class Kernel:
             reason[v] = -1
             trail.append((v << 1) | 1)
 
-    def get_core(self):
-        """(ordinals, positions) once the solver is UNSAT at level 0: the
-        add_clause ordinals and trace positions the final conflict rests
-        on, each ascending; see the module doc."""
+    def _core_clauses(self):
+        """The clause indices the final conflict rests on, ascending.
+        Walked once: nothing changes once the solver is UNSAT."""
+        if self._core is not None:
+            return self._core
         clauses = self._clauses
         deps = self._deps
         reason = self._reason
-        tag = self._tag
         marked = set()  # clause indices, and -v for level-0 variables
         stack = [self._final] + [-(p >> 1) for p in clauses[self._final]]
-        ordinals = []
-        positions = []
         while stack:
             x = stack.pop()
             if x in marked:
                 continue
             marked.add(x)
             if x >= 0:
-                t = tag[x]
-                if t >= 0:
-                    ordinals.append(t)
-                else:
-                    positions.append(~t)
                 stack += deps[x]
             else:
                 r = reason[-x]
@@ -548,9 +564,64 @@ class Kernel:
                     raise RuntimeError("level-0 literal without a reason")
                 stack.append(r)
                 stack += [-(q >> 1) for q in clauses[r]]
-        ordinals.sort()
-        positions.sort()
+        self._core = sorted(x for x in marked if x >= 0)
+        return self._core
+
+    def get_core(self):
+        """(ordinals, positions) once the solver is UNSAT at level 0: the
+        add_clause ordinals and trace positions the final conflict rests
+        on, each ascending; see the module doc."""
+        tag = self._tag
+        ordinals = []
+        positions = []
+        for ci in self._core_clauses():
+            t = tag[ci]
+            if t >= 0:
+                ordinals.append(t)
+            else:
+                positions.append(~t)
         return ordinals, positions
+
+    def get_hints(self):
+        """Once the solver is UNSAT at level 0: a tuple of certificate
+        ids per core trace step, in trace order, then one for the final
+        conflict; see the module doc."""
+        clauses = self._clauses
+        deps = self._deps
+        reason = self._reason
+        tag = self._tag
+        core = self._core_clauses()
+        added = [ci for ci in core if tag[ci] >= 0]
+        learned = [ci for ci in core if tag[ci] < 0]
+        ids = dict(zip(added + learned, range(1, len(core) + 1)))
+        at = {p >> 1: i for i, p in enumerate(self._trail)}  # all level 0
+        # the final conflict is read as a step that resolved its clause
+        # alone and dropped every variable of it
+        final = [self._final] + [-(p >> 1) for p in clauses[self._final]]
+        hints = []
+        for d in [deps[ci] for ci in learned] + [final]:
+            row = []
+            stack = []  # -v for the level-0 variables v the step needs
+            for x in reversed(d):
+                if x < 0:
+                    stack.append(x)
+                else:
+                    row.append(ids[x])
+                    if tag[x] >= 0:
+                        stack += deps[x]
+            if stack:
+                need = set()  # closed over reasons and what they dropped
+                while stack:
+                    v = -stack.pop()
+                    if v not in need:
+                        need.add(v)
+                        r = reason[v]
+                        stack += [-(q >> 1) for q in clauses[r]]
+                        if tag[r] >= 0:
+                            stack += deps[r]
+                row[:0] = [ids[reason[v]] for v in sorted(need, key=at.__getitem__)]
+            hints.append(tuple(row))
+        return hints
 
     def get_trace(self):
         ext = {q: _extern(q) for q in set().union(*self._trace)}.__getitem__

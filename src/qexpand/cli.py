@@ -9,6 +9,7 @@ counters, so two runs of the same command produce identical streams.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -142,6 +143,7 @@ def cmd_fuzz(args, out):
         raise ValueError("--count must not be negative")
     failures = 0
     certified = 0
+    digest = hashlib.sha256()  # over the certificate texts checked
     for i in range(args.count):
         seed = args.seed + i
         q = oracle.random_pcnf(seed)
@@ -164,9 +166,10 @@ def cmd_fuzz(args, out):
             continue
         if r.verdict == expand.FALSE and args.certify:
             # through the text, as solve --cert and check pass it on
-            cert = proof.extract_certificate(r.state)
+            text = proof.format_certificate(proof.extract_certificate(r.state))
+            digest.update(text.encode())
             try:
-                cert = proof.parse_certificate(proof.format_certificate(cert))
+                cert = proof.parse_certificate(text)
             except proof.CertificateError as e:
                 res = proof.CheckResult(False, str(e))
             else:
@@ -183,7 +186,7 @@ def cmd_fuzz(args, out):
         kernel,
     )
     if args.certify:
-        line += ", %d certificates checked" % certified
+        line += ", %d certificates checked, sha256 %s" % (certified, digest.hexdigest())
     print(line, file=out)
     return EXIT_ERROR if failures else 0
 

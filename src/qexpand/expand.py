@@ -161,6 +161,7 @@ class ForallAbstraction:
     def solve(self, deadline=None):
         return self.solver.solve(deadline=deadline)
 
+
 class ExistsAbstraction:
     """Conjunction of negated instantiations via clause selectors."""
 

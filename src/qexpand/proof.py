@@ -3,12 +3,14 @@
 A false verdict rests on an unsatisfiable conjunction of annotated
 instantiation clauses.  The certificate records them as axioms (matrix
 index, instantiating universal assignment, clause over integer ids) and
-a clause trace whose every step must follow by reverse unit
-propagation, ending in the empty clause.  An axiom's matrix clause and
-assignment fix the annotated variable behind each of its literals, so
-the axioms name every id.  Checking recomputes each axiom from the
-formula alone and replays the trace on a standalone propagator, so a
-certificate is evidence independent of the solver that produced it.
+a clause trace ending in the empty clause, each step with its hints:
+the ids of the earlier clauses that derive it by unit propagation, in
+order.  Ids are 1-based, axioms 1..A in order, then the trace steps.
+An axiom's matrix clause and assignment fix the annotated variable
+behind each of its literals, so the axioms name every id.  Checking
+recomputes each axiom from the formula alone and checks each step
+against its hints alone, so a certificate is evidence independent of
+the solver that produced it.
 
 Extraction reads it off the run's forall solver, the one started at the
 last reset (or at the run's start), UNSAT with no assumptions.  That
@@ -17,24 +19,21 @@ names the exact core of its final conflict (sat.Solver.proof_core):
 the add_clause calls and the proof trace steps that conflict rests on.
 The axioms are the core's clauses, in the order they were added, with
 the solver's own ids; the trace is the core's steps in trace order,
-then ().  Each step follows by unit propagation from the axioms and the
-steps before it, and the last, (), from all of them: every learned
-clause records the clauses its conflict analysis resolved and the
-level-0 variables it dropped, every level-0 literal has a reason
-clause, and the core is what one walk back from the final conflict
-reaches through them (the _cdcl_py docstring has the argument).  The
-checker does not rely on that argument: it replays every step.
+then ().  The hints are the solver's own (sat.Solver.proof_hints): for
+a step, the reasons of the level-0 literals it needs in trail order,
+then the clauses its conflict analysis resolved in trail order, then
+its conflict clause; for (), the level-0 reasons the final conflict
+needs, then that conflict's clause.  Each is unit or, the last, false
+under the step's negation (the _cdcl_py docstring has the argument).
 
-The replay loads the axioms once into a ClauseDatabase: units and their
-consequences sit on a level-0 trail that is never undone, clauses that
-level 0 satisfies are dropped, and every other clause is watched on two
-literals that level 0 leaves free.  A trace step assigns its negation
-above the level-0 trail, propagates through the watch lists of the
-literals that became false, undoes back to level 0 and is then added as
-a clause.  Ids come from a parsed file, so the database codes each
-literal densely the first time it sees it, and values and watch lists
-are lists indexed by code: storage grows with the distinct literals and
-never with the largest id.
+The checker does not rely on that argument.  rup_check is LRAT's rule
+(Cruz-Filipe, Heule, Hunt, Kaufmann and Schneider-Kamp, CADE 2017),
+strictly: the step's negation goes into a value map of its own, and
+each hint in turn must name an earlier clause that the map leaves
+unit, whose literal is then set, or false, which proves the step and
+must be the last hint.  Anything else rejects the step, so no step
+needs a clause its hints do not name, and checking costs what the
+hints name, however many clauses came before.
 """
 
 from dataclasses import dataclass
@@ -58,6 +57,7 @@ class CertificateError(Exception):
 class Certificate:
     axioms: list  # (matrix index, alpha literals, clause over annotated ids) triples
     trace: list  # derived abstraction clauses, last one empty
+    hints: list  # per trace clause, the ids of the clauses deriving it
 
 
 @dataclass
@@ -79,145 +79,39 @@ def extract_certificate(state):
         if alpha_lits is None:
             alpha_lits = spelled[alpha.values] = alpha.literals()
         axioms.append((idx, alpha_lits, lits))
-    steps = state.forall_abs.solver.proof_trace()
+    solver = state.forall_abs.solver
+    steps = solver.proof_trace()
     trace = [steps[t] for t in state.core_steps]
     trace.append(())
-    return Certificate(axioms, trace)
+    return Certificate(axioms, trace, solver.proof_hints())
 
 
-class ClauseDatabase:
-    """The clauses of one replay, over a level-0 trail that is never undone.
+def rup_check(clauses, derived, hints):
+    """None when hints derive derived from clauses, else why not.
 
-    Each literal is coded the first time the database sees it, through
-    one dict: the i-th variable seen gets 2i for its positive and 2i+1
-    for its negative literal, so c ^ 1 negates code c.  value and
-    watches are indexed by code, and the trail and clauses hold codes.
-
-    add() drops a clause that level 0 already satisfies (a tautology
-    included) and the literals level 0 makes false; what is left is a
-    unit, which extends the level-0 trail and is propagated, or two or
-    more free literals, of which the first two are watched.  Once level
-    0 is contradictory, conflict is true and every clause follows.
+    Hint h names clauses[h - 1], and must be at most len(clauses).  The
+    negation of derived is assigned in a value map of this call alone,
+    the set of false literals; each hint must be unit under it, and its
+    literal is then assigned, or false, which derives the step and must
+    be the last hint.  A literal repeated in a clause counts once.
     """
-
-    def __init__(self, clauses):
-        self.code = {}  # literal -> code, both signs of every variable seen
-        self.value = []  # code -> True, False or None (unassigned)
-        self.watches = []  # code -> clauses watching it; c[0], c[1] are c's watches
-        self.trail = []  # codes of true literals in assignment order
-        self.conflict = False
-        for c in clauses:
-            self.add(c)
-
-    def codes(self, lits):
-        """The codes of the sequence lits, coding the literals not yet seen."""
-        code = self.code
-        try:
-            return list(map(code.__getitem__, lits))
-        except KeyError:
-            pass
-        for l in lits:
-            if l not in code:
-                c = len(self.value)
-                code[l], code[-l] = (c, c + 1) if l > 0 else (c + 1, c)
-                self.value += (None, None)
-                self.watches += ([], [])
-        return list(map(code.__getitem__, lits))
-
-    def add(self, clause):
-        if self.conflict:
-            return
-        value = self.value
-        free = {}  # the free codes in first-seen order, each once
-        for c in self.codes(clause):
-            v = value[c]
-            if v:
-                return
-            if v is None:
-                if c ^ 1 in free:
-                    return  # a tautology
-                free[c] = None
-        free = list(free)
-        if len(free) > 1:
-            watches = self.watches
-            watches[free[0]].append(free)
-            watches[free[1]].append(free)
-        elif free:
-            unit = free[0]
-            value[unit] = True
-            value[unit ^ 1] = False
-            self.trail.append(unit)
-            self.conflict = self.propagate(len(self.trail) - 1)
-        else:
-            self.conflict = True
-
-    def propagate(self, head):
-        """Propagate the trail from position head; True on a conflict."""
-        trail = self.trail
-        value = self.value
-        watches = self.watches
-        while head < len(trail):
-            false = trail[head] ^ 1
-            head += 1
-            ws = watches[false]
-            if not ws:
+    false = set(derived)
+    n = len(clauses)
+    last = len(hints) - 1
+    for i, h in enumerate(hints):
+        if not 0 < h <= n:
+            return "hint %d names no earlier clause" % h
+        unit = 0
+        for l in clauses[h - 1]:
+            if l in false:
                 continue
-            kept = []
-            keep = kept.append
-            for i, c in enumerate(ws):
-                other = c[0]
-                if other == false:
-                    other = c[0] = c[1]
-                    c[1] = false
-                if value[other]:
-                    keep(c)
-                    continue
-                for k in range(2, len(c)):
-                    l = c[k]
-                    if value[l] is not False:
-                        c[1] = l
-                        c[k] = false
-                        watches[l].append(c)
-                        break
-                else:
-                    keep(c)
-                    if value[other] is False:  # every literal is false
-                        kept += ws[i + 1 :]
-                        watches[false] = kept
-                        return True
-                    value[other] = True
-                    value[other ^ 1] = False
-                    trail.append(other)
-            watches[false] = kept
-        return False
-
-
-def rup_check(db, derived):
-    """True when negating derived and unit-propagating over db conflicts.
-
-    db is a ClauseDatabase.  The negation and what it propagates are
-    assigned above db's level-0 trail and undone before returning, so db
-    is left as it was, but for codes given to literals it had not seen.
-    """
-    if db.conflict:
-        return True
-    value = db.value
-    trail = db.trail
-    base = len(trail)
-    try:
-        for c in db.codes(derived):
-            v = value[c]
-            if v:
-                return True
-            if v is None:
-                value[c] = False
-                value[c ^ 1] = True
-                trail.append(c ^ 1)
-        return db.propagate(base)
-    finally:
-        for c in trail[base:]:
-            value[c] = value[c ^ 1] = None
-        del trail[base:]
+            if -l in false or unit and unit != l:
+                return "hint %d is neither unit nor false" % h
+            unit = l
+        if not unit:
+            return None if i == last else "hint %d is false before the last hint" % h
+        false.add(-unit)
+    return "hints end without a conflict"
 
 
 def check_certificate(q, cert):
@@ -228,9 +122,9 @@ def check_certificate(q, cert):
     sign, in the order the matrix clause lists them.  That position
     names each id as an annotated variable; the first axiom to use an id
     names it, and every later use must give the same name.  No literal
-    may be 0.  The axioms are then loaded once into a ClauseDatabase,
-    every trace clause in turn must pass rup_check against it before it
-    is added, and the trace must end in the empty clause.
+    may be 0.  Every trace clause in turn must then pass rup_check
+    against its hints and the axioms and trace clauses before it, and
+    the trace must end in the empty clause.
     """
     from .formula import Assignment
 
@@ -265,15 +159,18 @@ def check_certificate(q, cert):
                 return CheckResult(False, "%s: instantiation mismatch" % where)
     if not cert.trace:
         return CheckResult(False, "trace is empty")
-    db = ClauseDatabase(lits for _, _, lits in cert.axioms)
-    for pos, derived in enumerate(cert.trace):
+    if len(cert.hints) != len(cert.trace):
+        return CheckResult(False, "trace and hints differ in length")
+    clauses = [lits for _, _, lits in cert.axioms]
+    for pos, (derived, hints) in enumerate(zip(cert.trace, cert.hints)):
         if 0 in derived:
             return CheckResult(False, "trace clause %d: literal 0" % pos)
-        if not rup_check(db, derived):
+        why = rup_check(clauses, derived, hints)
+        if why is not None:
             return CheckResult(
-                False, "trace clause %d is not propagation derivable" % pos
+                False, "trace clause %d is not derivable by its hints: %s" % (pos, why)
             )
-        db.add(derived)
+        clauses.append(derived)
     if cert.trace[-1] != ():
         return CheckResult(False, "trace does not end in the empty clause")
     return CheckResult(True)
@@ -288,20 +185,31 @@ def format_certificate(cert):
         if alpha_lits is not last:
             last, alpha = alpha_lits, " ".join(map(str, (*alpha_lits, 0)))
         add("a %d %s %s" % (idx, alpha, " ".join(map(str, (*lits, 0)))))
-    out += ["r " + " ".join(map(str, (*lits, 0))) for lits in cert.trace]
+    out += [
+        "r " + " ".join(map(str, (*lits, 0, *hints, 0)))
+        for lits, hints in zip(cert.trace, cert.hints)
+    ]
     return "\n".join(out) + "\n"
 
 
 def parse_certificate(text):
-    """Parse the text form back into a Certificate."""
+    """Parse the text form back into a Certificate.
+
+    A trace line holds a clause and its hint ids, each group ending in
+    0.  Ids count the axiom lines 1..A, then the trace lines, so every
+    axiom line comes first and a hint id must name an earlier line.
+    """
     axioms = []
     trace = []
+    hints = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("c"):
+        if not tokens:
             continue
         kind = tokens[0]
         if kind == "a":
+            if trace:
+                raise CertificateError("axiom line after a trace line", lineno)
             try:
                 nums = list(map(int, tokens[1:]))
             except ValueError:
@@ -322,14 +230,23 @@ def parse_certificate(text):
                 nums = list(map(int, tokens[1:]))
             except ValueError:
                 raise CertificateError("malformed trace line", lineno)
-            if nums.count(0) != 1 or nums.pop() != 0:
-                raise CertificateError("trace line must end in 0", lineno)
-            trace.append(tuple(nums))
-        else:
+            if nums.count(0) != 2 or nums[-1] != 0:
+                raise CertificateError(
+                    "trace line needs a clause and its hints, each ending in 0", lineno
+                )
+            cut = nums.index(0)
+            ids = tuple(nums[cut + 1 : -1])
+            if ids and not 0 < min(ids) <= max(ids) <= len(axioms) + len(trace):
+                if min(ids) < 1:
+                    raise CertificateError("hint ids must be positive", lineno)
+                raise CertificateError("hint id %d names no earlier line" % max(ids), lineno)
+            trace.append(tuple(nums[:cut]))
+            hints.append(ids)
+        elif not kind.startswith("c"):
             raise CertificateError("unknown line kind %r" % kind, lineno)
     if not axioms and not trace:
         raise CertificateError("certificate has no content")
-    return Certificate(axioms, trace)
+    return Certificate(axioms, trace, hints)
 
 
 def write_certificate_file(cert, path):

@@ -27,6 +27,12 @@ other clause, a unit included, cancels to level 0 first.
 After an UNSAT answer, proof_core() names the exact core:
 the add_clause calls and proof trace steps the final conflict rests on,
 read back from what each clause records (see the _cdcl_py docstring).
+proof_hints() names, for each of those steps and then for the final
+conflict, the core clauses that derive it by unit propagation, in the
+order a checker must use them: the level-0 reasons it needs in trail
+order, then the clauses its conflict analysis resolved in trail order,
+then the conflict clause.  Under the step's negation each is unit or,
+the last, false; the _cdcl_py docstring says why.
 """
 
 from dataclasses import dataclass
@@ -145,3 +151,12 @@ class Solver:
         if self._k.last_status != -1:
             raise TraceUnavailable("no conflict at level 0")
         return self._k.get_core()
+
+    def proof_hints(self):
+        """One tuple of ids per proof_core() step, in trace order, then
+        one for the final conflict, ().  Id i <= A is the i-th of the A
+        core add_clause calls, A + j the j-th core step.  Only after an
+        UNSAT answer."""
+        if self._k.last_status != -1:
+            raise TraceUnavailable("no conflict at level 0")
+        return self._k.get_hints()

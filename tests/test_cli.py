@@ -1,11 +1,12 @@
 import argparse
+import hashlib
 import json
 import pathlib
 import re
 
 import pytest
 
-from qexpand import proof, qdimacs, sat
+from qexpand import expand, oracle, proof, qdimacs, sat
 from qexpand.cli import build_parser, main
 from qexpand.formula import EXISTS, FORALL, Qbf
 
@@ -137,6 +138,35 @@ def test_check_rejects_tampering(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().out
 
 
+def test_check_rejects_old_format_and_bad_hints(tmp_path, capsys):
+    f = write(tmp_path, "f.qdimacs", FALSE_FILE)
+    cert = tmp_path / "out.cert"
+    main(["solve", f, "--cert", str(cert), "--quiet"])
+    capsys.readouterr()
+    lines = cert.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("r "))
+    own = first + 1  # the step's id: lines count from 1, axioms first
+    clause = lines[first].split(" 0 ")[0]
+    for hints, problem in [
+        (None, "trace line needs a clause and its hints"),  # the old format
+        ("-2", "hint ids must be positive"),
+        (str(own), "hint id %d names no earlier line" % own),
+        (str(own + 1), "hint id %d names no earlier line" % (own + 1)),
+    ]:
+        bad = list(lines)
+        bad[first] = clause + " 0" if hints is None else "%s 0 %s 0" % (clause, hints)
+        cert.write_text("\n".join(bad) + "\n")
+        assert main(["check", f, str(cert)]) == 1
+        err = capsys.readouterr().err
+        assert problem in err and "(line %d)" % own in err, err
+    # hints that name earlier clauses but do not derive the step
+    bad = list(lines)
+    bad[first] = "%s 0 1 0" % clause
+    cert.write_text("\n".join(bad) + "\n")
+    assert main(["check", f, str(cert)]) == 1
+    assert "trace clause 0 is not derivable by its hints" in capsys.readouterr().out
+
+
 def test_cert_notice_on_true(tmp_path, capsys):
     f = write(tmp_path, "t.qdimacs", TRUE_FILE)
     cert = tmp_path / "none.cert"
@@ -195,17 +225,37 @@ def test_free_variable_warning(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().out
 
 
+def fuzz_digest(out):
+    """The sha256 on the last line of a fuzz --certify run."""
+    last = out.splitlines()[-1]
+    assert re.search(r", sha256 [0-9a-f]{64}$", last), last
+    return last.rsplit(" ", 1)[1]
+
+
 def test_fuzz(capsys):
     assert main(["fuzz", "--count", "25", "--certify"]) == 0
     out = capsys.readouterr().out
     assert "fuzz ok: 25 instances" in out
     assert "certificates checked" in out
+    # the digest is over the certificate texts, in seed order
+    texts = []
+    for seed in range(25):
+        q = oracle.random_pcnf(seed)
+        r = expand.solve(q, expand.SolveConfig(verify_invariants=True))
+        if r.verdict == expand.FALSE:
+            texts.append(proof.format_certificate(proof.extract_certificate(r.state)))
+    assert "%d certificates checked" % len(texts) in out
+    assert fuzz_digest(out) == hashlib.sha256("".join(texts).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
     "garble, reason",
     [
-        (lambda text: text + "r 1 0\n", "trace does not end in the empty clause"),
+        # a step whose hint is the empty clause before it: derived, but last
+        (
+            lambda text: text + "r 1 0 %d 0\n" % len(text.splitlines()),
+            "trace does not end in the empty clause",
+        ),
         (lambda text: text.replace("r ", "x ", 1), "unknown line kind 'x'"),
     ],
 )
@@ -221,13 +271,16 @@ def test_fuzz_checks_the_text(monkeypatch, capsys, garble, reason):
 
 
 def test_fuzz_kernel(capsys):
-    assert main(["fuzz", "--count", "5", "--certify", "--kernel", "pure"]) == 0
-    assert "fuzz ok: 5 instances on the pure kernel" in capsys.readouterr().out
-    # a compiled run never falls back to the pure kernel
-    code = main(["fuzz", "--count", "5", "--kernel", "compiled"])
+    assert main(["fuzz", "--count", "20", "--certify", "--kernel", "pure"]) == 0
+    out = capsys.readouterr().out
+    assert "fuzz ok: 20 instances on the pure kernel" in out
+    # a compiled run never falls back to the pure kernel, and writes the
+    # pure kernel's certificates, hints included, byte for byte
+    code = main(["fuzz", "--count", "20", "--certify", "--kernel", "compiled"])
     captured = capsys.readouterr()
     if sat.COMPILED:
         assert code == 0 and "on the compiled kernel" in captured.out
+        assert fuzz_digest(captured.out) == fuzz_digest(out)
     else:
         assert code == 1 and "compiled kernel not available" in captured.err
         assert "fuzz ok" not in captured.out

@@ -11,7 +11,6 @@ from qexpand.proof import (
     Certificate,
     CertificateError,
     CertificateUnavailable,
-    ClauseDatabase,
     check_certificate,
     extract_certificate,
     format_certificate,
@@ -19,6 +18,12 @@ from qexpand.proof import (
     read_certificate_file,
     rup_check,
     write_certificate_file,
+)
+from rup_reference import (
+    ClauseDatabase,
+    reference_hints,
+    reference_rup_check,
+    replay_rup_check,
 )
 
 KERNELS = ["pure"] + (["compiled"] if sat.COMPILED else [])
@@ -47,62 +52,43 @@ def false_cert(q=None, config=None):
     return q, extract_certificate(r.state)
 
 
+def test_hinted_rup_check():
+    clauses = [(1, 2), (-1, 2), (-2, 3)]
+    assert rup_check(clauses, (2,), (1, 2)) is None
+    assert rup_check(clauses, (3,), (3, 1, 2)) is None
+    assert rup_check(clauses, (3,), (3, 2, 1)) is None
+    # the same hints in another order: (1, 2) has two free literals
+    assert rup_check(clauses, (3,), (1, 3, 2)) == "hint 1 is neither unit nor false"
+    assert rup_check(clauses, (3,), (3, 1)) == "hints end without a conflict"
+    assert rup_check(clauses, (3,), ()) == "hints end without a conflict"
+    # a satisfied hint is not unit
+    assert rup_check(clauses, (-1, 3), (1,)) == "hint 1 is neither unit nor false"
+    assert rup_check(clauses, (2,), (1, 2, 3)) == "hint 2 is false before the last hint"
+    assert rup_check(clauses, (2,), (1, 4)) == "hint 4 names no earlier clause"
+    assert rup_check(clauses, (2,), (0,)) == "hint 0 names no earlier clause"
+    assert rup_check(clauses, (2,), (-1,)) == "hint -1 names no earlier clause"
+    # a repeated literal counts once, in the hint and in the step
+    assert rup_check([(1, 1), (-1, 2, 2)], (2, 2), (1, 2)) is None
+    assert rup_check([()], (), (1,)) is None
+
+
 def test_rup_check_basic():
     clauses = [(1, 2), (-1, 2), (-2, 3)]
-    assert rup_check(ClauseDatabase(clauses), (2,))
-    assert rup_check(ClauseDatabase(clauses + [(-2,), (2,)]), ())
-    assert rup_check(ClauseDatabase(clauses), (3,))
-    assert not rup_check(ClauseDatabase(clauses), (1,))
-    assert not rup_check(ClauseDatabase(clauses), ())
-    assert rup_check(ClauseDatabase([()]), ())
+    assert replay_rup_check(ClauseDatabase(clauses), (2,))
+    assert replay_rup_check(ClauseDatabase(clauses + [(-2,), (2,)]), ())
+    assert replay_rup_check(ClauseDatabase(clauses), (3,))
+    assert not replay_rup_check(ClauseDatabase(clauses), (1,))
+    assert not replay_rup_check(ClauseDatabase(clauses), ())
+    assert replay_rup_check(ClauseDatabase([()]), ())
     # negated clause already contradicts itself
-    assert rup_check(ClauseDatabase([]), (1, -1))
-
-
-def reference_rup_check(clauses, derived):
-    """The fixpoint scan the replay replaced: rescan every clause until
-    nothing changes.  It counts a repeated literal twice, so a clause
-    such as (x, x) never becomes unit here."""
-    assign = {}
-    for l in derived:
-        v = -l if l < 0 else l
-        want = l < 0
-        if assign.get(v, want) != want:
-            return True
-        assign[v] = want
-    changed = True
-    while changed:
-        changed = False
-        for c in clauses:
-            unit = None
-            unknown = 0
-            satisfied = False
-            for l in c:
-                v = -l if l < 0 else l
-                val = assign.get(v)
-                if val is None:
-                    unknown += 1
-                    unit = l
-                    if unknown > 1:
-                        break
-                elif val == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied or unknown > 1:
-                continue
-            if unknown == 0:
-                return True
-            v = -unit if unit < 0 else unit
-            assign[v] = unit > 0
-            changed = True
-    return False
+    assert replay_rup_check(ClauseDatabase([]), (1, -1))
 
 
 def first_rejected(axioms, trace):
     """Position of the first trace step the replay rejects, else None."""
     db = ClauseDatabase(axioms)
     for pos, derived in enumerate(trace):
-        if not rup_check(db, derived):
+        if not replay_rup_check(db, derived):
             return pos
         db.add(derived)
     return None
@@ -182,7 +168,8 @@ def qparity(n):
 
 def tampered(cert, rng):
     """The certificate's trace changed by a deleted step, a flipped
-    literal or an inserted clause over its own ids."""
+    literal or an inserted clause over its own ids, each step given the
+    hints the reference scan finds for it."""
     trace = list(cert.trace)
     ids = sorted({abs(l) for _, _, lits in cert.axioms for l in lits})
     kind = rng.randrange(3)
@@ -195,7 +182,9 @@ def tampered(cert, rng):
         trace[pos] = c[:j] + (-c[j],) + c[j + 1 :]
     else:
         trace.insert(rng.randrange(len(trace)), random_clause(rng, ids, 3))
-    return Certificate(cert.axioms, trace)
+    clauses = [lits for _, _, lits in cert.axioms]
+    hints = [reference_hints(clauses + trace[:i], c) for i, c in enumerate(trace)]
+    return Certificate(cert.axioms, trace, hints)
 
 
 def checked_rejection(q, cert):
@@ -234,12 +223,12 @@ def test_replay_matches_reference_on_tampered_certificates(kernel):
 def test_replay_duplicate_literal():
     # (1, 1) is the unit 1, as an axiom and as an added step
     db = ClauseDatabase([(1, 1), (-1, 2, 2, 3)])
-    assert rup_check(db, (2, 3))
-    assert not rup_check(db, (2,))
+    assert replay_rup_check(db, (2, 3))
+    assert not replay_rup_check(db, (2,))
     db.add((-3, -3))
-    assert rup_check(db, (2,))
-    assert rup_check(db, (2, 2))
-    assert not rup_check(db, (4, 4))
+    assert replay_rup_check(db, (2,))
+    assert replay_rup_check(db, (2, 2))
+    assert not replay_rup_check(db, (4, 4))
 
 
 def watched(db):
@@ -249,22 +238,22 @@ def watched(db):
 
 def test_replay_tautologies():
     db = ClauseDatabase([(1, -1), (2, -2, 3)])
-    assert not rup_check(db, ())
-    assert not rup_check(db, (1,))
-    assert not rup_check(db, (3,))
+    assert not replay_rup_check(db, ())
+    assert not replay_rup_check(db, (1,))
+    assert not replay_rup_check(db, (3,))
     watches = watched(db)
     # a tautological step follows from anything and adds nothing
-    assert rup_check(db, (4, -4))
+    assert replay_rup_check(db, (4, -4))
     db.add((4, -4))
     assert watched(db) == watches and db.trail == [] and not db.conflict
-    assert not rup_check(db, ())
+    assert not replay_rup_check(db, ())
 
 
 def test_replay_empty_axiom():
     db = ClauseDatabase([(1, 2), (), (3,)])
     assert db.conflict
-    assert rup_check(db, ())
-    assert rup_check(db, (-3,))
+    assert replay_rup_check(db, ())
+    assert replay_rup_check(db, (-3,))
 
 
 def test_replay_conflicting_units():
@@ -273,30 +262,30 @@ def test_replay_conflicting_units():
     assert ClauseDatabase([(1,), (-1, 2), (-2,)]).conflict
     assert ClauseDatabase([(-2,), (-1, 2), (1,)]).conflict
     db = ClauseDatabase([(-1, 2), (-2,)])
-    assert not db.conflict and not rup_check(db, ())
+    assert not db.conflict and not replay_rup_check(db, ())
     db.add((1,))
-    assert db.conflict and rup_check(db, ())
+    assert db.conflict and replay_rup_check(db, ())
 
 
 def test_replay_step_satisfied_at_level_0():
     db = ClauseDatabase([(1,), (-1, 2), (3, 4)])
     assert db.trail == db.codes((1, 2))
     watches = watched(db)
-    assert rup_check(db, (2, 5))
+    assert replay_rup_check(db, (2, 5))
     db.add((2, 5))
     assert db.trail == db.codes((1, 2)) and watched(db) == watches
     # level-0 false literals are dropped, so what is left is a unit
     db.add((-1, -2, 3))
     assert db.trail == db.codes((1, 2, 3))
-    assert rup_check(db, (3,)) and not rup_check(db, (4,))
+    assert replay_rup_check(db, (3,)) and not replay_rup_check(db, (4,))
 
 
 def test_replay_sparse_ids():
     big = 2**40
     db = ClauseDatabase([(big, big + 1), (-big, big + 1), (-(big + 1), 2**62)])
-    assert rup_check(db, (big + 1,))
-    assert rup_check(db, (2**62,))
-    assert not rup_check(db, (-big,))
+    assert replay_rup_check(db, (big + 1,))
+    assert replay_rup_check(db, (2**62,))
+    assert not replay_rup_check(db, (-big,))
     # three variables, so six codes, however large their ids
     assert len(db.code) == len(db.value) == len(db.watches) == 6
     assert db.value == [None] * 6 and db.trail == []
@@ -309,6 +298,7 @@ def test_replay_sparse_ids():
     moved = Certificate(
         [(idx, alpha, move(lits)) for idx, alpha, lits in cert.axioms],
         [move(lits) for lits in cert.trace],
+        cert.hints,
     )
     assert check_certificate(q, moved).ok
 
@@ -323,7 +313,7 @@ def test_replay_undoes_each_step():
     db = ClauseDatabase(axioms)
     db.add((4,))
     before = (list(db.value), list(db.trail))
-    assert rup_check(db, (1, 2))
+    assert replay_rup_check(db, (1, 2))
     assert (db.value, db.trail) == before
 
 
@@ -334,10 +324,14 @@ def test_replay_long_step_is_linear():
     step = tuple(range(1, n + 1))
     start = time.perf_counter()
     db = ClauseDatabase([step[::-1]])
-    assert rup_check(db, step)
+    assert replay_rup_check(db, step)
     db.add(step)
     assert db.watches[db.code[1]] == [db.codes(step)]
-    assert not rup_check(db, step[1:])
+    assert not replay_rup_check(db, step[1:])
+    # and the hinted check of it against its reversal
+    assert rup_check([step[::-1]], step, (1,)) is None
+    assert rup_check([step[::-1]], step[1:], (1,)) == "hints end without a conflict"
+    assert rup_check([step[::-1]], step[2:], (1,)) == "hint 1 is neither unit nor false"
     assert time.perf_counter() - start < 2
 
 
@@ -373,7 +367,9 @@ def equality_2_qbf():
 # Ids are the run's, drawn as instantiation first meets each variable:
 # z5 and z6 under (y3, y4) = FF are 1 and 2, x1 and x2 are 3 and 4, z5
 # and z6 under FT are 5 and 6, TF 7 and 8, TT 9 and 10.  The axioms come
-# in the order the forall solver added them.
+# in the order the forall solver added them.  Hint ids count the lines:
+# axioms 1-12, then the trace steps 13-15.  Step 13 (not x1 or not x2)
+# sets z5 and z6 under TT by axioms 11 and 12, against axiom 10.
 EQUALITY_2_CERTIFICATE = """\
 a 0 -3 -4 0 -1 -2 0
 a 1 -3 -4 0 3 1 0
@@ -387,9 +383,9 @@ a 3 3 -4 0 4 8 0
 a 0 3 4 0 -9 -10 0
 a 2 3 4 0 -3 9 0
 a 4 3 4 0 -4 10 0
-r -4 -3 0
-r -3 0
-r 0
+r -4 -3 0 11 12 10 0
+r -3 0 8 13 7 9 0
+r 0 14 2 5 1 4 3 6 0
 """
 
 
@@ -409,8 +405,8 @@ def test_certificate_text_is_pinned():
 # sha256 over format_certificate of every FALSE run of random_pcnf
 # seeds 0-199, in seed order; 138 runs are FALSE at either period.
 CERTIFICATE_DIGESTS = {
-    0: "7ebafc5c273db6d55e4ce0bfd5d67ad67b4636be92da8caa61ec10fd735808b3",
-    1: "b873d5b250ef62c3097e06d3b0f6286fbed151bd18ac9635f8cc1c131a7eca35",
+    0: "aae6003852dd9daa14d5c7dc627795851415741aadad0bae10a1aacb75b340ce",
+    1: "2cc0d62a38693e064286af8ea3dc61dd69b4f0ca3dee50c3736fb44671044731",
 }
 
 
@@ -470,6 +466,7 @@ def test_tampered_axiom_literal_rejected():
     bad = Certificate(
         [(idx, alpha_lits, (-lits[0],) + lits[1:])] + cert.axioms[1:],
         cert.trace,
+        cert.hints,
     )
     res = check_certificate(q, bad)
     assert not res.ok and "mismatch" in res.reason
@@ -482,11 +479,13 @@ def test_tampered_matrix_index_rejected():
     bad = Certificate(
         [(bad_idx, alpha_lits, lits)] + cert.axioms[1:],
         cert.trace,
+        cert.hints,
     )
     assert not check_certificate(q, bad).ok
     out_of_range = Certificate(
         [(len(q.matrix), alpha_lits, lits)] + cert.axioms[1:],
         cert.trace,
+        cert.hints,
     )
     res = check_certificate(q, out_of_range)
     assert not res.ok and "index" in res.reason
@@ -496,9 +495,11 @@ def test_tampered_alpha_rejected():
     q, cert = false_cert()
     idx, alpha_lits, lits = cert.axioms[0]
     flipped = (-alpha_lits[0],) + alpha_lits[1:]
-    bad = Certificate([(idx, flipped, lits)] + cert.axioms[1:], cert.trace)
+    bad = Certificate([(idx, flipped, lits)] + cert.axioms[1:], cert.trace, cert.hints)
     assert not check_certificate(q, bad).ok
-    partial = Certificate([(idx, alpha_lits[:1], lits)] + cert.axioms[1:], cert.trace)
+    partial = Certificate(
+        [(idx, alpha_lits[:1], lits)] + cert.axioms[1:], cert.trace, cert.hints
+    )
     res = check_certificate(q, partial)
     assert not res.ok and "universal" in res.reason
 
@@ -508,7 +509,7 @@ def test_id_named_twice_rejected():
     # as one id, x under u=F and x under u=T would refute it at once
     q = Qbf([(FORALL, [1]), (EXISTS, [2])], [[1, 2], [-1, -2]])
     axioms = [(0, (-1,), (1,)), (1, (1,), (-1,))]
-    res = check_certificate(q, Certificate(axioms, [()]))
+    res = check_certificate(q, Certificate(axioms, [()], [(1, 2)]))
     assert not res.ok and res.reason == "axiom 1: instantiation mismatch"
     # a real certificate with one occurrence moved to another core id
     q, cert = false_cert(equality_2_qbf())
@@ -519,7 +520,7 @@ def test_id_named_twice_rejected():
             moved = lits[:j] + (other if l > 0 else -other,) + lits[j + 1 :]
             axioms = list(cert.axioms)
             axioms[pos] = (idx, alpha, moved)
-            res = check_certificate(q, Certificate(axioms, cert.trace))
+            res = check_certificate(q, Certificate(axioms, cert.trace, cert.hints))
             assert not res.ok and "mismatch" in res.reason
 
 
@@ -550,7 +551,7 @@ def test_permuted_axiom_literals_rejected():
             later += 1
         axioms = list(cert.axioms)
         axioms[pos] = (idx, alpha, reversed_lits)
-        res = check_certificate(q, Certificate(axioms, cert.trace))
+        res = check_certificate(q, Certificate(axioms, cert.trace, cert.hints))
         assert not res.ok and res.reason == "axiom %d: instantiation mismatch" % want
         permuted += 1
     assert permuted >= 6 and 0 < later < permuted
@@ -560,10 +561,10 @@ def test_literal_0_rejected():
     # 0 and -0 are one literal, so two units (0) and (0) would close a
     # true formula
     q = Qbf([(EXISTS, [1])], [[-1]])
-    forged = Certificate([(0, (), (0,)), (0, (), (0,))], [()])
+    forged = Certificate([(0, (), (0,)), (0, (), (0,))], [()], [(1, 2)])
     res = check_certificate(q, forged)
     assert not res.ok and "literal 0" in res.reason
-    res = check_certificate(q, Certificate([(0, (), (-1,))], [(0,), ()]))
+    res = check_certificate(q, Certificate([(0, (), (-1,))], [(0,), ()], [(1,), (1, 2)]))
     assert not res.ok and "literal 0" in res.reason
 
 
@@ -572,18 +573,20 @@ def test_non_rup_insert_rejected():
     # plain clauses, so neither a fresh unit nor the empty clause follows
     q = Qbf([(FORALL, [1]), (EXISTS, [2])], [[1, 2], [-1, -2]])
     axioms = [(0, (-1,), (1,)), (1, (1,), (-2,))]
-    res = check_certificate(q, Certificate(axioms, [(), ()]))
+    res = check_certificate(q, Certificate(axioms, [(), ()], [(1, 2), (1, 2)]))
     assert not res.ok and "derivable" in res.reason
-    res = check_certificate(q, Certificate(axioms, [(2,), ()]))
+    res = check_certificate(q, Certificate(axioms, [(2,), ()], [(1, 2), (1, 2, 3)]))
     assert not res.ok and "derivable" in res.reason
 
 
 def test_truncated_trace_rejected():
     q, cert = false_cert()
-    res = check_certificate(q, Certificate(cert.axioms, cert.trace[:-1]))
+    res = check_certificate(q, Certificate(cert.axioms, cert.trace[:-1], cert.hints[:-1]))
     assert not res.ok
-    res = check_certificate(q, Certificate(cert.axioms, []))
+    res = check_certificate(q, Certificate(cert.axioms, [], []))
     assert not res.ok and "empty" in res.reason
+    res = check_certificate(q, Certificate(cert.axioms, cert.trace, cert.hints[:-1]))
+    assert not res.ok and res.reason == "trace and hints differ in length"
 
 
 def test_parse_errors():
@@ -602,6 +605,71 @@ def test_parse_errors():
     with pytest.raises(CertificateError, match="unknown line kind 'd'") as err:
         parse_certificate("a 0 0 1 0\nd 1 2 -\nr 0\n")
     assert err.value.line == 2
+    # nor its trace lines, which have no hint group
+    with pytest.raises(CertificateError, match="clause and its hints") as err:
+        parse_certificate("a 0 0 1 0\nc hint ids\nr 0\n")
+    assert err.value.line == 3
+    # a hint id must name an earlier line: the axiom is 1, the step 2
+    assert parse_certificate("a 0 0 1 0\nr 0 1 0\n").hints == [(1,)]
+    for ids, problem in [("-1", "positive"), ("0 1", "clause and its hints"),
+                         ("1 2", "hint id 2 names no earlier line"),
+                         ("3", "hint id 3 names no earlier line")]:
+        with pytest.raises(CertificateError, match=problem) as err:
+            parse_certificate("a 0 0 1 0\nr 0 %s 0\n" % ids)
+        assert err.value.line == 2
+    # ids count the axioms first, so every axiom line comes first
+    with pytest.raises(CertificateError, match="axiom line after a trace line") as err:
+        parse_certificate("a 0 0 1 0\nr 0 1 0\na 0 0 1 0\n")
+    assert err.value.line == 3
+
+
+def test_tampered_hints_rejected():
+    # each change to one step's hints rejects that step and no earlier one
+    q, cert = false_cert(equality_2_qbf())
+    first = len(cert.axioms) + 1  # the id of trace clause 0
+    cases = 0
+    for pos, hints in enumerate(cert.hints):
+        variants = {
+            "names no earlier clause": [hints[:1] + (first + pos,) + hints[1:], (0,) + hints],
+            "neither unit nor false": [hints[-1:] + hints[:-1]],
+            "end without a conflict": [hints[:-1], ()],
+            "false before the last hint": [hints + hints[:1]],
+        }
+        # a dropped hint leaves a later one with two free literals, or
+        # ends the hints without a conflict
+        variants["neither unit nor false|end without a conflict"] = [
+            hints[:j] + hints[j + 1 :] for j in range(len(hints) - 1)
+        ]
+        for problem, changed in variants.items():
+            for bad in changed:
+                tampered_hints = list(cert.hints)
+                tampered_hints[pos] = bad
+                res = check_certificate(q, Certificate(cert.axioms, cert.trace, tampered_hints))
+                assert not res.ok
+                assert res.reason.startswith("trace clause %d is not derivable" % pos)
+                assert any(p in res.reason for p in problem.split("|")), res.reason
+                cases += 1
+    assert cases >= 20
+
+
+@pytest.mark.parametrize("period", [0, 1, 2])
+def test_hinted_steps_pass_the_reference(period):
+    # every step the hints derive also follows by unit propagation from
+    # every clause before it, on the watch-list replay
+    done = 0
+    for seed in range(1000):
+        q = oracle.random_pcnf(seed)
+        r = solve(q, SolveConfig(reset_period=period))
+        if r.verdict != FALSE:
+            continue
+        cert = extract_certificate(r.state)
+        assert check_certificate(q, cert).ok
+        db = ClauseDatabase(lits for _, _, lits in cert.axioms)
+        for step in cert.trace:
+            assert replay_rup_check(db, step), seed
+            db.add(step)
+        done += 1
+    assert done == 708
 
 
 def test_random_false_instances_certify():
@@ -689,7 +757,8 @@ def test_kernels_write_identical_certificates(period):
     for q in formulas:
         runs = [solve(q, SolveConfig(reset_period=period, kernel=k)) for k in ("pure", "compiled")]
         if runs[0].verdict == FALSE:
-            pure, compiled = (format_certificate(extract_certificate(r.state)) for r in runs)
-            assert pure == compiled
+            pure, compiled = (extract_certificate(r.state) for r in runs)
+            assert pure.hints == compiled.hints
+            assert format_certificate(pure) == format_certificate(compiled)
             done += 1
     assert done >= 25

@@ -20,6 +20,7 @@ from qexpand.sat import (
     Solver,
     TraceUnavailable,
 )
+from rup_reference import ClauseDatabase, replay_rup_check
 
 KERNELS = ["pure"] + (["compiled"] if sat.COMPILED else [])
 
@@ -636,8 +637,8 @@ def core_cases():
 
 def solve_batches(kernel, batches):
     """Add each batch and solve after it, up to the first UNSAT; return
-    the clauses added, the proof trace, and proof_core() (None when the
-    last answer is SAT)."""
+    the clauses added, the proof trace, and proof_core() and
+    proof_hints() (None when the last answer is SAT)."""
     s = Solver(kernel=kernel)
     added = []
     for batch in batches:
@@ -646,7 +647,7 @@ def solve_batches(kernel, batches):
         added += batch
         out = s.solve()
         if out.status == UNSAT:
-            return added, s.proof_trace(), s.proof_core()
+            return added, s.proof_trace(), (*s.proof_core(), s.proof_hints())
         assert_answer(out, added)
     return added, s._k.get_trace(), None
 
@@ -705,30 +706,36 @@ def lazy_cases(monkeypatch):
 
 def test_core_is_exact(kernel, lazy_cases):
     # the clauses the core names are unsatisfiable alone, and its steps
-    # replay on them alone; every learned clause, core or not, follows
-    # from the clauses added before it and the steps before it
+    # replay on them alone, each also by its hints alone; every learned
+    # clause, core or not, follows from the clauses added before it and
+    # the steps before it
     unsat = 0
     for batches in core_cases():
         added, trace, core = solve_batches(kernel, batches)
-        db = proof.ClauseDatabase(added)
+        db = ClauseDatabase(added)
         for step in trace:
-            assert proof.rup_check(db, step)
+            assert replay_rup_check(db, step)
             db.add(step)
         if core is None:
             continue
         unsat += 1
-        ordinals, positions = core
+        ordinals, positions, hints = core
         assert ordinals == sorted(set(ordinals)) and positions == sorted(set(positions))
         axioms = [added[i] for i in ordinals]
         fresh = Solver()
         for c in axioms:
             fresh.add_clause(c)
         assert fresh.solve().status == UNSAT
-        db = proof.ClauseDatabase(axioms)
+        db = ClauseDatabase(axioms)
         for t in positions:
-            assert proof.rup_check(db, trace[t])
+            assert replay_rup_check(db, trace[t])
             db.add(trace[t])
-        assert trace[-1] == () and proof.rup_check(db, ())
+        assert trace[-1] == () and replay_rup_check(db, ())
+        steps = [trace[t] for t in positions] + [()]
+        assert len(hints) == len(steps)
+        for step, ids in zip(steps, hints):
+            assert proof.rup_check(axioms, step, ids) is None
+            axioms.append(step)
     assert unsat > 120
     if kernel == "pure":
         assert all(lazy_cases.values()), lazy_cases
@@ -750,6 +757,9 @@ def test_core_names_add_clause_calls(kernel):
     s.add_clause([-6])  # 2 is False at level 0, so 5 and 6 are True there
     assert s.solve().status == UNSAT
     assert s.proof_core() == ([1, 3, 4, 5, 6, 7], [])
+    # ids 1-6 for those calls; (-6) was added empty, so its hints are the
+    # reasons of 3, -4, -2, 5 and 6 in trail order, then (-6) itself
+    assert s.proof_hints() == [(1, 3, 2, 4, 5, 6)]
 
 
 def test_core_unavailable(kernel):
@@ -758,12 +768,16 @@ def test_core_unavailable(kernel):
     s.solve()
     with pytest.raises(TraceUnavailable):
         s.proof_core()
+    with pytest.raises(TraceUnavailable):
+        s.proof_hints()
     # nor after an UNKNOWN answer
     for c in pigeonhole(7):
         s.add_clause(c)
     assert s.solve(deadline=time.monotonic() - 1.0).status == UNKNOWN
     with pytest.raises(TraceUnavailable):
         s.proof_core()
+    with pytest.raises(TraceUnavailable):
+        s.proof_hints()
 
 
 def equality(n):
