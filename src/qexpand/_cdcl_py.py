@@ -17,6 +17,15 @@ are never deleted: instances here live for one expansion run, and
 keeping every one keeps the trace checkable by plain unit propagation.
 get_trace shares one int per distinct literal.
 
+Values are kept per literal, as in MiniSat (Een and Sorensson, SAT
+2003): _vals[p] is 0 unassigned, 1 true or 2 false, so a literal's
+value is one list read.  A variable's pair (_vals[2v], _vals[2v+1]) is
+(0, 0), (1, 2) or (2, 1), and the true literals are exactly those on
+the trail.  Both entries are set together as the variable goes on the
+trail: by _enqueue, or by its two writes inlined in _propagate's
+implication and _search's decision.  They are cleared together in one
+place, _cancel_until, as the variable leaves the trail.
+
 Every clause has a record, units and the empty clause included (stored,
 never watched), so every level-0 literal has a reason clause.  _tag[ci]
 is the clause's add_clause ordinal, the number of add_clause calls
@@ -114,10 +123,6 @@ _ACT_BUMP_DECAY = 1.0 / 0.95
 _BAD_LITERAL = "literals must be nonzero ints"
 
 
-def _intern(l):
-    return (l << 1) if l > 0 else ((-l) << 1 | 1)
-
-
 def _extern(p):
     return -(p >> 1) if p & 1 else (p >> 1)
 
@@ -133,7 +138,7 @@ class Kernel:
         self.num_clauses = 0
         self.model = []
         self.last_status = UNKNOWN
-        self._assigns = [0]  # 0 undef, 1 true, 2 false; index 0 unused
+        self._vals = [0, 0]  # per literal: 0 unassigned, 1 true, 2 false
         self._level = [0]
         self._reason = [-1]
         self._act = [0.0]
@@ -160,7 +165,7 @@ class Kernel:
         # a new entry sorts after every queued one: append keeps the heap
         while self.nvars < n:
             self.nvars += 1
-            self._assigns.append(0)
+            self._vals += (0, 0)
             self._level.append(0)
             self._reason.append(-1)
             self._act.append(0.0)
@@ -170,12 +175,6 @@ class Kernel:
             self._watches.append([])
             self._queue.append((-0.0, self.nvars))
 
-    def _value(self, p):
-        va = self._assigns[p >> 1]
-        if va == 0:
-            return 0
-        return 3 - va if p & 1 else va
-
     # -- order queue (max-activity, ties to the smaller index) --------
 
     def _bound_queue(self):
@@ -183,22 +182,19 @@ class Kernel:
             self._rebuild_queue()
 
     def _rebuild_queue(self):
+        # in place: _analyze holds the list
         act = self._act
         queued = self._queued
-        self._queue = [(-act[v], v) for v in range(1, self.nvars + 1) if queued[v]]
-        heapify(self._queue)
+        queue = self._queue
+        queue[:] = [(-act[v], v) for v in range(1, self.nvars + 1) if queued[v]]
+        heapify(queue)
 
-    def _bump(self, v):
+    def _rescale(self):
         act = self._act
-        act[v] += self._var_inc
-        if act[v] > _RESCALE_LIMIT:
-            for i in range(1, self.nvars + 1):
-                act[i] *= _RESCALE
-            self._var_inc *= _RESCALE
-            self._rebuild_queue()
-        elif self._queued[v]:
-            heappush(self._queue, (-act[v], v))
-            self._bound_queue()
+        for i in range(1, self.nvars + 1):
+            act[i] *= _RESCALE
+        self._var_inc *= _RESCALE
+        self._rebuild_queue()
 
     # -- clauses ------------------------------------------------------
 
@@ -213,7 +209,7 @@ class Kernel:
             if a > mx:
                 mx = a
         ordinal = self._added
-        self._added += 1
+        self._added = ordinal + 1
         if not self.ok:
             return
         if mx > self.nvars:
@@ -221,10 +217,11 @@ class Kernel:
         out = []
         have = set()
         zeros = []  # level-0 variables that drop a false literal
+        vals = self._vals
         level = self._level
         for l in lits:
-            p = _intern(l)
-            v = self._value(p)
+            p = (l << 1) if l > 0 else ((-l) << 1 | 1)
+            v = vals[p]
             if v and level[p >> 1] == 0:
                 if v == 1:
                     return  # satisfied at top level
@@ -239,12 +236,13 @@ class Kernel:
         ci = len(self._clauses)
         self._clauses.append(out)
         self._tag.append(ordinal)
-        self._deps.append(tuple(zeros))  # most are the shared ()
-        if self._trail_lim:
-            # watch two literals the kept trail leaves non-false, if any
+        self._deps.append(tuple(zeros) if zeros else ())
+        if self._trail_lim and (len(out) < 2 or vals[out[1]] == 2 or vals[out[0]] == 2):
+            # a watched literal is false on the kept trail: move two it
+            # leaves non-false to the front, if any
             j = 0
             for i, p in enumerate(out):
-                if self._value(p) != 2:
+                if vals[p] != 2:
                     out[j], out[i] = p, out[j]
                     j += 1
                     if j == 2:
@@ -276,18 +274,19 @@ class Kernel:
         c[1], c[hi] = c[hi], c[1]
         self._watches[c[0]].append(ci)
         self._watches[c[1]].append(ci)
-        v = c[0] >> 1
-        if not self._assigns[v]:
+        if not self._vals[c[0]]:
             self._lazy.append(ci)
             self._enqueue(c[0], ci)
-        elif level[v] > level[c[1] >> 1]:
+        elif level[c[0] >> 1] > level[c[1] >> 1]:
             self._lazy.append(ci)  # true, but above the false watch
 
     # -- trail --------------------------------------------------------
 
     def _enqueue(self, p, reason):
         v = p >> 1
-        self._assigns[v] = 2 if p & 1 else 1
+        vals = self._vals
+        vals[p] = 1
+        vals[p ^ 1] = 2
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(p)
@@ -297,13 +296,13 @@ class Kernel:
             return
         trail = self._trail
         limit = self._trail_lim[lvl]
-        assigns = self._assigns
+        vals = self._vals
         queued = self._queued
         act = self._act
         queue = self._queue
         for p in trail[limit:]:
+            vals[p] = vals[p ^ 1] = 0
             v = p >> 1
-            assigns[v] = 0
             if not queued[v]:
                 queued[v] = 1
                 heappush(queue, (-act[v], v))
@@ -319,73 +318,61 @@ class Kernel:
         # clause whose false watch was undone is an ordinary one again, any
         # other implies its literal again at the new level.  All are sorted
         # first: a literal implied again could set an undone watch false.
-        assigns = self._assigns
+        vals = self._vals
         clauses = self._clauses
-        self._lazy = keep = [ci for ci in self._lazy if assigns[clauses[ci][1] >> 1]]
+        self._lazy = keep = [ci for ci in self._lazy if vals[clauses[ci][1]]]
         for ci in keep:
             p = clauses[ci][0]
-            if not assigns[p >> 1]:
+            if not vals[p]:
                 self._enqueue(p, ci)
 
     def _propagate(self):
         trail = self._trail
         clauses = self._clauses
         watches = self._watches
-        assigns = self._assigns
+        vals = self._vals
         level = self._level
         reason = self._reason
         lvl = len(self._trail_lim)
-        while self._qhead < len(trail):
-            pt = trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
-            fp = pt ^ 1  # literal that just became false
-            ws = watches[fp]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                ci = ws[i]
-                i += 1
+        qhead = start = self._qhead
+        confl = -1
+        while confl < 0 and qhead < len(trail):
+            fp = trail[qhead] ^ 1  # literal that just became false
+            qhead += 1
+            ws = iter(watches[fp])
+            watches[fp] = keep = []
+            for ci in ws:
                 c = clauses[ci]
                 if c[0] == fp:
                     c[0] = c[1]
                     c[1] = fp
                 first = c[0]
-                va = assigns[first >> 1]
-                fv = 0 if va == 0 else (3 - va if first & 1 else va)
+                fv = vals[first]
                 if fv == 1:
-                    ws[j] = ci
-                    j += 1
+                    keep.append(ci)
                     continue
-                found = False
                 for k in range(2, len(c)):
                     q = c[k]
-                    va = assigns[q >> 1]
-                    if va == 0 or (3 - va if q & 1 else va) != 2:
+                    if vals[q] != 2:
                         c[1] = q
                         c[k] = fp
                         watches[q].append(ci)
-                        found = True
                         break
-                if found:
-                    continue
-                ws[j] = ci
-                j += 1
-                if fv == 2:
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self._qhead = len(trail)
-                    return ci
-                v = first >> 1
-                assigns[v] = 2 if first & 1 else 1
-                level[v] = lvl
-                reason[v] = ci
-                trail.append(first)
-            del ws[j:]
-        return -1
+                else:
+                    keep.append(ci)
+                    if fv == 2:
+                        keep.extend(ws)
+                        confl = ci
+                        break
+                    vals[first] = 1
+                    vals[first ^ 1] = 2
+                    v = first >> 1
+                    level[v] = lvl
+                    reason[v] = ci
+                    trail.append(first)
+        self.propagations += qhead - start
+        self._qhead = len(trail)
+        return confl
 
     # -- learning -----------------------------------------------------
 
@@ -395,6 +382,11 @@ class Kernel:
         trail = self._trail
         level = self._level
         seen = self._seen
+        act = self._act
+        queued = self._queued
+        queue = self._queue
+        inc = self._var_inc
+        bound = 2 * self.nvars + 64
         to_clear = []
         cur = len(self._trail_lim)
         pathc = 0
@@ -412,7 +404,14 @@ class Kernel:
                     if level[v] == 0:
                         deps.append(-v)
                         continue
-                    self._bump(v)
+                    act[v] += inc
+                    if act[v] > _RESCALE_LIMIT:
+                        self._rescale()
+                        inc = self._var_inc
+                    elif queued[v]:
+                        heappush(queue, (-act[v], v))
+                        if len(queue) > bound:
+                            self._rebuild_queue()
                     if level[v] >= cur:
                         pathc += 1
                     else:
@@ -455,7 +454,7 @@ class Kernel:
         if len(learnt) > 1:
             self._watches[learnt[0]].append(ci)
             self._watches[learnt[1]].append(ci)
-        if self._value(learnt[0]) == 2:
+        if self._vals[learnt[0]] == 2:
             return ci
         self._enqueue(learnt[0], ci)
         return -1
@@ -470,7 +469,7 @@ class Kernel:
             if not queued[v]:
                 continue  # stale: v left the queue after a bump
             queued[v] = 0
-            if self._assigns[v] == 0:
+            if not self._vals[v << 1]:
                 return v
         return 0
 
@@ -489,7 +488,7 @@ class Kernel:
             raise
 
     def _search(self, deadline):
-        assigns = self._assigns
+        vals = self._vals
         level = self._level
         reason = self._reason
         trail = self._trail
@@ -529,17 +528,17 @@ class Kernel:
                 continue
             v = self._pick_branch()
             if v == 0:
-                self.model = [None] + [
-                    assigns[i] == 1 for i in range(1, self.nvars + 1)
-                ]
+                self.model = [None, *map((1).__eq__, vals[2::2])]
                 self.last_status = SAT
                 return SAT
             self.decisions += 1
             trail_lim.append(len(trail))
-            assigns[v] = 2  # default phase: False
+            p = (v << 1) | 1  # default phase: False
+            vals[p] = 1
+            vals[p ^ 1] = 2
             level[v] = len(trail_lim)
             reason[v] = -1
-            trail.append((v << 1) | 1)
+            trail.append(p)
 
     def _core_clauses(self):
         """The clause indices the final conflict rests on, ascending.

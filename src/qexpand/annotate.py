@@ -5,8 +5,8 @@ variables away and renames every surviving variable x to an annotated
 copy: the annotation is the values the assignment gives to the
 variables that precede x in prefix order.  Two occurrences of x under
 equal annotations are the same propositional variable; an InternTable
-maps (variable, annotation) pairs to solver ids, bijectively and stably
-for the lifetime of one abstraction.
+maps annotated variables to solver ids, bijectively and stably for the
+lifetime of one abstraction.
 
 An annotation is the assignment's own bytes before x's block,
 a.values[:head] with head the prefix position of the block's first
@@ -15,9 +15,11 @@ functions take covers exactly one side of the prefix (_check_domain),
 and x is on the other side, so x's block is unassigned and the bytes
 before it carry exactly the predecessors' values; the positions left
 unassigned in them are the same for every assignment of that side.
-The key stops at the block head rather than at x itself so that all
-variables of a block share one slice per instantiation: a slice per
-variable would hold a separate copy in every interned key.
+The key stops at the block head rather than at x itself, so all
+variables of a block share one annotation: together they form a block
+copy, which the table keeps as one entry.  instantiate and
+negate_instantiate look each block copy up once per call, and strip
+reads a whole copy with one lookup.
 
 This layer only instantiates, names and strips: an InternTable names
 annotated variables and nothing else.  How an abstraction encodes its
@@ -37,7 +39,14 @@ class InternTable:
 
     kind names the variables the instantiating assignments cover:
     "universal" for the all-instantiations side, "existential" for the
-    negated side.  forward is the only map: (var, annotation) -> id.
+    negated side.  copies is the only map: a block copy's annotation ->
+    the ids of that block's variables in prefix order, 0 until named.
+    The annotation alone is the key, since its length is the block's
+    head.  A variable is named at its first use, clause by clause and
+    literal by literal, so ids come in the order a per-variable table
+    would hand them out.  That order is what the solver's search reads
+    (its order queue breaks activity ties by the smaller id), so naming
+    whole copies at once, or in another order, would change the search.
     fresh() draws an id no annotated variable has, from the same dense
     id space, for the abstraction's own selectors.
     """
@@ -46,24 +55,18 @@ class InternTable:
         if kind not in ("universal", "existential"):
             raise ValueError("kind must be universal or existential")
         self.kind = kind
-        self.forward = {}  # (var, bytes before var's block) -> id
+        self.copies = {}  # bytes before a block -> its variables' ids, 0 unnamed
         self._next = 1
-
-    def intern(self, var, prefix):
-        key = (var, prefix)
-        i = self.forward.get(key)
-        if i is None:
-            i = self.forward[key] = self._next
-            self._next += 1
-        return i
+        self._fresh = 0
 
     def fresh(self):
         i = self._next
         self._next += 1
+        self._fresh += 1
         return i
 
     def __len__(self):
-        return len(self.forward)
+        return self._next - 1 - self._fresh
 
 
 def _instantiate_core(q, a):
@@ -100,12 +103,33 @@ def _instantiate_core(q, a):
     return out
 
 
-def _intern_lits(table, lits):
-    """Signed intern ids of (signed var, annotation) pairs."""
-    return tuple(
-        table.intern(-l if l < 0 else l, prefix) * (1 if l > 0 else -1)
-        for l, prefix in lits
-    )
+def _name(q, table, core):
+    """(matrix index, signed ids) for each clause of core, naming each
+    annotated variable at its first use: one copies lookup per block
+    copy in this call, then one list index per literal."""
+    copies = table.copies
+    pos = q.positions
+    rows = {}  # annotation -> its copy's ids, for this call
+    nxt = table._next
+    out = []
+    for idx, lits in core:
+        ids = []
+        for l, prefix in lits:
+            row = rows.get(prefix)
+            if row is None:
+                row = copies.get(prefix)
+                if row is None:
+                    row = copies[prefix] = [0] * q.block_heads.count(len(prefix))
+                rows[prefix] = row
+            o = pos[-l if l < 0 else l] - len(prefix)
+            i = row[o]
+            if not i:
+                i = row[o] = nxt
+                nxt += 1
+            ids.append(i if l > 0 else -i)
+        out.append((idx, tuple(ids)))
+    table._next = nxt
+    return out
 
 
 def _check_domain(q, a, table):
@@ -126,7 +150,7 @@ def instantiate(q, a, table):
     than re-add them.
     """
     _check_domain(q, a, table)
-    return [(idx, _intern_lits(table, lits)) for idx, lits in _instantiate_core(q, a)]
+    return _name(q, table, _instantiate_core(q, a))
 
 
 def negate_instantiate(q, s, table):
@@ -142,7 +166,7 @@ def negate_instantiate(q, s, table):
     core = _instantiate_core(q, s)
     if any(not lits for _, lits in core):
         return None
-    return tuple(dict.fromkeys(_intern_lits(table, lits) for _, lits in core))
+    return tuple(dict.fromkeys(ids for _, ids in _name(q, table, core)))
 
 
 def strip_cut(q, table):
@@ -168,15 +192,18 @@ def strip(model, source, table):
     """
     q = source.qbf
     want = EXISTS if table.kind == "universal" else FORALL
-    forward = table.forward
-    n = len(model)
+    copies = table.copies
+    n = len(model)  # ids named since the model was taken are past it
     values = bytearray(q.num_vars)
     head = 0
     for b in q.blocks:
+        k = len(b.variables)
         if b.quantifier == want:
-            prefix = source.values[:head]
-            for p, v in enumerate(b.variables, head):
-                aid = forward.get((v, prefix))
-                values[p] = 1 if aid is not None and aid < n and model[aid] else 2
-        head += len(b.variables)
+            row = copies.get(source.values[:head])
+            if row is None:
+                values[head : head + k] = b"\2" * k
+            else:
+                for p, i in enumerate(row, head):
+                    values[p] = 1 if 0 < i < n and model[i] else 2
+        head += k
     return Assignment(q, values)

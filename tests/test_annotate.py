@@ -13,6 +13,13 @@ from qexpand.annotate import (
     strip_cut,
 )
 from qexpand.formula import EXISTS, FORALL, Assignment, Qbf
+from intern_reference import (
+    ReferenceTable,
+    names,
+    reference_instantiate,
+    reference_negate_instantiate,
+    reference_strip,
+)
 
 
 def annotation_of(a, vid):
@@ -99,7 +106,7 @@ def test_instantiate_universal_side():
     sigma = Assignment.from_pairs(q, {1: True, 3: False})
     res = instantiate(q, sigma, table)
     assert res == [(1, (-1, 2)), (2, (-2,))]
-    assert table.forward == {(2, b"\1"): 1, (4, b"\1\0\2"): 2}
+    assert names(q, table) == {(2, b"\1"): 1, (4, b"\1\0\2"): 2}
     # same assignment again: the same clauses over the same ids
     assert instantiate(q, sigma, table) == res
     assert len(table) == 2
@@ -111,7 +118,7 @@ def test_instantiate_existential_side():
     tau = Assignment.from_pairs(q, {2: False, 4: False})
     assert instantiate(q, tau, table) == [(0, (1,))]
     # variable 1 sits in the first block: bare annotation
-    assert table.forward == {(1, b""): 1}
+    assert names(q, table) == {(1, b""): 1}
 
 
 def test_instantiate_shares_across_assignments():
@@ -120,8 +127,8 @@ def test_instantiate_shares_across_assignments():
     instantiate(q, Assignment.from_pairs(q, {1: True, 3: False}), table)
     res = instantiate(q, Assignment.from_pairs(q, {1: False, 3: True}), table)
     assert res == [(0, (3, 4))]
-    assert table.forward[(2, b"\2")] == 3
-    assert table.forward[(4, b"\2\0\1")] == 4
+    assert names(q, table)[(2, b"\2")] == 3
+    assert names(q, table)[(4, b"\2\0\1")] == 4
 
 
 def test_instantiate_empty_clause():
@@ -200,7 +207,7 @@ def test_negate_instantiate():
     assert negate_instantiate(q, tau, table) == ((1,),)
     tau2 = Assignment.from_pairs(q, {2: True, 4: False})
     assert negate_instantiate(q, tau2, table) == ((-1,),)
-    assert table.forward == {(1, b""): 1}
+    assert names(q, table) == {(1, b""): 1}
     # both negated instantiations together are unsatisfiable: the two
     # candidate assignments cover every universal choice
     ea = expand.ExistsAbstraction(q, sat.Solver())
@@ -272,10 +279,10 @@ def test_intern_table_bijective_random():
                 q, [(v, rng.random() < 0.5) for v in q.universals]
             )
             clauses = instantiate(q, a, table)
-            names = {i: k for k, i in table.forward.items()}
+            named = {i: k for k, i in names(q, table).items()}
             for _, lits in clauses:
                 for il in lits:
-                    v, prefix = names[abs(il)]
+                    v, prefix = named[abs(il)]
                     assert not q.is_universal(v)
                     # the annotation holds a's value of every universal
                     # before v, 1 for true and 2 for false, in prefix order
@@ -286,7 +293,38 @@ def test_intern_table_bijective_random():
                     )
                     assert prefix.replace(b"\0", b"") == want
         # ids are distinct and dense
-        assert sorted(table.forward.values()) == list(range(1, len(table) + 1))
+        assert sorted(names(q, table).values()) == list(range(1, len(table) + 1))
+
+
+@pytest.mark.parametrize("kind", ["universal", "existential"])
+def test_block_copies_match_reference(kind):
+    # the same ids in the same order as the per-variable table, the same
+    # strips, and the same count, selectors drawn in between
+    rng = random.Random(54)
+    nones = 0
+    for seed in range(200):
+        q = oracle.random_pcnf(seed)
+        side = q.universals if kind == "universal" else q.existentials
+        table, ref = InternTable(kind), ReferenceTable(kind)
+        sources = []
+        for _ in range(6):
+            a = Assignment.from_pairs(q, [(v, rng.random() < 0.5) for v in side])
+            sources.append(a)
+            if rng.random() < 0.5:
+                assert instantiate(q, a, table) == reference_instantiate(q, a, ref)
+            else:
+                got = negate_instantiate(q, a, table)
+                assert got == reference_negate_instantiate(q, a, ref)
+                nones += got is None
+            if rng.random() < 0.3:
+                assert table.fresh() == ref.fresh()
+            assert len(table) == len(ref)
+            assert names(q, table) == ref.forward
+            # a model may predate the ids named last
+            model = [None] + [rng.random() < 0.5 for _ in range(rng.randrange(table._next))]
+            for src in sources:
+                assert strip(model, src, table) == reference_strip(model, src, ref)
+    assert nones
 
 
 def test_unstrip_equivalence_random():

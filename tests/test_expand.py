@@ -16,6 +16,7 @@ from qexpand.expand import (
     solve,
 )
 from qexpand.formula import EXISTS, FORALL, Assignment, Qbf
+from intern_reference import names
 
 
 def alternating_true_qbf():
@@ -352,7 +353,7 @@ def test_counter_selector_is_recorded_with_its_implications(recorded_clauses):
     ea.add_negation(Assignment.from_pairs(q, {2: False, 3: False}))
     assert ea.selector == {} and len(ea.table) == 0
     ea.add_negation(Assignment.from_pairs(q, {2: False, 3: True}))
-    x = ea.table.forward[(1, b"")]
+    x = names(q, ea.table)[(1, b"")]
     assert unsat_with_units(ea.solver.recorded, [x])
 
 

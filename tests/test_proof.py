@@ -19,6 +19,7 @@ from qexpand.proof import (
     rup_check,
     write_certificate_file,
 )
+from intern_reference import names
 from rup_reference import (
     ClauseDatabase,
     reference_hints,
@@ -709,7 +710,7 @@ def test_trace_is_the_forall_solvers_own(kernel, period):
         assert all(step in steps for step in cert.trace[:-1])
         shorter += len(cert.trace) < len(full)
         ids = {abs(l) for _, _, lits in cert.axioms for l in lits}
-        assert ids <= set(fa.table.forward.values())
+        assert ids <= set(names(r.state.q, fa.table).values())
         done += 1
     assert done >= 15
     if period != 1:

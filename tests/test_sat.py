@@ -535,6 +535,36 @@ def assert_answer(out, clauses):
         assert not search_sat(clauses)
 
 
+def assert_values_follow_trail(k):
+    """On a pure kernel: every variable's literal pair reads (0, 0),
+    (1, 2) or (2, 1), and the true literals are exactly the trail's."""
+    vals = k._vals
+    assert len(vals) == 2 * k.nvars + 2
+    pairs = set(zip(vals[::2], vals[1::2]))
+    assert pairs <= {(0, 0), (1, 2), (2, 1)}, pairs
+    assert len(set(k._trail)) == len(k._trail)
+    assert {p for p, x in enumerate(vals) if x == 1} == set(k._trail)
+
+
+def test_pure_kernel_values_follow_trail(kept_trail_cases):
+    # after every clause added and every solve, on kept trails that
+    # conflict and restart and past the activity rescale
+    rng = random.Random(107)
+    sequences = [group_steps(rng) for _ in range(150)]
+    for steps in [pigeonhole_copies_steps(), pigeonhole_after_sat_steps()] + sequences:
+        k = _cdcl_py.Kernel()
+        k.ensure_vars(9)
+        for clauses, deadline in steps:
+            for c in clauses:
+                k.add_clause(c)
+                assert_values_follow_trail(k)
+            status = k.solve(-1.0 if deadline is None else deadline)
+            assert_values_follow_trail(k)
+            if status == _cdcl_py.UNSAT:
+                break
+    assert all(kept_trail_cases.values()), kept_trail_cases
+
+
 def test_guarded_groups_answer_right(kernel, kept_trail_cases):
     # every answer of solves that go on from a kept trail, checked
     # against the clauses added so far; the last sequence restarts
@@ -662,10 +692,10 @@ def assert_reasons_hold(k):
         if r >= 0:
             others = [q for q in k._clauses[r] if q != p]
             assert len(others) == len(k._clauses[r]) - 1
-            assert all(k._value(q) == 2 and where[q >> 1] < i for q in others)
+            assert all(k._vals[q] == 2 and where[q >> 1] < i for q in others)
     for ci in k._lazy:
         c = k._clauses[ci]
-        assert k._value(c[0]) == 1 and k._value(c[1]) == 2
+        assert k._vals[c[0]] == 1 and k._vals[c[1]] == 2
 
 
 @pytest.fixture
@@ -675,7 +705,8 @@ def lazy_cases(monkeypatch):
     backtrack ("reimply"), the lazy clauses dropped once their false
     watch was undone ("drop"), and learned clauses found false after
     the backjump because a lazy clause implied their literal again
-    ("falsified").  After each of the first two the reasons must hold."""
+    ("falsified").  After each of the first two the reasons must hold
+    and the values follow the trail."""
     counts = {"imply": 0, "reimply": 0, "drop": 0, "falsified": 0}
     kernel = _cdcl_py.Kernel
     add_lazy, recheck, handle = kernel._add_lazy, kernel._recheck_lazy, kernel._handle_conflict
@@ -685,6 +716,7 @@ def lazy_cases(monkeypatch):
         add_lazy(k, ci)
         counts["imply"] += len(k._trail) - implied
         assert_reasons_hold(k)
+        assert_values_follow_trail(k)
 
     def counted_recheck(k):
         lazy, implied = len(k._lazy), len(k._trail)
@@ -692,6 +724,7 @@ def lazy_cases(monkeypatch):
         counts["drop"] += lazy - len(k._lazy)
         counts["reimply"] += len(k._trail) - implied
         assert_reasons_hold(k)
+        assert_values_follow_trail(k)
 
     def counted_handle(k, confl):
         falsified = handle(k, confl)
@@ -829,7 +862,7 @@ def test_pure_kernel_order_contract(monkeypatch):
     rescaled = []
 
     def checked_pick(k):
-        free = [v for v in range(1, k.nvars + 1) if k._assigns[v] == 0]
+        free = [v for v in range(1, k.nvars + 1) if k._vals[2 * v] == 0]
         want = max(free, key=lambda v: (k._act[v], -v), default=0)
         v = pick(k)
         assert v == want
@@ -852,18 +885,30 @@ def test_pure_kernel_order_contract(monkeypatch):
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == PINNED_PIGEONHOLE
 
 
+def analyze_bumps(k, v):
+    """Have the pure kernel's conflict analysis bump v alone: decide v
+    False at level 1, analyse the clause (v) it falsifies, backtrack."""
+    k._trail_lim.append(len(k._trail))
+    k._enqueue((v << 1) | 1, -1)
+    k._clauses.append([v << 1])
+    k._analyze(len(k._clauses) - 1)
+    k._clauses.pop()
+    k._cancel_until(0)
+
+
 def test_pure_kernel_rescale_reorders_queue():
     # right after a rescale a variable is bumped past one that was above
     # it; entries keyed by the old activities would still put it second
     k = _cdcl_py.Kernel()
     k.ensure_vars(3)
-    k._bump(3)
+    analyze_bumps(k, 3)
+    assert k._act == [0.0, 0.0, 0.0, 1.0]
     k._var_inc = 0.6e100
-    k._bump(2)
-    k._bump(2)  # past 1e100: every activity scales by 1e-100
+    analyze_bumps(k, 2)
+    analyze_bumps(k, 2)  # past 1e100: every activity scales by 1e-100
     assert k._var_inc < 1.0
     for _ in range(3):
-        k._bump(3)
+        analyze_bumps(k, 3)
     assert [k._pick_branch() for _ in range(4)] == [3, 2, 1, 0]
 
 
