@@ -49,6 +49,11 @@ class InternTable:
     whole copies at once, or in another order, would change the search.
     fresh() draws an id no annotated variable has, from the same dense
     id space, for the abstraction's own selectors.
+
+    owner maps ids back: owner[i] is the annotation of the block copy
+    that holds id i, None for a fresh() id and for the unused id 0, so
+    len(owner) is the next id.  A model's changed ids name, through it,
+    the copies whose strip reads changed.
     """
 
     def __init__(self, kind):
@@ -56,6 +61,7 @@ class InternTable:
             raise ValueError("kind must be universal or existential")
         self.kind = kind
         self.copies = {}  # bytes before a block -> its variables' ids, 0 unnamed
+        self.owner = [None]  # id -> annotation of its copy, None if fresh
         self._next = 1
         self._fresh = 0
 
@@ -63,6 +69,7 @@ class InternTable:
         i = self._next
         self._next += 1
         self._fresh += 1
+        self.owner.append(None)
         return i
 
     def __len__(self):
@@ -73,32 +80,29 @@ def _instantiate_core(q, a):
     """Clauses of the matrix instantiated under a.
 
     Yields (matrix index, lits) for every clause not satisfied by a;
-    lits are (signed original var, annotation) pairs, the annotation
-    being a.values cut at the head of the var's block, one slice per
-    block.  Works for any partial assignment; domain policing happens
-    in the public wrappers.
+    lits are (signed original var, annotation, offset) triples, the
+    annotation being a.values cut at the head of the var's block, one
+    slice per block, and the offset the var's place in its block.
+    Works for any partial assignment; domain policing happens in the
+    public wrappers.
     """
     values = a.values
-    pos = q.positions
     heads = q.block_heads
     cuts = {}  # block head -> values[:head]
     out = []
-    for idx, c in enumerate(q.matrix):
+    for idx, c in enumerate(q.coded_matrix):
         lits = []
-        sat = False
-        for l in c:
-            p = pos[-l if l < 0 else l]
+        for l, p, t, o in c:
             code = values[p]
             if not code:
                 h = heads[p]
                 prefix = cuts.get(h)
                 if prefix is None:
                     prefix = cuts[h] = values[:h]
-                lits.append((l, prefix))
-            elif code == (1 if l > 0 else 2):
-                sat = True
+                lits.append((l, prefix, o))
+            elif code == t:
                 break
-        if not sat:
+        else:
             out.append((idx, tuple(lits)))
     return out
 
@@ -108,24 +112,24 @@ def _name(q, table, core):
     annotated variable at its first use: one copies lookup per block
     copy in this call, then one list index per literal."""
     copies = table.copies
-    pos = q.positions
+    owner = table.owner
     rows = {}  # annotation -> its copy's ids, for this call
     nxt = table._next
     out = []
     for idx, lits in core:
         ids = []
-        for l, prefix in lits:
+        for l, prefix, o in lits:
             row = rows.get(prefix)
             if row is None:
                 row = copies.get(prefix)
                 if row is None:
                     row = copies[prefix] = [0] * q.block_heads.count(len(prefix))
                 rows[prefix] = row
-            o = pos[-l if l < 0 else l] - len(prefix)
             i = row[o]
             if not i:
                 i = row[o] = nxt
                 nxt += 1
+                owner.append(prefix)
             ids.append(i if l > 0 else -i)
         out.append((idx, tuple(ids)))
     table._next = nxt
@@ -169,16 +173,24 @@ def negate_instantiate(q, s, table):
     return tuple(dict.fromkeys(ids for _, ids in _name(q, table, core)))
 
 
+def strip_heads(q, table):
+    """Heads of the blocks whose copies strip reads, in prefix order:
+    the blocks of the kind table's models assign."""
+    want = EXISTS if table.kind == "universal" else FORALL
+    heads = []
+    head = 0
+    for b in q.blocks:
+        if b.quantifier == want:
+            heads.append(head)
+        head += len(b.variables)
+    return heads
+
+
 def strip_cut(q, table):
     """Prefix position below which strip reads its source: the head of
     the last block of the kind table's models assign, 0 without one."""
-    want = EXISTS if table.kind == "universal" else FORALL
-    cut = head = 0
-    for b in q.blocks:
-        if b.quantifier == want:
-            cut = head
-        head += len(b.variables)
-    return cut
+    heads = strip_heads(q, table)
+    return heads[-1] if heads else 0
 
 
 def strip(model, source, table):

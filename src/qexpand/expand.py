@@ -40,9 +40,25 @@ the trail leaves a single literal free in is implied on top of the
 kept trail rather than sending the solver back to level 0.
 
 A strip reads its source only below annotate.strip_cut, the head of
-the last block of the side it assigns, so each refinement step strips
-once per distinct prefix there and hands the result to every source
-that shares it; every (source, strip) pair is still formed and checked.
+the last block of the side it assigns, and through that prefix the
+block copies it names, so sources that share a prefix share one strip.
+Each abstraction keeps a StripState: its sources' prefixes, numbered
+by first source, which copies each prefix reads, and the model it
+stripped last.  A refinement step strips the new model only against
+the dirty prefixes: those first seen since the side's last strip, and
+those reading a copy that holds an id whose value the strip reads
+differently in the new model than in the last model of the same
+solver.  annotate.InternTable.owner names each id's copy.  An id past
+the old model's end was read as False, so it counts as changed when it
+is True in the new one.  Every other prefix is clean: it strips exactly
+as it did last time, and that strip went into the target set then.
+Between resets S and A only grow, so a clean prefix can add nothing,
+and skipping it changes neither set.  A reset is the exception.  It
+empties A, so on a reset iteration the counter side strips every
+prefix.  The forall side starts over with its new table, so all its
+prefixes are new.  Dirty prefixes are stripped in first-source order,
+so new candidates enter S and A in the order a strip against every
+source would add them.
 
 Every iteration still adds to both sides, reset or not, so a stall
 (a refinement step that finds nothing new) is a bug and raises
@@ -64,17 +80,19 @@ matrix (m_f satisfies the instantiation under alpha) and falsify it
 (m_e falsifies a clause of the instantiation under sigma), a
 contradiction.
 
-The same pairs witness completion.  The forall step strips against
-every alpha and the exists step against every sigma, so with
-verify_invariants each step checks its own pairs: the strip satisfies
-its alpha (falsifies its sigma) and is in S (A) once inserted.  Then
-every alpha is satisfied by a named sigma, and every sigma falsified
-by a named alpha, with no search.  check_completion searches instead:
-it is the full scan for any state.
+The same pairs witness completion.  With verify_invariants each step
+also strips its clean prefixes, once each, and checks the pair of every
+alpha (sigma) with its strip: the strip satisfies its alpha (falsifies
+its sigma) and is in S (A) once inserted.  Then every alpha is
+satisfied by a named sigma, and every sigma falsified by a named alpha,
+with no search, and a dirty prefix taken for clean fails the check.
+check_completion searches instead: it is the full scan for any state.
 """
 
 import time
 from dataclasses import dataclass
+from itertools import chain, compress, islice
+from operator import ne
 
 from . import annotate, sat
 from .formula import FORALL, Assignment
@@ -124,6 +142,90 @@ class AssignmentSet:
         return iter(self._by_key.values())
 
 
+class StripState:
+    """What the strips of one abstraction's models read.
+
+    A source's prefix is source.values[:cut]; its strip reads that and,
+    through the prefix's cuts at annotate.strip_heads, the block copies
+    under those annotations.  Prefixes are numbered in the order of
+    their first source, which stands for all sources sharing it.  The
+    last head is the cut, so the copy there is the prefix's own and
+    index names its one reader.  readers maps each shorter annotation to
+    the numbers of the prefixes that read its copy.  Prefixes numbered
+    from stripped on came after the last strip, whose model is model.
+    """
+
+    def __init__(self, q, table):
+        self.table = table
+        self.cut = annotate.strip_cut(q, table)
+        self.shared = annotate.strip_heads(q, table)[:-1]  # heads below the cut
+        self.index = {}  # prefix -> number
+        self.sources = []  # number -> first source with that prefix
+        self.readers = {}  # annotation shorter than cut -> numbers reading it
+        self.stripped = 0
+        self.model = None
+
+    def add(self, source):
+        """Note a source the abstraction was instantiated under."""
+        prefix = source.values[: self.cut]
+        if prefix not in self.index:
+            n = self.index[prefix] = len(self.sources)
+            self.sources.append(source)
+            for h in self.shared:
+                self.readers.setdefault(prefix[:h], []).append(n)
+
+    def strip(self, model, every=False):
+        """{number: strip of model} for each dirty prefix (every prefix
+        if every is set), in number order."""
+        if every or self.model is None:
+            todo = range(len(self.sources))
+        else:
+            todo = sorted(self._dirty(model))
+        sources = self.sources
+        table = self.table
+        out = {n: annotate.strip(model, sources[n], table) for n in todo}
+        self.model = model
+        self.stripped = len(sources)
+        return out
+
+    def _dirty(self, model):
+        """Numbers of the prefixes new since the last strip or reading a
+        copy with an id whose read value differs from the last model's.
+        The walk stops once every prefix is dirty.  A lone prefix needs
+        no diff: were it clean, the step would add nothing, a stall."""
+        known = len(self.sources)
+        dirty = set(range(self.stripped, known))
+        if len(dirty) == known or known == 1:
+            return set(range(known))
+        old = self.model
+        n = len(old)
+        changed = chain(
+            compress(range(n), map(ne, old, model)),
+            compress(range(n, len(model)), islice(model, n, None)),
+        )
+        index = self.index
+        readers = self.readers
+        for annotation in set(map(self.table.owner.__getitem__, changed)):
+            if annotation in index:
+                dirty.add(index[annotation])
+            else:
+                dirty.update(readers.get(annotation, ()))  # none for fresh ids
+            if len(dirty) == known:
+                break
+        return dirty
+
+    def pairs(self, model, sources, strips):
+        """(source, strip of model) for every source, reading strips, a
+        result of strip(model), and stripping each prefix it skipped."""
+        strips = dict(strips)
+        for n, source in enumerate(self.sources):
+            if n not in strips:
+                strips[n] = annotate.strip(model, source, self.table)
+        index = self.index
+        cut = self.cut
+        return [(s, strips[index[s.values[:cut]]]) for s in sources]
+
+
 class ForallAbstraction:
     """Conjunction of instantiations, clause-shared, in a solver of its
     own since the last reset."""
@@ -139,6 +241,7 @@ class ForallAbstraction:
 
     def add_group(self, alpha):
         """Instantiate under alpha and add the clauses not yet added."""
+        self.strips.add(alpha)
         for idx, key in annotate.instantiate(self.q, alpha, self.table):
             if key not in self.origin:
                 self.origin[key] = (idx, alpha)
@@ -149,6 +252,7 @@ class ForallAbstraction:
         """Start over with a new solver and intern table."""
         self.solver = sat.Solver(kernel=self.kernel)
         self.table = annotate.InternTable("universal")
+        self.strips = StripState(self.q, self.table)
         # clause lits -> (matrix index, alpha), in add_clause order
         self.origin = {}
         self.live_literals = 0
@@ -169,11 +273,13 @@ class ExistsAbstraction:
         self.q = q
         self.solver = solver
         self.table = annotate.InternTable("existential")
+        self.strips = StripState(q, self.table)
         self.selector = {}  # clause lits -> selector implying the clause false
 
     def add_negation(self, sigma):
         """Assert that some clause of the instantiation under sigma is
         false: one selector per distinct clause, shared across sigmas."""
+        self.strips.add(sigma)
         clauses = annotate.negate_instantiate(self.q, sigma, self.table)
         if clauses is None:
             return
@@ -229,32 +335,13 @@ def _combined_eval(q, a, b):
     """Truth of the matrix under the union of two assignments."""
     av = a.values
     bv = b.values
-    pos = q.positions
-    for c in q.matrix:
-        sat_c = False
-        for l in c:
-            p = pos[-l if l < 0 else l]
-            if (av[p] or bv[p]) == (1 if l > 0 else 2):
-                sat_c = True
+    for c in q.coded_matrix:
+        for _, p, t, _ in c:
+            if (av[p] or bv[p]) == t:
                 break
-        if not sat_c:
+        else:
             return False
     return True
-
-
-def _strip_all(q, model, sources, table):
-    """(source, strip of model against it) for every source, in order;
-    sources that agree below annotate.strip_cut share one strip call."""
-    cut = annotate.strip_cut(q, table)
-    memo = {}
-    out = []
-    for source in sources:
-        prefix = source.values[:cut]
-        cand = memo.get(prefix)
-        if cand is None:
-            cand = memo[prefix] = annotate.strip(model, source, table)
-        out.append((source, cand))
-    return out
 
 
 def initial_alphas(q):
@@ -394,16 +481,17 @@ def _iterate(state, rec):
         return FALSE
 
     t0 = time.perf_counter()
-    strips = _strip_all(state.q, out_f.model, state.alphas, fa.table)
+    strips = fa.strips.strip(out_f.model)
     rec["strip_time"] = time.perf_counter() - t0
     new_s = 0
-    for _, cand in strips:
+    for cand in strips.values():
         if state.sigmas.add(cand):
             ea.add_negation(cand)
             new_s += 1
     rec["new_sigmas"] = new_s
     if cfg.verify_invariants:
-        _verify_pairs(state, strips, state.sigmas, s_side=True)
+        pairs = fa.strips.pairs(out_f.model, state.alphas, strips)
+        _verify_pairs(state, pairs, state.sigmas, s_side=True)
     if new_s == 0:
         _stalled(state, "sigma")
 
@@ -418,11 +506,12 @@ def _iterate(state, rec):
     if out_e.status == sat.UNSAT:
         return TRUE
 
-    t0 = time.perf_counter()
-    strips_a = _strip_all(state.q, out_e.model, state.sigmas, ea.table)
-    rec["strip_time"] += time.perf_counter() - t0
     do_reset = cfg.reset_period and state.iteration % cfg.reset_period == 0
     do_reset = do_reset or fa.live_literals > RESET_MEMORY_THRESHOLD
+    t0 = time.perf_counter()
+    # a reset empties A, so every strip must go in again
+    strips_a = ea.strips.strip(out_e.model, every=do_reset)
+    rec["strip_time"] += time.perf_counter() - t0
     before = state.alphas
     if do_reset:
         state.alphas = AssignmentSet()
@@ -430,14 +519,15 @@ def _iterate(state, rec):
         state.resets += 1
         rec["reset"] = True
     new_a = 0
-    for _, cand in strips_a:
+    for cand in strips_a.values():
         novel = cand not in before
         if state.alphas.add(cand):
             fa.add_group(cand)
             new_a += novel
     rec["new_alphas"] = new_a
     if cfg.verify_invariants:
-        _verify_pairs(state, strips_a, state.alphas, s_side=False)
+        pairs = ea.strips.pairs(out_e.model, state.sigmas, strips_a)
+        _verify_pairs(state, pairs, state.alphas, s_side=False)
     if new_a == 0:
         _stalled(state, "alpha")
     return None

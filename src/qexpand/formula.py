@@ -52,6 +52,12 @@ class Qbf:
     prefix position, the index of its byte in an Assignment.
     block_heads maps every prefix position to the position of the first
     variable of its block, where annotations cut an assignment's bytes.
+    coded_matrix is the matrix with each literal l as (l, p, t, o): p
+    its variable's prefix position, t the value code that satisfies it
+    (1 for l > 0, 2 otherwise) and o = p - block_heads[p], the
+    variable's offset in its block; the loops that read assignments
+    against the matrix take these from it rather than map every literal
+    again.
     """
 
     def __init__(self, blocks, clauses):
@@ -91,6 +97,18 @@ class Qbf:
         self.matrix = tuple(matrix)
         self.positions = positions
         self.block_heads = tuple(heads)
+        codes = {}  # literal -> its coded form, shared by its occurrences
+        coded = []
+        for c in matrix:
+            lits = []
+            for l in c:
+                code = codes.get(l)
+                if code is None:
+                    p = positions[-l if l < 0 else l]
+                    code = codes[l] = (l, p, 1 if l > 0 else 2, p - heads[p])
+                lits.append(code)
+            coded.append(tuple(lits))
+        self.coded_matrix = tuple(coded)
         self.prefix_order = order
         self.dropped_tautologies = dropped
         self._kinds = "".join(kinds)  # quantifier of each prefix position

@@ -153,7 +153,7 @@ def check_certificate(q, cert):
             )
         if len(lits) != len(produced):
             return CheckResult(False, "%s: instantiation mismatch" % where)
-        for l, (v, prefix) in zip(lits, produced):
+        for l, (v, prefix, _) in zip(lits, produced):
             name = (-v if v < 0 else v, prefix)
             if (l > 0) != (v > 0) or names.setdefault(-l if l < 0 else l, name) != name:
                 return CheckResult(False, "%s: instantiation mismatch" % where)

@@ -77,7 +77,9 @@ class Solver:
 
     Single-owner object: one loop drives one handle, no locking.  The
     model list returned in outcomes is shared with the kernel; treat it
-    as read-only.
+    as read-only.  Each SAT answer builds a new list, and no later call
+    changes one already returned, so a caller may keep a model to
+    compare with the next.
     """
 
     def __init__(self, kernel="auto"):

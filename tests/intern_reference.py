@@ -39,10 +39,10 @@ class ReferenceTable:
 
 
 def _intern_lits(table, lits):
-    """Signed intern ids of (signed var, annotation) pairs."""
+    """Signed intern ids of (signed var, annotation, offset) triples."""
     return tuple(
         table.intern(-l if l < 0 else l, prefix) * (1 if l > 0 else -1)
-        for l, prefix in lits
+        for l, prefix, _ in lits
     )
 
 

@@ -206,7 +206,7 @@ def test_05_instantiation_matches_substitution(acceptance):
             if val is not None:
                 want = _force_value(want, n, pos, val)
         stripped = [
-            [lit for lit, _ann in lits]
+            [lit for lit, _ann, _off in lits]
             for _idx, lits in annotate._instantiate_core(q, a)
         ]
         if oracle.truth_mask(stripped, order) != want:

@@ -26,7 +26,7 @@ def annotation_of(a, vid):
     """Annotation the unassigned variable vid receives under a."""
     q = a.qbf
     probe = Qbf([(b.quantifier, b.variables) for b in q.blocks], [[vid]])
-    [(_, [(_, prefix)])] = _instantiate_core(probe, Assignment(probe, a.values))
+    [(_, [(_, prefix, _)])] = _instantiate_core(probe, Assignment(probe, a.values))
     return prefix
 
 
@@ -62,7 +62,7 @@ def unstrip_check(q, s):
     is what makes stripping sound.
     """
     return [
-        tuple(l for l, _ in lits) for _, lits in _instantiate_core(q, s)
+        tuple(l for l, _, _ in lits) for _, lits in _instantiate_core(q, s)
     ]
 
 
@@ -95,7 +95,7 @@ def test_annotation_of():
     q2 = Qbf([(FORALL, [1, 2]), (EXISTS, [3, 4, 5])], [[1, 3, 4], [-2, 4, 5]])
     assert q2.block_heads == (0, 0, 2, 2, 2)
     a = Assignment.from_pairs(q2, {1: False, 2: True})
-    prefixes = [prefix for _, lits in _instantiate_core(q2, a) for _, prefix in lits]
+    prefixes = [prefix for _, lits in _instantiate_core(q2, a) for _, prefix, _ in lits]
     assert prefixes == [b"\2\1"] * 4
     assert all(prefix is prefixes[0] for prefix in prefixes)
 

@@ -279,6 +279,115 @@ def test_strip_once_per_distinct_prefix(monkeypatch):
     assert sum(1 for c in calls if c[1] == "existential") < sum(sources)
 
 
+def test_strip_only_dirty_prefixes(monkeypatch):
+    # without verify_invariants each side strips exactly the prefixes
+    # that are new since its last strip or read a copy holding an id
+    # whose strip reading changed, recomputed here from the tables'
+    # copies and the solvers' models, in first-source order
+    kinds = ("universal", "existential")
+    real_strip = annotate.strip
+    run = {}
+
+    def counting_strip(model, source, table):
+        prefix = source.values[: run["cut"][table.kind]]
+        run["calls"].append((run["iteration"], table.kind, prefix))
+        return real_strip(model, source, table)
+
+    monkeypatch.setattr(annotate, "strip", counting_strip)
+    for kind, cls in zip(kinds, (expand.ForallAbstraction, expand.ExistsAbstraction)):
+
+        def recording_solve(self, deadline=None, real=cls.solve, kind=kind):
+            out = real(self, deadline=deadline)
+            run["models"][kind] = out.model
+            return out
+
+        monkeypatch.setattr(cls, "solve", recording_solve)
+
+    def read(model, i):
+        return 0 < i < len(model) and model[i]
+
+    def expected(kind, table, sources):
+        old, known = run["last"][kind]
+        model = run["models"][kind]
+        order = list(dict.fromkeys(s.values[: run["cut"][kind]] for s in sources))
+
+        def changed(prefix):
+            ids = [i for h in run["heads"][kind] for i in table.copies.get(prefix[:h], ())]
+            return any(read(old, i) != read(model, i) for i in ids)
+
+        run["last"][kind] = (model, set(order))
+        run["distinct"] += len(order)
+        run["by_change"] += sum(p in known and changed(p) for p in order)
+        return [p for p in order if p not in known or changed(p)]
+
+    def hook(state):
+        for kind, table, sources in (
+            ("universal", state.forall_abs.table, run["alphas"]),
+            ("existential", state.exists_abs.table, state.sigmas),
+        ):
+            got = [c[2] for c in run["calls"] if c[:2] == (run["iteration"], kind)]
+            assert got == expected(kind, table, sources)
+        run["alphas"] = list(state.alphas)
+        run["iteration"] = state.iteration + 1
+
+    def check(q):
+        tables = {kind: annotate.InternTable(kind) for kind in kinds}
+        run.update(
+            heads={k: annotate.strip_heads(q, t) for k, t in tables.items()},
+            cut={k: annotate.strip_cut(q, t) for k, t in tables.items()},
+            calls=[],
+            models={},
+            last={kind: (None, set()) for kind in kinds},
+            alphas=initial_alphas(q),
+            iteration=1,
+            distinct=0,
+            by_change=0,
+        )
+        r = solve(q, SolveConfig(reset_period=0), on_iteration=hook)
+        assert r.state.resets == 0
+        assert len(run["calls"]) == len(set(run["calls"]))
+        return r
+
+    q = equality(4)
+    assert check(q).verdict == FALSE
+    # sigmas that agree below the cut, and clean prefixes, strip no more
+    assert len(run["calls"]) < run["distinct"]
+    # with every u and t negated, old prefixes read changed copies, some
+    # only in their own copy at the cut
+    flip = set(q.blocks[1].variables + q.blocks[2].variables)
+    flipped = Qbf(
+        [(b.quantifier, b.variables) for b in q.blocks],
+        [[-l if abs(l) in flip else l for l in c] for c in q.matrix],
+    )
+    assert check(flipped).verdict == FALSE and run["by_change"] > 50
+    for seed in range(60):
+        check(oracle.random_pcnf(seed))
+
+
+def test_verify_invariants_catches_a_missed_dirty_prefix(monkeypatch):
+    # a dirty set that ignores changed ids strips only new prefixes
+    monkeypatch.setattr(
+        expand.StripState,
+        "_dirty",
+        lambda self, model: set(range(self.stripped, len(self.sources))),
+    )
+    with pytest.raises(InvariantViolation, match="completion violated"):
+        for seed in range(200):
+            solve(oracle.random_pcnf(seed), SolveConfig(verify_invariants=True))
+
+
+def test_verify_invariants_catches_a_reset_without_full_strip(monkeypatch):
+    # a reset empties A; the counter side must strip every prefix again
+    real_strip = expand.StripState.strip
+    monkeypatch.setattr(
+        expand.StripState, "strip", lambda self, model, every=False: real_strip(self, model)
+    )
+    with pytest.raises(InvariantViolation, match=r"completion violated \(a-completes-s\)"):
+        for seed in range(200):
+            q = oracle.random_pcnf(seed)
+            solve(q, SolveConfig(reset_period=1, verify_invariants=True))
+
+
 @pytest.mark.parametrize("period", [1, 64])
 def test_origin_holds_the_added_clauses(period):
     def hook(state):

@@ -236,6 +236,29 @@ def test_kept_trail_interleaving_random(kernel):
     assert sat_after_sat > 150
 
 
+def test_models_are_not_mutated_later(kernel):
+    # expand diffs each model against the last one it kept, so a model
+    # list must hold its values through later add_clause and solve calls
+    rng = random.Random(107)
+    changed = 0
+    for _ in range(100):
+        pool, _ = random_cnf(rng, max_vars=8, max_clauses=30)
+        s = Solver(kernel=kernel)
+        kept = []  # (model list, its values when returned)
+        while pool:
+            for _ in range(rng.randint(0, 4)):
+                if pool:
+                    s.add_clause(pool.pop())
+                    assert all(m == values for m, values in kept)
+            out = s.solve()
+            assert all(m == values for m, values in kept)
+            if out.status != SAT:
+                break
+            changed += bool(kept) and out.model != kept[-1][1]
+            kept.append((out.model, list(out.model)))
+    assert changed > 50
+
+
 def test_fast_path_conflict_is_learned(kernel):
     # 1 and 2 are kept False by decisions; (3, 2) implies 3 on top of the
     # kept trail, which propagates 4 into a conflict with 1 False, at
